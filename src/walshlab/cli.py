@@ -182,6 +182,8 @@ def _cmd_thm1(args) -> int:
 
 
 def _cmd_thm2(args) -> int:
+    if args.config and args.part == "both":
+        raise ValueError("a config describes one part; pass --part a or --part b with --config")
     ok = True
     if args.part in ("a", "both"):
         if args.config:
@@ -197,7 +199,7 @@ def _cmd_thm2(args) -> int:
         _write_report_files(report, args.output, series=("n", "ratio"))
         ok = ok and report.verdict
     if args.part in ("b", "both"):
-        if args.config and args.part == "b":
+        if args.config:
             cfg = _load_config(args.config)
             phi = scheme_from_json(cfg.scheme) if cfg.scheme else UnitWeight()
         else:
@@ -295,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", type=_parse_int_list, help="support levels, e.g. 4..9")
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes, >= 1; capped at the CPU count")
     sp.add_argument("--output")
     sp.set_defaults(func=_cmd_thm1)
 
     sp = sub.add_parser("thm2", help="sharpness: growth and weak divergence")
     sp.add_argument("--part", choices=("a", "b", "both"), default="both")
-    sp.add_argument("--config")
+    sp.add_argument("--config", help="JSON experiment config for one part (needs --part a or b)")
     sp.add_argument("--p", action="append")
     sp.add_argument("--resolution", type=int, default=12, metavar="M")
     sp.add_argument("--scales", type=_parse_int_list, help="scales, e.g. 3..11")
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", default="1/2")
     sp.add_argument("--trials", type=int, default=60)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes, >= 1; capped at the CPU count")
     sp.add_argument("--output")
     sp.set_defaults(func=_cmd_corollaries)
 

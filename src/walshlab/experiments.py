@@ -18,6 +18,7 @@ so verdicts enforce stability or growth trends rather than absolute caps.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
@@ -36,6 +37,7 @@ from .operators import (
     TableWeight,
     UnitWeight,
     WeightScheme,
+    float_weight,
     restricted_maximal,
     scheme_from_json,
     scheme_to_json,
@@ -177,9 +179,17 @@ def _window_trend(maxima: Sequence[float], stable_cap: float, band_cap: float, g
     }
 
 
+def worker_count(jobs: int) -> int:
+    """The worker count for ``jobs``: ``ValueError`` below 1, capped at the CPU count."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _map_tasks(fn: Callable, tasks: list, jobs: int) -> list:
-    """Order-preserving map; a process pool when jobs > 1."""
-    if jobs <= 1 or len(tasks) < 2:
+    """Order-preserving map; a process pool when more than one worker is allowed."""
+    jobs = worker_count(jobs)
+    if jobs == 1 or len(tasks) < 2:
         return [fn(t) for t in tasks]
     chunk = max(1, len(tasks) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -465,6 +475,8 @@ def _validate_thm1(cfg: ExperimentConfig) -> None:
         )
     if cfg.trials < 1:
         problems.append("'trials' must be >= 1")
+    if cfg.jobs < 1:
+        problems.append("'jobs' must be >= 1")
     if problems:
         raise ConfigError(problems)
 
@@ -690,7 +702,7 @@ def _auto_probe_bit(n: int, p: PExponent, phi: WeightScheme) -> int:
     best_s, best_val = 0, -np.inf
     for s in range(n):
         q = (1 << n) + (1 << s)
-        val = 2.0 ** ((n - s) * inv_p1) / float(phi.at(q))
+        val = 2.0 ** ((n - s) * inv_p1) / float_weight(phi, q)
         if val > best_val:
             best_s, best_val = s, val
     return best_s
@@ -722,7 +734,7 @@ def theorem2_weak_divergence(cfg: ExperimentConfig, phi: WeightScheme | None = N
             q = probe_index(n, s).q
             f = counterexample_fn(n, m, "float64")
             sq = partial_sum(f, q)
-            phi_q = float(phi.at(q))
+            phi_q = float_weight(phi, q)
             threshold = _PROBE_LOWER_CONSTANT * 2.0**s
             meas = int((np.abs(sq.values) >= threshold).sum()) / f.size
             hardy = hardy_quasinorm(f, p)
@@ -868,8 +880,12 @@ def corollary_suite(
     if not p.p < 1:
         raise ValueError(f"corollary suite needs p in (0, 1), got {p}")
     levels = tuple(support_levels) if support_levels is not None else tuple(range(2, r.m - 1))
-    if len(levels) < 3:
-        raise ValueError("corollary trends need at least 3 support levels")
+    if len(levels) < 4:
+        shared = ", ".join(str(lv) for lv in sorted(set(levels[:2]) & set(levels[-2:])))
+        raise ValueError(
+            f"corollary trends need at least 4 support levels, got {list(levels)}: "
+            f"both two-level end windows would hold level {shared}"
+        )
     if any(not 1 <= lv <= r.m - 2 for lv in levels):
         raise ValueError("support levels must leave two bits of headroom below m")
 

@@ -8,23 +8,36 @@ explicit tables.  The sup over all naturals reduces to ``n in [1, 2^m]``
 because the tail clamps to ``f`` with weights that never dip below the
 weight at ``2^m``; that reduction is exercised by tests via ``extend_to``
 rather than assumed.
+
+Engines, one per kind of weight, each written once for float64 and exact:
+
+* spread-only weights (``UnitWeight``, ``RhoWeight``; ``spread_only`` is
+  true) go through the Paley-block recursion, O(m^2 2^m) with no
+  transform.  For ``i < 2^h`` the block identity
+  ``S_{2^h+i} f = E_h f + r_h S_i(E_h(f r_h))`` reduces the sup to the max
+  and min of ``S_i`` grouped by the lowest set bit of ``i``, carried level
+  by level over the Walsh packets ``U_j[Q] = E_j(f prod_{k in Q} r_k)``;
+* ``PolyWeight`` and ``TableWeight`` go through the dense engine: one
+  transform, then a running sum over every order, O(4^m);
+* ``restricted_maximal`` assembles each requested partial sum from the
+  same packet table in ``popcount(n)`` vector steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Union
+from typing import ClassVar, Iterable, Union
 
 import numpy as np
 
 from .analysis import PExponent
-from .functions import DyadicFunction, SpectralVector
+from .functions import DyadicFunction
 from .spectral import (
     _WALSH_CACHE_MAX,
     fwht_forward,
-    fwht_inverse,
     index_stats,
     walsh_matrix,
     walsh_rows,
@@ -35,6 +48,8 @@ from .spectral import (
 class UnitWeight:
     """No damping: the classical maximal operator."""
 
+    spread_only: ClassVar[bool] = True
+
     def at(self, n: int):
         _check_order(n)
         return 1
@@ -44,6 +59,7 @@ class UnitWeight:
 class RhoWeight:
     """``2^(rho(n) (1/p - 1))``; exact powers of two for integer ``1/p - 1``."""
 
+    spread_only: ClassVar[bool] = True
     p: PExponent
 
     def at(self, n: int):
@@ -59,6 +75,7 @@ class RhoWeight:
 class PolyWeight:
     """``(n + 1)^(1/p - 1)``, the polynomial-order damping."""
 
+    spread_only: ClassVar[bool] = False
     p: PExponent
 
     def at(self, n: int):
@@ -73,6 +90,7 @@ class PolyWeight:
 class TableWeight:
     """Explicit weights at chosen orders; must be >= 1 and nondecreasing."""
 
+    spread_only: ClassVar[bool] = False
     entries: tuple[tuple[int, Union[int, float, Fraction]], ...]
 
     def __post_init__(self) -> None:
@@ -114,6 +132,21 @@ def _check_order(n: int) -> None:
 def weight(scheme: WeightScheme, n: int):
     """The scheme's value at order ``n``; errors below 1."""
     return scheme.at(n)
+
+
+def float_weight(scheme: WeightScheme, n: int) -> float:
+    """The scheme's value at order ``n`` as a float; ``ValueError`` if it overflows."""
+    return _finite_weight(scheme.at(n), n)
+
+
+def _finite_weight(value, n: int) -> float:
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"weight at order {n} overflows float64")
+    return out
 
 
 def scheme_to_json(scheme: WeightScheme) -> dict:
@@ -163,20 +196,110 @@ class Subsequence:
         return max(index_stats(n).rho for n in self.indices)
 
 
-# -- weight vectors (float engine) ----------------------------------------
+# -- Paley-block recursion (spread-only weights) ------------------------------
 
-_rho_vectors: dict[int, np.ndarray] = {}
+
+def _packet_table(values: np.ndarray, m: int) -> list[np.ndarray]:
+    """Walsh packets ``U_j[Q] = E_j(f prod_{k in Q} r_k)`` for every level ``j``.
+
+    Entry ``j`` has shape ``(2^(m-j), 2^j)``: row ``q`` holds the packet of
+    ``Q = {k >= j : bit k-j of q}`` on the level-``j`` intervals.  Each level
+    comes from the one above by halved pair sums (``j`` not in ``Q``) and
+    halved pair differences (``j`` in ``Q``).
+    """
+    half = Fraction(1, 2) if values.dtype == object else 0.5
+    table = [values.reshape(1, -1)]
+    for j in range(m - 1, -1, -1):
+        fine = table[-1]
+        a, b = fine[:, 0::2], fine[:, 1::2]
+        coarse = np.empty((1 << (m - j - 1), 2, 1 << j), values.dtype)
+        np.add(a, b, out=coarse[:, 0])
+        np.subtract(a, b, out=coarse[:, 1])
+        coarse *= half
+        table.append(coarse.reshape(1 << (m - j), 1 << j))
+    return table[::-1]
+
+
+_spread_weight_tables: dict[tuple, np.ndarray] = {}
+
+
+def _spread_weights(scheme: WeightScheme, m: int, exact: bool) -> np.ndarray:
+    """The weight at each bit spread ``0 .. m-1``, read off one order per spread."""
+    key = (scheme, m, exact)
+    if key not in _spread_weight_tables:
+        orders = [1] + [(1 << r) + 1 for r in range(1, m)]
+        if exact:
+            w = np.array([Fraction(_exact_weight(scheme, n)) for n in orders], dtype=object)
+        else:
+            w = np.array([float_weight(scheme, n) for n in orders])
+        w.setflags(write=False)
+        _spread_weight_tables[key] = w
+    return _spread_weight_tables[key]
+
+
+def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
+    """Sup over ``n in [1, 2^m]`` of ``|S_n f| / weight(n)`` for a spread-only weight.
+
+    Level ``j`` carries, per packet ``Q`` and lowest set bit ``l``, the max
+    ``hi`` and min ``lo`` of ``S_i U_j[Q]`` over ``1 <= i < 2^j``, shape
+    ``(2^(m-j), j, 2^j)``.  Orders ``2^j + i`` give
+    ``U_j[Q] + r_j S_i(U_j[Q + {j}])``; with ``Q`` empty these are the
+    partial sums of ``f`` whose highest bit is ``j``, and their weight is
+    fixed by ``j - l``.  O(m^2 2^m) work in O(m) array stages.
+    """
+    m, dtype = f.m, f.values.dtype
+    w = _spread_weights(scheme, m, dtype == object)
+    packets = _packet_table(f.values, m)
+    out = np.abs(f.values) / w[0]  # n = 2^m, where S_n f = f
+    hi = lo = np.empty((1 << m, 0, 1), dtype)
+    for j in range(m):
+        groups = 1 << (m - j - 1)
+        base = packets[j].reshape(groups, 2, 1 << j)[:, 0, None]
+        hi2 = hi.reshape(groups, 2, j, 1 << j)
+        lo2 = lo.reshape(groups, 2, j, 1 << j)
+        # r_j is +1 on the even and -1 on the odd level-(j+1) cells.
+        up = np.empty((groups, j, 1 << j, 2), dtype)
+        down = np.empty((groups, j, 1 << j, 2), dtype)
+        np.add(base, hi2[:, 1], out=up[..., 0])
+        np.subtract(base, lo2[:, 1], out=up[..., 1])
+        np.add(base, lo2[:, 1], out=down[..., 0])
+        np.subtract(base, hi2[:, 1], out=down[..., 1])
+        up = up.reshape(groups, j, 2 << j)
+        down = down.reshape(groups, j, 2 << j)
+        cand = (np.abs(base[0, 0]) / w[0]).repeat(2)  # n = 2^j
+        if j:
+            spread = np.maximum(up[0], -down[0]) / w[j - np.arange(j)][:, None]
+            cand = np.maximum(cand, spread.max(axis=0))
+        np.maximum(out, cand.repeat(groups), out=out)
+        if j + 1 < m:
+            hi = np.empty((groups, j + 1, 2 << j), dtype)
+            lo = np.empty((groups, j + 1, 2 << j), dtype)
+            np.maximum(hi2[:, 0].repeat(2, axis=-1), up, out=hi[:, :j])
+            np.minimum(lo2[:, 0].repeat(2, axis=-1), down, out=lo[:, :j])
+            hi[:, j] = lo[:, j] = base[:, 0].repeat(2, axis=-1)
+    return out
+
+
+def _packet_partial_sum(packets: list[np.ndarray], n: int, m: int) -> np.ndarray:
+    """``S_n f`` for ``1 <= n < 2^m``, in ``popcount(n)`` steps over the packet table.
+
+    ``S_n f = sum_{n_j = 1} (prod_{k > j, n_k = 1} r_k) U_j[{k > j : n_k = 1}]``,
+    nested from the lowest set bit up as ``V <- U_j[...] + r_j V``.
+    """
+    level = (n & -n).bit_length() - 1
+    v = packets[level][(n >> level) - 1]
+    for j in range(level + 1, n.bit_length()):
+        if (n >> j) & 1:
+            v = np.repeat(v, 1 << (j - level))
+            u = packets[j][(n >> j) - 1]
+            v = np.stack((u + v, u - v), axis=-1).reshape(-1)
+            level = j + 1
+    return np.repeat(v, 1 << (m - level))
+
+
+# -- dense engine (PolyWeight, TableWeight) -------------------------------------
+
 _weight_vectors: dict[tuple, np.ndarray] = {}
-
-
-def _rho_vector(m: int) -> np.ndarray:
-    """rho(n) for n = 1 .. 2^m as an int array."""
-    if m not in _rho_vectors:
-        n = np.arange(1, (1 << m) + 1, dtype=np.int64)
-        high = np.frexp(n.astype(np.float64))[1] - 1  # exact below 2^53
-        low = np.bitwise_count(((n & -n) - 1).astype(np.uint64)).astype(np.int64)
-        _rho_vectors[m] = (high - low).astype(np.int64)
-    return _rho_vectors[m]
 
 
 def _weight_vector(scheme: WeightScheme, m: int) -> np.ndarray:
@@ -185,24 +308,19 @@ def _weight_vector(scheme: WeightScheme, m: int) -> np.ndarray:
     if key in _weight_vectors:
         return _weight_vectors[key]
     size = 1 << m
-    if isinstance(scheme, UnitWeight):
-        vec = np.ones(size)
-    elif isinstance(scheme, RhoWeight):
-        e = scheme.p.weight_exponent
-        rho = _rho_vector(m)
-        if e.denominator == 1:
-            vec = np.ldexp(1.0, rho * int(e))  # exact powers of two
-        else:
-            vec = np.exp2(rho * float(e))
-    elif isinstance(scheme, PolyWeight):
+    if isinstance(scheme, PolyWeight):
         e = float(scheme.p.weight_exponent)
-        vec = (np.arange(1, size + 1, dtype=np.float64) + 1.0) ** e
+        with np.errstate(over="ignore"):
+            vec = (np.arange(1, size + 1, dtype=np.float64) + 1.0) ** e
+        overflow = np.flatnonzero(~np.isfinite(vec))
+        if overflow.size:
+            raise ValueError(f"weight at order {int(overflow[0]) + 1} overflows float64")
     else:
         vec = np.empty(size)
         covered = np.zeros(size, dtype=bool)
         for n, v in scheme.entries:
             if n <= size:
-                vec[n - 1] = float(v)
+                vec[n - 1] = _finite_weight(v, n)
                 covered[n - 1] = True
         if not covered.all():
             raise ValueError("table weight does not cover every order up to 2^m")
@@ -220,17 +338,16 @@ def _walsh_block(lo: int, hi: int, m: int) -> np.ndarray:
 _CHUNK_ROWS = 512
 
 
-def _weighted_max_float(
-    f: DyadicFunction, scheme: WeightScheme, extend_to: int | None
-) -> np.ndarray:
+def _dense_max_float(f: DyadicFunction, scheme: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
+    """The sup and the engine's own ``S_{2^m} f``, by a running sum over every order."""
     size, m = f.size, f.m
     coeffs = fwht_forward(f).coeffs
     weights = _weight_vector(scheme, m)
     nonzero = np.nonzero(coeffs)[0]
     out = np.zeros(size)
-    if nonzero.size == 0:
-        return out
     carry = np.zeros(size)
+    if nonzero.size == 0:
+        return out, carry
     for lo in range(int(nonzero[0]), size, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, size)
         block = _walsh_block(lo, hi, m).astype(np.float64)
@@ -241,12 +358,7 @@ def _weighted_max_float(
         np.abs(block, out=block)
         block /= weights[lo:hi, None]
         np.maximum(out, block.max(axis=0), out=out)
-    if extend_to is not None and extend_to > size:
-        # Past 2^m every partial sum clamps to f; the engine's own final
-        # running sum is that clamp, evaluated through the same arithmetic.
-        tail_min = float(min(scheme.at(n) for n in range(size + 1, extend_to + 1)))
-        np.maximum(out, np.abs(carry) / tail_min, out=out)
-    return out
+    return out, carry
 
 
 def _exact_weight(scheme: WeightScheme, n: int):
@@ -258,9 +370,7 @@ def _exact_weight(scheme: WeightScheme, n: int):
     return v
 
 
-def _weighted_max_exact(
-    f: DyadicFunction, scheme: WeightScheme, extend_to: int | None
-) -> np.ndarray:
+def _dense_max_exact(f: DyadicFunction, scheme: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
     size, m = f.size, f.m
     coeffs = fwht_forward(f).coeffs
     running = np.full(size, Fraction(0), dtype=object)
@@ -270,10 +380,7 @@ def _weighted_max_exact(
             running = running + coeffs[i] * _walsh_block(i, i + 1, m)[0].astype(object)
         cand = np.abs(running) * (Fraction(1) / _exact_weight(scheme, i + 1))
         out = np.maximum(out, cand)
-    if extend_to is not None and extend_to > size:
-        tail_min = min(_exact_weight(scheme, n) for n in range(size + 1, extend_to + 1))
-        out = np.maximum(out, np.abs(running) * (Fraction(1) / tail_min))
-    return out
+    return out, running
 
 
 def weighted_maximal(
@@ -285,12 +392,23 @@ def weighted_maximal(
 
     ``extend_to`` widens the sup to larger orders, where the partial sum
     clamps to ``f`` itself; it exists so tests can confirm the finite sup
-    already equals the extended one.
+    already equals the extended one.  A float weight that overflows, or a
+    weight exact mode cannot represent, raises ``ValueError``.
     """
-    if f.mode == "float64":
-        out = _weighted_max_float(f, scheme, extend_to)
+    if scheme.spread_only:
+        out, last = _spread_max(f, scheme), f.values
+    elif f.mode == "float64":
+        out, last = _dense_max_float(f, scheme)
     else:
-        out = _weighted_max_exact(f, scheme, extend_to)
+        out, last = _dense_max_exact(f, scheme)
+    if extend_to is not None and extend_to > f.size:
+        # Past 2^m every partial sum clamps to f; the engine's own S_{2^m} f
+        # is that clamp.
+        n_min = min(range(f.size + 1, extend_to + 1), key=scheme.at)
+        if f.mode == "float64":
+            np.maximum(out, np.abs(last) / float_weight(scheme, n_min), out=out)
+        else:
+            out = np.maximum(out, np.abs(last) * (Fraction(1) / _exact_weight(scheme, n_min)))
     return f.with_values(out)
 
 
@@ -302,22 +420,17 @@ def restricted_maximal(
     """Sup of ``|S_n f| / weight(n)`` over a chosen subsequence of orders.
 
     Orders above 2^m are allowed: their partial sum clamps to ``f`` while
-    the weight stays the sequence's own.
+    the weight stays the sequence's own.  Each partial sum is assembled
+    from one packet table, with no inverse transform per order.
     """
     if not isinstance(seq, Subsequence):
         seq = Subsequence(tuple(seq))
-    spec = fwht_forward(f)
-    zero = 0.0 if f.mode == "float64" else 0
+    packets = _packet_table(f.values, f.m)
     out = None
     for n in seq.indices:
-        if n >= f.size:
-            part = f.values
-        else:
-            coeffs = np.array(spec.coeffs, copy=True)
-            coeffs[n:] = zero
-            part = fwht_inverse(SpectralVector(f.m, coeffs, f.mode)).values
+        part = f.values if n >= f.size else _packet_partial_sum(packets, n, f.m)
         if f.mode == "float64":
-            cand = np.abs(part) / float(scheme.at(n))
+            cand = np.abs(part) / float_weight(scheme, n)
         else:
             cand = np.abs(part) * (Fraction(1) / _exact_weight(scheme, n))
         out = cand if out is None else np.maximum(out, cand)

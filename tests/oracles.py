@@ -75,3 +75,21 @@ def variation_by_runs(n: int) -> int:
 def dirichlet_by_definition(n: int, m: int) -> list[int]:
     """Sum of the first n Walsh functions, evaluated pointwise."""
     return [sum(walsh_value(k, x, m) for k in range(n)) for x in range(1 << m)]
+
+
+def weighted_maximal_by_definition(values, m: int, weight) -> list:
+    """sup over n in [1, 2^m] of |S_n f(x)| / weight(n), by a double loop over n and x.
+
+    ``S_n f(x)`` grows one term ``c_{n-1} w_{n-1}(x)`` per order, with the
+    coefficients taken from ``naive_forward``.
+    """
+    size = 1 << m
+    coeffs = naive_forward(values, m)
+    running = [0] * size
+    out = [0] * size
+    for n in range(1, size + 1):
+        w = weight(n)
+        for x in range(size):
+            running[x] += coeffs[n - 1] * walsh_value(n - 1, x, m)
+            out[x] = max(out[x], abs(running[x]) / w)
+    return out

@@ -124,6 +124,41 @@ def test_corollaries_cli(tmp_path):
                  "--trials", "5", "--seed", "1", "--output", str(out)]) == 0
 
 
+def test_corollaries_too_few_levels_is_usage_error(tmp_path, capsys):
+    assert main(["corollaries", "--resolution", "6", "--trials", "1",
+                 "--output", str(tmp_path / "c.json")]) == 2
+    assert "hold level 3" in capsys.readouterr().err
+
+
+def test_weight_overflow_is_usage_error(tmp_path, capsys):
+    # (n + 1)^99 leaves the float64 range at orders near 2^11.
+    assert main(["corollaries", "--resolution", "11", "--p", "1/100", "--trials", "1",
+                 "--output", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert "overflows float64" in err and "Traceback" not in err
+    cfg = tmp_path / "poly.json"
+    cfg.write_text(json.dumps({"p_list": ["1/2"], "resolution": 12, "scales": [11],
+                               "scheme": {"kind": "poly", "p": "1/100"}}))
+    assert main(["thm2", "--part", "b", "--config", str(cfg),
+                 "--output", str(tmp_path / "b.json")]) == 2
+    assert "overflows float64" in capsys.readouterr().err
+
+
+def test_thm2_config_needs_one_part(tmp_path, capsys):
+    cfg = tmp_path / "a.json"
+    cfg.write_text(json.dumps({"p_list": ["1/2"], "resolution": 8}))
+    assert main(["thm2", "--part", "both", "--config", str(cfg)]) == 2
+    assert "--part a or --part b" in capsys.readouterr().err
+    assert main(["thm2", "--config", str(cfg)]) == 2  # both is the default part
+
+
+def test_jobs_below_one_is_usage_error(tmp_path):
+    assert main(["thm1", "--p", "1/2", "--levels", "3..4", "--trials", "1", "--jobs", "0",
+                 "--output", str(tmp_path / "t.json")]) == 2
+    assert main(["corollaries", "--resolution", "7", "--trials", "1", "--jobs", "-1",
+                 "--output", str(tmp_path / "c.json")]) == 2
+
+
 def test_report_rendering(tmp_path):
     src = tmp_path / "g.json"
     assert main(["thm2", "--part", "a", "--p", "1/2", "--resolution", "8",

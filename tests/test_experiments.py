@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from walshlab.experiments import (
     verify_kernel_l1_sandwich,
     verify_kernels,
     verify_lemma1,
+    worker_count,
 )
 from walshlab.operators import RhoWeight, TableWeight, UnitWeight
 from walshlab.reporting import load_report
@@ -245,6 +247,29 @@ def test_corollary_suite_validation():
         corollary_suite(8, "1")
     with pytest.raises(ValueError):
         corollary_suite(8, "1/2", support_levels=(4, 5))  # too few levels
+    # Three levels put the middle one in both two-level end windows, so the
+    # growth check cannot pass: m = 6 has only the levels 2, 3, 4.
+    with pytest.raises(ValueError, match="hold level 3"):
+        corollary_suite(6, "1/2")
+    with pytest.raises(ValueError, match="hold level 5"):
+        corollary_suite(8, "1/2", support_levels=(4, 5, 6))
+    with pytest.raises(ValueError, match="jobs"):
+        corollary_suite(8, "1/2", trials=1, jobs=0)
+
+
+def test_thm1_rejects_jobs_below_one():
+    cfg = ExperimentConfig(p_list=("1/2",), support_levels=(3, 4), trials=1, jobs=0)
+    with pytest.raises(ConfigError, match="jobs"):
+        theorem1_weak_type(cfg)
+
+
+def test_worker_count_caps_at_cpu_count():
+    cpus = os.cpu_count() or 1
+    assert worker_count(1) == 1
+    assert worker_count(cpus) == cpus
+    assert worker_count(cpus + 1000) == cpus
+    with pytest.raises(ValueError):
+        worker_count(0)
 
 
 # -- reports ------------------------------------------------------------------------------

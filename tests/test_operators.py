@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshlab.analysis import PExponent, maximal_function
-from walshlab.constructions import AtomRecipe, make_atom
+from walshlab.constructions import GENERATORS, AtomRecipe, make_atom
 from walshlab.functions import DyadicFunction
 from walshlab.operators import (
     PolyWeight,
@@ -22,6 +23,8 @@ from walshlab.operators import (
     weighted_maximal,
 )
 from walshlab.spectral import dirichlet_dyadic, index_stats, partial_sum, walsh
+
+from oracles import weighted_maximal_by_definition
 
 P_HALF = PExponent.parse("1/2")
 
@@ -168,6 +171,116 @@ def test_shell_vanishing_for_atoms():
             for s in range(min(low, 3)):
                 shell = sn[1 << (m - s - 1) : 1 << (m - s)]
                 assert all(v == 0 for v in shell), (n, s)
+
+
+def test_exact_mode_non_integer_exponent_raises():
+    f = DyadicFunction.from_values(3, [1, -1, 0, 0, 2, 0, 0, -2], "exact")
+    with pytest.raises(ValueError, match="not exactly representable"):
+        weighted_maximal(f, RhoWeight(PExponent.parse("3/4")))
+
+
+def test_weight_overflow_is_value_error():
+    # (n + 1)^99 passes the float64 range below order 2^11, and 2^(99 rho) at spread 11.
+    p = PExponent.parse("1/100")
+    f = DyadicFunction.from_values(12, np.ones(1 << 12))
+    with pytest.raises(ValueError, match="overflows"):
+        weighted_maximal(f, PolyWeight(p))
+    with pytest.raises(ValueError, match="overflows"):
+        weighted_maximal(f, RhoWeight(p))
+    with pytest.raises(ValueError, match="overflows"):
+        restricted_maximal(f, [4095], PolyWeight(p))
+    exact = weighted_maximal(DyadicFunction.from_values(4, [1] * 16, "exact"), PolyWeight(p))
+    assert exact.values.tolist() == [Fraction(1, 2**99)] * 16  # exact weights do not overflow
+
+
+# -- Paley-block recursion against the definition and the dense engine ------------
+
+SPREAD_KINDS = ("unit", "1/4", "1/3", "1/2", "3/4", "1")
+
+
+def _spread_scheme(kind: str):
+    """The scheme and its weight from the definition ``2^(rho(n) (1/p - 1))``."""
+    if kind == "unit":
+        return UnitWeight(), lambda n: 1
+    e = 1 / Fraction(kind) - 1
+
+    def rho(n):
+        return n.bit_length() - (n & -n).bit_length()
+
+    if e.denominator == 1:
+        return RhoWeight(PExponent.parse(kind)), lambda n: 2 ** (rho(n) * int(e))
+    return RhoWeight(PExponent.parse(kind)), lambda n: 2.0 ** (rho(n) * float(e))
+
+
+def _spread_input(m: int, seed: int, dyadic: bool) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if dyadic:
+        return rng.integers(-64, 65, 1 << m) / 8.0
+    return rng.standard_normal(1 << m)
+
+
+@dataclass(frozen=True)
+class _ListedWeight:
+    """Every order's weight listed, with no monotonicity requirement; the dense engine reads it as a table."""
+
+    entries: tuple
+    spread_only = False
+
+    def at(self, n: int):
+        return dict(self.entries)[n]
+
+
+@given(m=st.integers(1, 8), kind=st.sampled_from(SPREAD_KINDS),
+       seed=st.integers(0, 2**32 - 1), dyadic=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_spread_engine_matches_definition(m, kind, seed, dyadic):
+    scheme, w = _spread_scheme(kind)
+    vals = _spread_input(m, seed, dyadic)
+    got = weighted_maximal(DyadicFunction.from_values(m, vals), scheme).values
+    want = np.array(weighted_maximal_by_definition(vals.tolist(), m, lambda n: float(w(n))))
+    if dyadic:
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@given(m=st.integers(1, 6), kind=st.sampled_from(("unit", "1/4", "1/3", "1/2", "1")),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_exact_spread_engine_matches_definition(m, kind, seed):
+    scheme, w = _spread_scheme(kind)
+    vals = [Fraction(int(v), 8) for v in np.random.default_rng(seed).integers(-64, 65, 1 << m)]
+    got = weighted_maximal(DyadicFunction.from_values(m, vals, "exact"), scheme).values
+    assert got.tolist() == weighted_maximal_by_definition(vals, m, w)
+
+
+@given(m=st.integers(1, 8), kind=st.sampled_from(SPREAD_KINDS),
+       seed=st.integers(0, 2**32 - 1), dyadic=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_spread_engine_matches_dense_table(m, kind, seed, dyadic):
+    scheme, _ = _spread_scheme(kind)
+    listed = _ListedWeight(tuple((n, weight(scheme, n)) for n in range(1, (1 << m) + 1)))
+    f = DyadicFunction.from_values(m, _spread_input(m, seed, dyadic))
+    got = weighted_maximal(f, scheme).values
+    dense = weighted_maximal(f, listed).values
+    if dyadic:
+        assert np.array_equal(got, dense)
+    else:
+        assert np.allclose(got, dense, rtol=0, atol=1e-12)
+
+
+@given(m=st.integers(2, 8), kind=st.sampled_from(("unit", "1/4", "1/3", "1/2")),
+       generator=st.sampled_from(GENERATORS), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_exact_engine_matches_float_on_atoms(m, kind, generator, data):
+    scheme, _ = _spread_scheme(kind)
+    level = data.draw(st.integers(0, m - 1))
+    base = data.draw(st.integers(0, (1 << m) - 1))
+    seed = data.draw(st.integers(0, 2**62))
+    recipe = AtomRecipe(level, base, PExponent.parse("1/2" if kind == "unit" else kind), generator, seed)
+    exact = weighted_maximal(make_atom(recipe, m, "exact").values, scheme).values
+    floats = weighted_maximal(make_atom(recipe, m, "float64").values, scheme).values
+    assert [float(v) for v in exact] == floats.tolist()
 
 
 # -- restricted maximal ------------------------------------------------------------
