@@ -184,14 +184,19 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
 
     Level ``k`` averages ``f`` over the level-``k`` interval around each
     point, which coincides with the 2^k-th spectral partial sum; the sup
-    runs over ``k = 0 .. m`` and dominates ``|f|``.
+    runs over ``k = 0 .. m`` and dominates ``|f|``.  The averages are built
+    fine to coarse, then the running max is carried coarse to fine, so each
+    level is expanded once by a factor of two: O(2^m) in all.
     """
     half = Fraction(1, 2) if f.mode == "exact" else 0.5
+    pyramid = [np.abs(f.values)]
     cur = f.values
-    best = np.abs(cur)
-    for k in range(f.m - 1, -1, -1):
+    for _ in range(f.m):
         cur = (cur[0::2] + cur[1::2]) * half
-        best = np.maximum(best, np.repeat(np.abs(cur), 1 << (f.m - k)))
+        pyramid.append(np.abs(cur))
+    best = pyramid.pop()
+    while pyramid:
+        best = np.maximum(np.repeat(best, 2), pyramid.pop())
     return f.with_values(best)
 
 

@@ -4,8 +4,9 @@ Subcommands: ``stats``, ``kernel``, ``transform``, ``verify``, ``thm1``,
 ``thm2``, ``corollaries``, ``report``.  Exit codes are a stable contract:
 0 means success (and, for verifications, a passing verdict), 1 means a
 verification ran and came back false, 2 means a usage or config error.
-Identical invocations write byte-identical data files; wall-clock metadata
-lives only in ``.meta.json`` sidecars.
+Identical invocations write byte-identical data files; wall-clock metadata,
+the write time and the run's wall time, lives only in ``.meta.json``
+sidecars.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 from .analysis import PExponent
@@ -64,11 +66,13 @@ def _emit(text: str, output: str | None) -> None:
 def _write_report_files(
     report: ExperimentReport,
     output: str | None,
+    started: float,
     series: tuple[str, str] | None = None,
     series_rows: list | None = None,
 ) -> None:
+    """Write the report and its CSV/TSV views; the sidecar gets the wall time since ``started``."""
     out = Path(output) if output else Path(f"walshlab-{report.name}.json")
-    report.write(out)
+    report.write(out, runtime_seconds=time.perf_counter() - started)
     report.write_cases_csv(out.with_suffix(".cases.csv"))
     if series:
         report.write_series_tsv(out.with_suffix(".series.tsv"), *series, rows=series_rows)
@@ -141,9 +145,10 @@ _VERIFIERS = {
 
 
 def _cmd_verify(args) -> int:
+    started = time.perf_counter()
     report = _VERIFIERS[args.which](args.resolution)
     out = Path(args.output) if args.output else Path(f"walshlab-verify-{args.which}.json")
-    report.write(out)
+    report.write(out, runtime_seconds=time.perf_counter() - started)
     print(f"verify {args.which} (m={args.resolution}): {'pass' if report.verdict else 'FAIL'} -> {out}")
     return 0 if report.verdict else 1
 
@@ -159,6 +164,7 @@ def _load_config(path: str) -> ExperimentConfig:
 
 
 def _cmd_thm1(args) -> int:
+    started = time.perf_counter()
     if args.config:
         cfg = _load_config(args.config)
         if args.jobs != 1:
@@ -175,6 +181,7 @@ def _cmd_thm1(args) -> int:
     _write_report_files(
         report,
         args.output,
+        started,
         series=("M", "max_wt_off"),
         series_rows=report.summary["cells"],
     )
@@ -186,6 +193,7 @@ def _cmd_thm2(args) -> int:
         raise ValueError("a config describes one part; pass --part a or --part b with --config")
     ok = True
     if args.part in ("a", "both"):
+        started = time.perf_counter()
         if args.config:
             cfg = _load_config(args.config)
         else:
@@ -196,9 +204,10 @@ def _cmd_thm2(args) -> int:
                 seed=args.seed,
             )
         report = theorem2_growth(cfg)
-        _write_report_files(report, args.output, series=("n", "ratio"))
+        _write_report_files(report, args.output, started, series=("n", "ratio"))
         ok = ok and report.verdict
     if args.part in ("b", "both"):
+        started = time.perf_counter()
         if args.config:
             cfg = _load_config(args.config)
             phi = scheme_from_json(cfg.scheme) if cfg.scheme else UnitWeight()
@@ -222,12 +231,13 @@ def _cmd_thm2(args) -> int:
         out = args.output
         if out and args.part == "both":
             out = str(Path(out).with_suffix(".part-b.json"))
-        _write_report_files(report, out, series=("n", "ratio"))
+        _write_report_files(report, out, started, series=("n", "ratio"))
         ok = ok and report.verdict
     return 0 if ok else 1
 
 
 def _cmd_corollaries(args) -> int:
+    started = time.perf_counter()
     report = corollary_suite(
         args.resolution,
         args.p,
@@ -235,7 +245,7 @@ def _cmd_corollaries(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
-    _write_report_files(report, args.output)
+    _write_report_files(report, args.output, started)
     return 0 if report.verdict else 1
 
 
@@ -273,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("n", type=int)
     sp.add_argument("--resolution", type=int, required=True, metavar="M")
     sp.add_argument("--construction", choices=("direct", "fast", "dyadic"), default="direct")
-    sp.add_argument("--exact", action="store_true", help="exact values (kernels always are)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output")
     sp.set_defaults(func=_cmd_kernel)

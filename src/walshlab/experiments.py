@@ -46,6 +46,7 @@ from .operators import (
 )
 from .reporting import ExperimentReport
 from .spectral import (
+    _dirichlet_direct_int64,
     _dirichlet_dyadic_int64,
     _dirichlet_fast_int64,
     index_stats,
@@ -235,14 +236,14 @@ def verify_kernels(m: int) -> ExperimentReport:
 
     closed_form_mismatches = 0
     for k in range(r.m + 1):
-        direct = _direct_int64(1 << k, r.m)
+        direct = _dirichlet_direct_int64(1 << k, r.m)
         if not np.array_equal(direct, _dirichlet_dyadic_int64(k, r.m)):
             closed_form_mismatches += 1
 
     shift_mismatches = 0
     shift_checked = 0
     for k in range(r.m):
-        base = _direct_int64(1 << k, r.m)
+        base = _dirichlet_direct_int64(1 << k, r.m)
         twist = walsh_rows(1 << k, (1 << k) + 1, r.m)[0].astype(np.int64)
         carry_hi = base.copy()
         carry_lo = np.zeros(size, dtype=np.int64)
@@ -260,7 +261,7 @@ def verify_kernels(m: int) -> ExperimentReport:
             if not np.array_equal(rows_hi - base, rows_lo * twist):
                 shift_mismatches += rows_lo.shape[0]
 
-    spot = [int(v) for v in _direct_int64(3, 2)]
+    spot = [int(v) for v in _dirichlet_direct_int64(3, 2)]
     cases = [
         {"check": "direct_vs_fast", "count": size, "mismatches": direct_fast_mismatches},
         {"check": "closed_form_powers", "count": r.m + 1, "mismatches": closed_form_mismatches},
@@ -281,14 +282,6 @@ def verify_kernels(m: int) -> ExperimentReport:
         verdict=total == 0 and spot == [3, 1, 1, -1],
         provenance=_provenance(None),
     )
-
-
-def _direct_int64(n: int, m: int) -> np.ndarray:
-    acc = np.zeros(1 << m, dtype=np.int64)
-    for lo in range(0, n, _KERNEL_CHUNK):
-        hi = min(lo + _KERNEL_CHUNK, n)
-        acc += walsh_rows(lo, hi, m).sum(axis=0, dtype=np.int64)
-    return acc
 
 
 def verify_lemma1(m: int) -> ExperimentReport:

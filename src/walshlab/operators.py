@@ -37,6 +37,7 @@ from .analysis import PExponent
 from .functions import DyadicFunction
 from .spectral import (
     _WALSH_CACHE_MAX,
+    _nest_partial_sum,
     fwht_forward,
     index_stats,
     walsh_matrix,
@@ -281,20 +282,9 @@ def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
 
 
 def _packet_partial_sum(packets: list[np.ndarray], n: int, m: int) -> np.ndarray:
-    """``S_n f`` for ``1 <= n < 2^m``, in ``popcount(n)`` steps over the packet table.
-
-    ``S_n f = sum_{n_j = 1} (prod_{k > j, n_k = 1} r_k) U_j[{k > j : n_k = 1}]``,
-    nested from the lowest set bit up as ``V <- U_j[...] + r_j V``.
-    """
-    level = (n & -n).bit_length() - 1
-    v = packets[level][(n >> level) - 1]
-    for j in range(level + 1, n.bit_length()):
-        if (n >> j) & 1:
-            v = np.repeat(v, 1 << (j - level))
-            u = packets[j][(n >> j) - 1]
-            v = np.stack((u + v, u - v), axis=-1).reshape(-1)
-            level = j + 1
-    return np.repeat(v, 1 << (m - level))
+    """``S_n f`` for ``1 <= n < 2^m``, its terms read off the packet table."""
+    terms = [(j, packets[j][(n >> j) - 1]) for j in range(n.bit_length()) if (n >> j) & 1]
+    return _nest_partial_sum(terms, m)
 
 
 # -- dense engine (PolyWeight, TableWeight) -------------------------------------

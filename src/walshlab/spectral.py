@@ -10,6 +10,15 @@ Dirichlet kernels get three independent constructions: the defining sum
 over Walsh functions, the closed form at powers of two, and the
 binary-expansion formula that assembles a general kernel from
 power-of-two blocks in O(popcount(n) * 2^m).
+
+Partial sums use the same binary expansion and no transform.  With
+``Q_j = {k > j : n_k = 1}``, ``S_n f`` is the sum over the set bits ``j``
+of ``n`` of ``prod_{k in Q_j} r_k`` times ``E_j(f prod_{k in Q_j} r_k)``.
+One halving chain over the bits of ``n`` yields every such conditional
+expectation, and they nest from the lowest set bit up as
+``V <- E_j(...) + r_j V``: O(2^m) per order in float64 and exact mode.
+``operators.restricted_maximal`` nests terms read off its packet table
+with the same helper.
 """
 
 from __future__ import annotations
@@ -238,17 +247,65 @@ def dirichlet_fast(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFun
 # -- partial sums ----------------------------------------------------------
 
 
-def partial_sum(f: DyadicFunction, n: int) -> DyadicFunction:
-    """Synthesis of coefficients ``0 .. n-1``.
+def _nest_partial_sum(terms: list[tuple[int, np.ndarray]], m: int) -> np.ndarray:
+    """``S_n f`` from its per-bit terms, nested from the lowest set bit up.
 
-    For ``n >= 2^m`` the whole spectrum is kept, so the input comes back
-    unchanged with ``tail_clamped`` set.
+    ``terms`` lists ``(j, U_j[Q_j])`` for the set bits ``j`` of ``n`` in
+    ascending order, where ``Q_j = {k > j : n_k = 1}`` and
+    ``U_j[Q] = E_j(f prod_{k in Q} r_k)`` holds one value per level-``j``
+    interval.  Then ``S_n f = sum_j (prod_{k in Q_j} r_k) U_j[Q_j]``, which
+    nests as ``V <- U_j[Q_j] + r_j V``; O(2^m) work in ``popcount(n)`` steps.
+    """
+    (level, v), *rest = terms
+    for j, u in rest:
+        # r_j is +1 on the even and -1 on the odd level-(j+1) cells.
+        u = u.reshape(1 << level, 1 << (j - level))
+        out = np.empty((1 << level, 1 << (j - level), 2), v.dtype)
+        np.add(u, v[:, None], out=out[..., 0])
+        np.subtract(u, v[:, None], out=out[..., 1])
+        v = out.reshape(-1)
+        level = j + 1
+    return np.repeat(v, 1 << (m - level)) if level < m else v
+
+
+def _partial_sum_terms(values: np.ndarray, n: int, m: int) -> list[tuple[int, np.ndarray]]:
+    """The terms ``(j, U_j[Q_j])`` of ``S_n f`` by one halving chain, O(2^m).
+
+    The chain walks the bits of ``n`` from the top down, carrying
+    ``E_j(f prod_{k >= j, n_k = 1} r_k)``: the halved pair sum at a clear
+    bit, the halved pair difference at a set bit, where the pair sum is
+    that bit's term.
+    """
+    half = Fraction(1, 2) if values.dtype == object else 0.5
+    low = (n & -n).bit_length() - 1
+    terms = []
+    chain = values
+    for j in range(m - 1, low - 1, -1):
+        a, b = chain[0::2], chain[1::2]
+        total = np.add(a, b)
+        total *= half
+        if (n >> j) & 1:
+            terms.append((j, total))
+            if j > low:
+                chain = np.subtract(a, b)
+                chain *= half
+        else:
+            chain = total
+    return terms[::-1]
+
+
+def partial_sum(f: DyadicFunction, n: int) -> DyadicFunction:
+    """``S_n f``, the sum of the first ``n`` Walsh terms of ``f``.
+
+    Computed without a transform: one halving chain over the bits of ``n``
+    gives a conditional expectation per set bit, and ``_nest_partial_sum``
+    assembles them; O(2^m) in float64 and exact mode.  For ``n >= 2^m``
+    the whole spectrum is kept, so the input comes back unchanged with
+    ``tail_clamped`` set.
     """
     if n < 1:
         raise ValueError(f"partial-sum order must be >= 1, got {n}")
     if n >= f.size:
         return replace(f, tail_clamped=True)
-    spec = fwht_forward(f)
-    coeffs = np.array(spec.coeffs, copy=True)
-    coeffs[n:] = 0 if f.mode == "exact" else 0.0
-    return fwht_inverse(SpectralVector(f.m, coeffs, f.mode))
+    terms = _partial_sum_terms(f.values, n, f.m)
+    return DyadicFunction(f.m, _nest_partial_sum(terms, f.m), f.mode)

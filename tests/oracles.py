@@ -77,8 +77,8 @@ def dirichlet_by_definition(n: int, m: int) -> list[int]:
     return [sum(walsh_value(k, x, m) for k in range(n)) for x in range(1 << m)]
 
 
-def weighted_maximal_by_definition(values, m: int, weight) -> list:
-    """sup over n in [1, 2^m] of |S_n f(x)| / weight(n), by a double loop over n and x.
+def partial_sum_by_definition(values, m: int) -> list[list]:
+    """S_n f for every n in [1, 2^m]; entry n - 1 holds S_n f as a list over x.
 
     ``S_n f(x)`` grows one term ``c_{n-1} w_{n-1}(x)`` per order, with the
     coefficients taken from ``naive_forward``.
@@ -86,10 +86,19 @@ def weighted_maximal_by_definition(values, m: int, weight) -> list:
     size = 1 << m
     coeffs = naive_forward(values, m)
     running = [0] * size
-    out = [0] * size
+    out = []
     for n in range(1, size + 1):
-        w = weight(n)
         for x in range(size):
             running[x] += coeffs[n - 1] * walsh_value(n - 1, x, m)
-            out[x] = max(out[x], abs(running[x]) / w)
+        out.append(list(running))
+    return out
+
+
+def weighted_maximal_by_definition(values, m: int, weight) -> list:
+    """sup over n in [1, 2^m] of |S_n f(x)| / weight(n), by a double loop over n and x."""
+    out = [0] * (1 << m)
+    for n, sums in enumerate(partial_sum_by_definition(values, m), start=1):
+        w = weight(n)
+        for x, s in enumerate(sums):
+            out[x] = max(out[x], abs(s) / w)
     return out

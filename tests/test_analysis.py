@@ -164,9 +164,17 @@ def test_maximal_matches_interval_average_oracle():
         vals = rng.standard_normal(1 << m)
         f = DyadicFunction.from_values(m, vals)
         assert np.allclose(maximal_function(f).values, interval_average_maximal(vals, m), atol=1e-13)
+    # Averages of dyadic values are exact, so the two agree bit for bit.
     for k in range(1, 1 << m):
         f = walsh(k, m, "float64")
-        assert np.allclose(maximal_function(f).values, interval_average_maximal(f.values, m), atol=0)
+        assert maximal_function(f).values.tolist() == interval_average_maximal(f.values, m)
+    for mm in range(1, 7):
+        ints = rng.integers(-64, 65, 1 << mm)
+        f = DyadicFunction.from_values(mm, ints / 8.0)
+        assert maximal_function(f).values.tolist() == interval_average_maximal(ints / 8.0, mm)
+        exact = [Fraction(int(v), 8) for v in ints]
+        g = DyadicFunction.from_values(mm, exact, "exact")
+        assert maximal_function(g).values.tolist() == interval_average_maximal(exact, mm)
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))

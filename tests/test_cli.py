@@ -47,6 +47,13 @@ def test_kernel_closed_form_profile(capsys):
     assert lines[1:] == [f"{i},{4 if i < 2 else 0}" for i in range(8)]
 
 
+def test_kernel_exact_flag_is_gone():
+    # Kernels are always exact, so the flag was removed rather than ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "5", "--resolution", "3", "--exact"])
+    assert exc.value.code == 2
+
+
 def test_kernel_out_of_range(capsys):
     assert main(["kernel", "9", "--resolution", "2"]) == 2
     assert main(["kernel", "3", "--resolution", "30"]) == 2
@@ -69,7 +76,7 @@ def test_verify_pass_and_report(tmp_path):
     assert main(["verify", "kernels", "--resolution", "6", "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["verdict"] is True and report["name"] == "kernel-identities"
-    assert (tmp_path / "k.meta.json").exists()
+    assert json.loads((tmp_path / "k.meta.json").read_text())["runtime_seconds"] > 0
 
 
 def test_verify_resolution_cap_is_usage_error():
@@ -105,6 +112,13 @@ def test_thm2_both_parts(tmp_path):
     )
     assert code == 0
     assert out.exists() and out.with_suffix(".part-b.json").exists()
+    # Each part's run time goes to its sidecar and never into the data files.
+    for stem in ("t2", "t2.part-b"):
+        meta = json.loads((tmp_path / f"{stem}.meta.json").read_text())
+        assert meta["runtime_seconds"] > 0
+    data_files = [p for p in tmp_path.iterdir() if not p.name.endswith(".meta.json")]
+    assert len(data_files) == 6
+    assert all("runtime_seconds" not in p.read_text() for p in data_files)
 
 
 def test_thm2_part_b_rho_weight(tmp_path):

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from walshlab import operators, spectral
 from walshlab.analysis import PExponent
+from walshlab.constructions import partial_sum_probe
 from walshlab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -20,6 +22,7 @@ from walshlab.experiments import (
 )
 from walshlab.operators import RhoWeight, TableWeight, UnitWeight
 from walshlab.reporting import load_report
+from walshlab.spectral import dirichlet_dyadic
 
 
 # -- config ---------------------------------------------------------------------
@@ -221,6 +224,27 @@ def test_theorem2b_validation():
         theorem2_weak_divergence(
             ExperimentConfig(p_list=("1/2",), resolution=5, scales=(7,)), UnitWeight()
         )
+
+
+def test_theorem2_runs_without_the_transform(monkeypatch):
+    # Every sharpness path is transform-free: partial sums by the halving
+    # chain, the maximal function by averaging, the operator by the recursion.
+    def no_transform(*args, **kwargs):
+        raise AssertionError("the sharpness experiments must not call the transform")
+
+    monkeypatch.setattr(spectral, "fwht_forward", no_transform)
+    monkeypatch.setattr(spectral, "fwht_inverse", no_transform)
+    monkeypatch.setattr(operators, "fwht_forward", no_transform)
+    growth = ExperimentConfig(p_list=("1/2",), resolution=8, scales=(3, 4, 5))
+    assert theorem2_growth(growth).verdict
+    for phi, expectation in ((UnitWeight(), "divergent"),
+                             (RhoWeight(PExponent.parse("1/2")), "bounded")):
+        cfg = ExperimentConfig(p_list=("1/2",), resolution=9, scales=(4, 5, 6),
+                               expectation=expectation)
+        assert theorem2_weak_divergence(cfg, phi).verdict
+    for mode in ("exact", "float64"):
+        probe = partial_sum_probe(5, 2, 8, mode)
+        assert np.abs(probe.values).tolist() == dirichlet_dyadic(2, 8, mode).values.tolist()
 
 
 # -- corollaries --------------------------------------------------------------------------

@@ -20,7 +20,13 @@ from walshlab.spectral import (
 from walshlab.constructions import make_atom, AtomRecipe
 from walshlab.analysis import PExponent
 
-from oracles import dirichlet_by_definition, naive_forward, variation_by_runs, walsh_value
+from oracles import (
+    dirichlet_by_definition,
+    naive_forward,
+    partial_sum_by_definition,
+    variation_by_runs,
+    walsh_value,
+)
 
 
 # -- Walsh system ------------------------------------------------------------
@@ -275,6 +281,27 @@ def test_partial_sum_convolution_oracle():
         np.mean([vals[t] * dn[x ^ t] for t in range(1 << m)]) for x in range(1 << m)
     ]
     assert np.allclose(partial_sum(f, n).values, expected, atol=1e-12)
+
+
+@given(m=st.integers(1, 8), kind=st.sampled_from(("dyadic", "exact", "gaussian")),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_partial_sum_matches_definition_at_every_order(m, kind, seed):
+    # Bit-identical on dyadic floats and exact on fractions, where both
+    # paths are exact; within 1e-12 on Gaussian floats.
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        vals = rng.standard_normal(1 << m).tolist()
+    else:
+        ints = rng.integers(-64, 65, 1 << m)
+        vals = [Fraction(int(v), 8) for v in ints] if kind == "exact" else (ints / 8.0).tolist()
+    f = DyadicFunction.from_values(m, vals, "exact" if kind == "exact" else "float64")
+    for n, want in enumerate(partial_sum_by_definition(vals, m), start=1):
+        got = partial_sum(f, n).values
+        if kind == "gaussian":
+            assert np.allclose(got, want, rtol=0, atol=1e-12), n
+        else:
+            assert got.tolist() == want, n
 
 
 # -- kernel lower-bound lemma ---------------------------------------------------
