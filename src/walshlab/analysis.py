@@ -167,10 +167,9 @@ def weak_lp_quasinorm(f: DyadicFunction, p: ExponentLike):
                 best = max(best, float(v) * (c / f.size) ** (1.0 / pw))
         return best
     q = _require_reciprocal_integer(pv)
-    vals = [abs(Fraction(v)) for v in f.values.tolist()]
     levels = _abs_levels_exact(f.values)
     best = Fraction(0)
-    remaining = len([v for v in vals if v])
+    remaining = sum(c for _, c in levels)
     seen = 0
     for v, c in levels:
         count_at_least = remaining - seen  # levels sorted ascending

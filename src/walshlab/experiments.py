@@ -666,7 +666,7 @@ def theorem2_growth(cfg: ExperimentConfig) -> ExperimentReport:
 _PROBE_LOWER_CONSTANT = 0.25
 
 
-def _validate_thm2b(cfg: ExperimentConfig, phi: WeightScheme) -> None:
+def _validate_thm2b(cfg: ExperimentConfig) -> None:
     problems = []
     if cfg.resolution is None or cfg.resolution < 3:
         problems.append("'resolution' must be an integer >= 3")
@@ -711,7 +711,7 @@ def theorem2_weak_divergence(cfg: ExperimentConfig, phi: WeightScheme | None = N
     """
     if phi is None:
         phi = scheme_from_json(cfg.scheme) if cfg.scheme else UnitWeight()
-    _validate_thm2b(cfg, phi)
+    _validate_thm2b(cfg)
     m = cfg.resolution
     cases = []
     per_p: dict[str, dict] = {}

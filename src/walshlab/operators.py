@@ -9,7 +9,10 @@ because the tail clamps to ``f`` with weights that never dip below the
 weight at ``2^m``; that reduction is exercised by tests via ``extend_to``
 rather than assumed.
 
-Engines, one per kind of weight, each written once for float64 and exact:
+Every engine reads the weight through one helper, ``_weights``: float64
+values that raise ``ValueError`` on overflow, or exact ``Fraction`` values
+that raise ``ValueError`` when the weight is irrational.  Engines, one per
+kind of weight, each written once for float64 and exact:
 
 * spread-only weights (``UnitWeight``, ``RhoWeight``; ``spread_only`` is
   true) go through the Paley-block recursion, O(m^2 2^m) with no
@@ -18,7 +21,8 @@ Engines, one per kind of weight, each written once for float64 and exact:
   and min of ``S_i`` grouped by the lowest set bit of ``i``, carried level
   by level over the Walsh packets ``U_j[Q] = E_j(f prod_{k in Q} r_k)``;
 * ``PolyWeight`` and ``TableWeight`` go through the dense engine: one
-  transform, then a running sum over every order, O(4^m);
+  transform, then a running sum over every order in chunks of Walsh rows,
+  O(4^m);
 * ``restricted_maximal`` assembles each requested partial sum from the
   same packet table in ``popcount(n)`` vector steps.
 """
@@ -36,11 +40,10 @@ import numpy as np
 from .analysis import PExponent
 from .functions import DyadicFunction
 from .spectral import (
-    _WALSH_CACHE_MAX,
+    _fill_walsh_cache,
     _nest_partial_sum,
     fwht_forward,
     index_stats,
-    walsh_matrix,
     walsh_rows,
 )
 
@@ -108,6 +111,7 @@ class TableWeight:
                     f"table weights must be nondecreasing; {v} at n={n} follows {prev_v}"
                 )
             prev_n, prev_v = n, v
+        object.__setattr__(self, "_by_order", dict(self.entries))
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "TableWeight":
@@ -116,10 +120,9 @@ class TableWeight:
 
     def at(self, n: int):
         _check_order(n)
-        for k, v in self.entries:
-            if k == n:
-                return v
-        raise ValueError(f"table weight has no entry for order {n}")
+        if n not in self._by_order:
+            raise ValueError(f"table weight has no entry for order {n}")
+        return self._by_order[n]
 
 
 WeightScheme = Union[UnitWeight, RhoWeight, PolyWeight, TableWeight]
@@ -137,17 +140,54 @@ def weight(scheme: WeightScheme, n: int):
 
 def float_weight(scheme: WeightScheme, n: int) -> float:
     """The scheme's value at order ``n`` as a float; ``ValueError`` if it overflows."""
-    return _finite_weight(scheme.at(n), n)
-
-
-def _finite_weight(value, n: int) -> float:
     try:
-        out = float(value)
+        out = float(scheme.at(n))
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
         raise ValueError(f"weight at order {n} overflows float64")
     return out
+
+
+def _exact_weight(scheme: WeightScheme, n: int):
+    v = scheme.at(n)
+    if not isinstance(v, Rational):
+        raise ValueError(
+            f"weight at order {n} is not exactly representable; use float64 mode"
+        )
+    return v
+
+
+def _weights(scheme: WeightScheme, orders: Iterable[int], exact: bool) -> np.ndarray:
+    """The scheme's weights at ``orders``: float64, or ``Fraction`` objects in exact mode.
+
+    Every engine reads its weights here.  A float weight that overflows,
+    or a weight exact mode cannot represent, raises ``ValueError``.
+    """
+    if exact:
+        return np.array([Fraction(_exact_weight(scheme, n)) for n in orders], dtype=object)
+    return np.array([float_weight(scheme, n) for n in orders])
+
+
+_engine_weight_tables: dict[tuple, np.ndarray] = {}
+
+
+def _engine_weights(scheme: WeightScheme, m: int, exact: bool) -> np.ndarray:
+    """The weights an engine reads at resolution ``m``, memoized.
+
+    A spread-only scheme is read at one order per bit spread ``0 .. m-1``;
+    any other scheme at every order ``1 .. 2^m``, entry ``n - 1`` for ``n``.
+    """
+    key = (scheme, m, exact)
+    if key not in _engine_weight_tables:
+        if scheme.spread_only:
+            orders = [1] + [(1 << r) + 1 for r in range(1, m)]
+        else:
+            orders = range(1, (1 << m) + 1)
+        w = _weights(scheme, orders, exact)
+        w.setflags(write=False)
+        _engine_weight_tables[key] = w
+    return _engine_weight_tables[key]
 
 
 def scheme_to_json(scheme: WeightScheme) -> dict:
@@ -221,23 +261,6 @@ def _packet_table(values: np.ndarray, m: int) -> list[np.ndarray]:
     return table[::-1]
 
 
-_spread_weight_tables: dict[tuple, np.ndarray] = {}
-
-
-def _spread_weights(scheme: WeightScheme, m: int, exact: bool) -> np.ndarray:
-    """The weight at each bit spread ``0 .. m-1``, read off one order per spread."""
-    key = (scheme, m, exact)
-    if key not in _spread_weight_tables:
-        orders = [1] + [(1 << r) + 1 for r in range(1, m)]
-        if exact:
-            w = np.array([Fraction(_exact_weight(scheme, n)) for n in orders], dtype=object)
-        else:
-            w = np.array([float_weight(scheme, n) for n in orders])
-        w.setflags(write=False)
-        _spread_weight_tables[key] = w
-    return _spread_weight_tables[key]
-
-
 def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
     """Sup over ``n in [1, 2^m]`` of ``|S_n f| / weight(n)`` for a spread-only weight.
 
@@ -249,7 +272,7 @@ def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
     fixed by ``j - l``.  O(m^2 2^m) work in O(m) array stages.
     """
     m, dtype = f.m, f.values.dtype
-    w = _spread_weights(scheme, m, dtype == object)
+    w = _engine_weights(scheme, m, dtype == object)
     packets = _packet_table(f.values, m)
     out = np.abs(f.values) / w[0]  # n = 2^m, where S_n f = f
     hi = lo = np.empty((1 << m, 0, 1), dtype)
@@ -289,58 +312,29 @@ def _packet_partial_sum(packets: list[np.ndarray], n: int, m: int) -> np.ndarray
 
 # -- dense engine (PolyWeight, TableWeight) -------------------------------------
 
-_weight_vectors: dict[tuple, np.ndarray] = {}
-
-
-def _weight_vector(scheme: WeightScheme, m: int) -> np.ndarray:
-    """Float weights for n = 1 .. 2^m; entry i corresponds to n = i + 1."""
-    key = (scheme, m)
-    if key in _weight_vectors:
-        return _weight_vectors[key]
-    size = 1 << m
-    if isinstance(scheme, PolyWeight):
-        e = float(scheme.p.weight_exponent)
-        with np.errstate(over="ignore"):
-            vec = (np.arange(1, size + 1, dtype=np.float64) + 1.0) ** e
-        overflow = np.flatnonzero(~np.isfinite(vec))
-        if overflow.size:
-            raise ValueError(f"weight at order {int(overflow[0]) + 1} overflows float64")
-    else:
-        vec = np.empty(size)
-        covered = np.zeros(size, dtype=bool)
-        for n, v in scheme.entries:
-            if n <= size:
-                vec[n - 1] = _finite_weight(v, n)
-                covered[n - 1] = True
-        if not covered.all():
-            raise ValueError("table weight does not cover every order up to 2^m")
-    vec.setflags(write=False)
-    _weight_vectors[key] = vec
-    return vec
-
-
-def _walsh_block(lo: int, hi: int, m: int) -> np.ndarray:
-    if m <= _WALSH_CACHE_MAX:
-        return walsh_matrix(m)[lo:hi]
-    return walsh_rows(lo, hi, m)
-
-
 _CHUNK_ROWS = 512
 
 
-def _dense_max_float(f: DyadicFunction, scheme: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
-    """The sup and the engine's own ``S_{2^m} f``, by a running sum over every order."""
-    size, m = f.size, f.m
+def _dense_max(f: DyadicFunction, scheme: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
+    """The sup and the engine's own ``S_{2^m} f``, by a running sum over every order.
+
+    Walsh rows come in chunks of ``_CHUNK_ROWS``: each chunk's partial sums
+    are the cumulative sum of its coefficient-scaled rows plus the carry of
+    the chunks before it.  One pass serves float64 and ``Fraction`` arrays.
+    """
+    size, m, dtype = f.size, f.m, f.values.dtype
     coeffs = fwht_forward(f).coeffs
-    weights = _weight_vector(scheme, m)
+    weights = _engine_weights(scheme, m, dtype == object)
+    zero = Fraction(0) if dtype == object else 0.0
+    out = np.full(size, zero, dtype)
+    carry = np.full(size, zero, dtype)
     nonzero = np.nonzero(coeffs)[0]
-    out = np.zeros(size)
-    carry = np.zeros(size)
     if nonzero.size == 0:
         return out, carry
+    _fill_walsh_cache(m)
     for lo in range(int(nonzero[0]), size, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, size)
-        block = _walsh_block(lo, hi, m).astype(np.float64)
+        block = walsh_rows(lo, hi, m).astype(dtype)
         block *= coeffs[lo:hi, None]
         np.cumsum(block, axis=0, out=block)
         block += carry
@@ -349,28 +343,6 @@ def _dense_max_float(f: DyadicFunction, scheme: WeightScheme) -> tuple[np.ndarra
         block /= weights[lo:hi, None]
         np.maximum(out, block.max(axis=0), out=out)
     return out, carry
-
-
-def _exact_weight(scheme: WeightScheme, n: int):
-    v = scheme.at(n)
-    if not isinstance(v, Rational):
-        raise ValueError(
-            f"weight at order {n} is not exactly representable; use float64 mode"
-        )
-    return v
-
-
-def _dense_max_exact(f: DyadicFunction, scheme: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
-    size, m = f.size, f.m
-    coeffs = fwht_forward(f).coeffs
-    running = np.full(size, Fraction(0), dtype=object)
-    out = np.full(size, Fraction(0), dtype=object)
-    for i in range(size):
-        if coeffs[i] != 0:
-            running = running + coeffs[i] * _walsh_block(i, i + 1, m)[0].astype(object)
-        cand = np.abs(running) * (Fraction(1) / _exact_weight(scheme, i + 1))
-        out = np.maximum(out, cand)
-    return out, running
 
 
 def weighted_maximal(
@@ -387,18 +359,14 @@ def weighted_maximal(
     """
     if scheme.spread_only:
         out, last = _spread_max(f, scheme), f.values
-    elif f.mode == "float64":
-        out, last = _dense_max_float(f, scheme)
     else:
-        out, last = _dense_max_exact(f, scheme)
+        out, last = _dense_max(f, scheme)
     if extend_to is not None and extend_to > f.size:
         # Past 2^m every partial sum clamps to f; the engine's own S_{2^m} f
         # is that clamp.
         n_min = min(range(f.size + 1, extend_to + 1), key=scheme.at)
-        if f.mode == "float64":
-            np.maximum(out, np.abs(last) / float_weight(scheme, n_min), out=out)
-        else:
-            out = np.maximum(out, np.abs(last) * (Fraction(1) / _exact_weight(scheme, n_min)))
+        (w,) = _weights(scheme, [n_min], f.mode == "exact")
+        out = np.maximum(out, np.abs(last) / w)
     return f.with_values(out)
 
 
@@ -416,13 +384,11 @@ def restricted_maximal(
     if not isinstance(seq, Subsequence):
         seq = Subsequence(tuple(seq))
     packets = _packet_table(f.values, f.m)
+    weights = _weights(scheme, seq.indices, f.mode == "exact")
     out = None
-    for n in seq.indices:
+    for n, w in zip(seq.indices, weights):
         part = f.values if n >= f.size else _packet_partial_sum(packets, n, f.m)
-        if f.mode == "float64":
-            cand = np.abs(part) / float_weight(scheme, n)
-        else:
-            cand = np.abs(part) * (Fraction(1) / _exact_weight(scheme, n))
+        cand = np.abs(part) / w
         out = cand if out is None else np.maximum(out, cand)
     return f.with_values(out)
 

@@ -6,6 +6,11 @@ bit, ``w_n(x) = (-1)^popcount(bitrev(n) & x)``; the transform butterfly
 below retires one input axis per stage to the fast end of the output, so
 coefficients come out in Paley order natively, with no bit-reversal pass.
 
+``walsh_rows`` is the one accessor for Walsh sign rows: it slices a memo
+of the full sign matrix when the memo holds the resolution and computes
+the rows otherwise.  Only ``dirichlet_direct`` and the dense maximal
+engine fill the memo, up to resolution ``_WALSH_CACHE_MAX``.
+
 Dirichlet kernels get three independent constructions: the defining sum
 over Walsh functions, the closed form at powers of two, and the
 binary-expansion formula that assembles a general kernel from
@@ -53,32 +58,28 @@ def bit_reverse(n, m: int):
 
 
 def walsh_rows(lo: int, hi: int, m: ResolutionLike) -> np.ndarray:
-    """Sign matrix with row ``n - lo`` holding ``w_n`` over all indices, int8."""
+    """Sign matrix with row ``n - lo`` holding ``w_n`` over all indices, int8.
+
+    Rows are sliced from the memo when it holds resolution ``m`` (a
+    read-only view) and computed otherwise; this never fills the memo.
+    """
     r = as_resolution(m)
     if not 0 <= lo <= hi <= r.size:
         raise ValueError(f"row range [{lo}, {hi}) outside [0, 2^{r.m}]")
+    if r.m in _walsh_cache:
+        return _walsh_cache[r.m][lo:hi]
     x = np.arange(r.size, dtype=np.uint32)
     rev = bit_reverse(np.arange(lo, hi, dtype=np.uint32), r.m)
     parity = (np.bitwise_count(rev[:, None] & x[None, :]) & 1).astype(np.int8)
     return 1 - 2 * parity
 
 
-def walsh_matrix(m: ResolutionLike) -> np.ndarray:
-    """Full 2^m x 2^m Walsh sign matrix; cached for moderate resolutions."""
-    r = as_resolution(m)
-    if r.m in _walsh_cache:
-        return _walsh_cache[r.m]
-    mat = walsh_rows(0, r.size, r.m)
-    mat.setflags(write=False)
-    if r.m <= _WALSH_CACHE_MAX:
-        _walsh_cache[r.m] = mat
-    return mat
-
-
-def _walsh_row_int8(n: int, m: int) -> np.ndarray:
-    if m in _walsh_cache:
-        return _walsh_cache[m][n]
-    return walsh_rows(n, n + 1, m)[0]
+def _fill_walsh_cache(m: int) -> None:
+    """Memoize the full sign matrix at resolution ``m``; nothing above ``_WALSH_CACHE_MAX``."""
+    if m <= _WALSH_CACHE_MAX and m not in _walsh_cache:
+        mat = walsh_rows(0, 1 << m, m)
+        mat.setflags(write=False)
+        _walsh_cache[m] = mat
 
 
 def _to_mode(ints: np.ndarray, m: int, mode: Mode) -> DyadicFunction:
@@ -101,7 +102,7 @@ def walsh(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:
     r = as_resolution(m)
     if not 0 <= n < r.size:
         raise ValueError(f"frequency {n} outside [0, 2^{r.m})")
-    return _to_mode(_walsh_row_int8(n, r.m).astype(np.int64), r.m, mode)
+    return _to_mode(walsh_rows(n, n + 1, r.m)[0].astype(np.int64), r.m, mode)
 
 
 # -- transform -----------------------------------------------------------
@@ -191,8 +192,7 @@ def _dirichlet_direct_int64(n: int, m: int) -> np.ndarray:
     chunk = 1 << min(m, 9)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        block = _walsh_cache[m][lo:hi] if m in _walsh_cache else walsh_rows(lo, hi, m)
-        acc += block.sum(axis=0, dtype=np.int64)
+        acc += walsh_rows(lo, hi, m).sum(axis=0, dtype=np.int64)
     return acc
 
 
@@ -213,15 +213,14 @@ def _dirichlet_fast_int64(n: int, m: int) -> np.ndarray:
             half = 1 << (m - k - 1)
             acc[:half] += 1 << k
             acc[half : 2 * half] -= 1 << k
-    return acc * _walsh_row_int8(n, m)
+    return acc * walsh_rows(n, n + 1, m)[0]
 
 
 def dirichlet_direct(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:
     """Kernel of order ``n`` by its definition: sum of the first n Walsh functions."""
     r = as_resolution(m)
     _check_kernel_order(n, r.m)
-    if r.m <= _WALSH_CACHE_MAX:
-        walsh_matrix(r.m)  # warm the cache; the sum below slices it per chunk
+    _fill_walsh_cache(r.m)  # the sum below slices the memo per chunk
     return _to_mode(_dirichlet_direct_int64(n, r.m), r.m, mode)
 
 

@@ -61,6 +61,8 @@ def test_table_weight_validation():
     assert tw.at(4) == 2.0
     with pytest.raises(ValueError):
         tw.at(3)
+    # The engines memoize weights by scheme, so equal tables must hash alike.
+    assert tw == TableWeight(((2, 1.0), (4, 2.0))) and hash(tw) == hash(TableWeight(tw.entries))
 
 
 def test_scheme_json_roundtrip():
@@ -281,6 +283,49 @@ def test_exact_engine_matches_float_on_atoms(m, kind, generator, data):
     exact = weighted_maximal(make_atom(recipe, m, "exact").values, scheme).values
     floats = weighted_maximal(make_atom(recipe, m, "float64").values, scheme).values
     assert [float(v) for v in exact] == floats.tolist()
+
+
+# -- dense engine (PolyWeight, TableWeight) ---------------------------------------
+
+POLY_KINDS = ("1/2", "1/3")
+
+
+def _poly_definition(kind: str):
+    """The weight ``(n + 1)^(1/p - 1)`` from its definition, for integer ``1/p - 1``."""
+    e = int(1 / Fraction(kind) - 1)
+    return lambda n: (n + 1) ** e
+
+
+@pytest.mark.parametrize("kind", POLY_KINDS)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_exact_dense_engine_matches_definition(m, kind):
+    rng = np.random.default_rng(1000 * m + len(kind))
+    vals = [Fraction(int(v), 8) for v in rng.integers(-64, 65, 1 << m)]
+    f = DyadicFunction.from_values(m, vals, "exact")
+    got = weighted_maximal(f, PolyWeight(PExponent.parse(kind))).values
+    assert got.tolist() == weighted_maximal_by_definition(vals, m, _poly_definition(kind))
+
+
+@pytest.mark.parametrize("kind", POLY_KINDS)
+@pytest.mark.parametrize("m", range(1, 9))
+def test_float_dense_engine_matches_definition(m, kind):
+    vals = _spread_input(m, 2000 * m + len(kind), dyadic=True)
+    f = DyadicFunction.from_values(m, vals)
+    got = weighted_maximal(f, PolyWeight(PExponent.parse(kind))).values
+    want = weighted_maximal_by_definition(vals.tolist(), m, _poly_definition(kind))
+    assert got.tolist() == want
+
+
+def test_dense_engine_reads_the_weights_restricted_reads():
+    # A non-integer 1/p - 1: both operators must divide by the same float weights.
+    rng = np.random.default_rng(83)
+    for kind in ("3/4", "2/3"):
+        scheme = PolyWeight(PExponent.parse(kind))
+        for m in range(1, 11):
+            f = DyadicFunction.from_values(m, rng.integers(-64, 65, 1 << m) / 8.0)
+            full = weighted_maximal(f, scheme).values
+            every = restricted_maximal(f, range(1, (1 << m) + 1), scheme).values
+            assert np.array_equal(full, every), (kind, m)
 
 
 # -- restricted maximal ------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walshlab import spectral
 from walshlab.functions import DyadicFunction, SpectralVector, values_equal
 from walshlab.spectral import (
     dirichlet_direct,
@@ -16,6 +17,7 @@ from walshlab.spectral import (
     partial_sum,
     rademacher,
     walsh,
+    walsh_rows,
 )
 from walshlab.constructions import make_atom, AtomRecipe
 from walshlab.analysis import PExponent
@@ -57,6 +59,44 @@ def test_walsh_matches_product_oracle():
     for n in range(1 << m):
         expected = [walsh_value(n, x, m) for x in range(1 << m)]
         assert walsh(n, m).values.tolist() == expected
+
+
+def _sample_row_ranges(m: int, rng) -> list[tuple[int, int]]:
+    size = 1 << m
+    if m <= 6:
+        return [(0, size)]
+    starts = rng.integers(0, size - 2, 3).tolist()
+    return [(lo, lo + 2) for lo in starts] + [(0, 1), (size - 1, size)]
+
+
+@pytest.mark.parametrize("m", range(1, 14))
+def test_walsh_rows_match_product_oracle_before_and_after_memo(m, monkeypatch):
+    monkeypatch.setattr(spectral, "_walsh_cache", {})
+    ranges = _sample_row_ranges(m, np.random.default_rng(m))
+
+    def check():
+        for lo, hi in ranges:
+            rows = walsh_rows(lo, hi, m)
+            assert rows.shape == (hi - lo, 1 << m)
+            for n in range(lo, hi):
+                expected = [walsh_value(n, x, m) for x in range(1 << m)]
+                assert rows[n - lo].tolist() == expected, (m, n)
+
+    check()
+    spectral._fill_walsh_cache(m)
+    assert (m in spectral._walsh_cache) == (m <= spectral._WALSH_CACHE_MAX)
+    check()
+
+
+def test_walsh_rows_never_fill_the_memo(monkeypatch):
+    monkeypatch.setattr(spectral, "_walsh_cache", {})
+    walsh_rows(0, 8, 3)
+    walsh_rows(0, 1 << 10, 10)
+    walsh(5, 6)
+    dirichlet_fast(5, 6)
+    assert spectral._walsh_cache == {}
+    dirichlet_direct(5, 6)
+    assert list(spectral._walsh_cache) == [6]
 
 
 def test_walsh_orthonormality_exact():
