@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Union
 
@@ -43,18 +44,20 @@ class PExponent:
     def parse(cls, value: Union[str, float, int, Fraction, "PExponent"]) -> "PExponent":
         if isinstance(value, PExponent):
             return value
-        if isinstance(value, str):
-            return cls(Fraction(value))
         return cls(Fraction(value))
 
-    @property
+    # Cached, since weight tables read them per order; eq, hash and pickle see ``p`` alone.
+    @cached_property
     def reciprocal(self) -> Fraction:
         return 1 / self.p
 
-    @property
+    @cached_property
     def weight_exponent(self) -> Fraction:
         """The exponent ``1/p - 1`` used by the weighted maximal operators."""
         return self.reciprocal - 1
+
+    def __getstate__(self) -> dict:
+        return {"p": self.p}
 
     @property
     def is_exact(self) -> bool:

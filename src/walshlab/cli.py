@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .analysis import PExponent
 from .experiments import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     corollary_suite,
@@ -32,7 +33,7 @@ from .experiments import (
     verify_lemma1,
 )
 from .functions import load_csv, store_csv
-from .operators import RhoWeight, UnitWeight, scheme_from_json
+from .operators import RhoWeight, UnitWeight, scheme_to_json
 from .reporting import ExperimentReport, load_report
 from .spectral import dirichlet_direct, dirichlet_dyadic, dirichlet_fast, fwht_forward, fwht_inverse, index_stats
 from .functions import SpectralVector
@@ -69,10 +70,11 @@ def _write_report_files(
     started: float,
     series: tuple[str, str] | None = None,
     series_rows: list | None = None,
+    **run_settings,
 ) -> None:
-    """Write the report and its CSV/TSV views; the sidecar gets the wall time since ``started``."""
+    """Write the report and its CSV/TSV views; the sidecar also gets the wall time."""
     out = Path(output) if output else Path(f"walshlab-{report.name}.json")
-    report.write(out, runtime_seconds=time.perf_counter() - started)
+    report.write(out, runtime_seconds=time.perf_counter() - started, **run_settings)
     report.write_cases_csv(out.with_suffix(".cases.csv"))
     if series:
         report.write_series_tsv(out.with_suffix(".series.tsv"), *series, rows=series_rows)
@@ -153,85 +155,84 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict else 1
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    if not isinstance(data, dict):
-        raise ConfigError(["config must be a JSON object"])
-    return ExperimentConfig.from_json_dict(data)
+def _config(args, experiment: str, flags: tuple[str, ...], from_flags) -> ExperimentConfig:
+    """The config from ``--config`` alone, or else ``from_flags()``; ``--jobs`` overrides either."""
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if args.config is None:
+        cfg = from_flags()
+    elif given:
+        raise ValueError(f"{', '.join(given)} cannot be combined with --config, which sets every field")
+    else:
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+        if not isinstance(data, dict):
+            raise ConfigError(["config must be a JSON object"])
+        cfg = ExperimentConfig.from_json_dict(data, experiment)
+    jobs = getattr(args, "jobs", None)
+    return cfg if jobs is None else dataclasses.replace(cfg, jobs=jobs)
+
+
+_THM1_FLAGS = ("p", "levels", "trials", "seed")
+_THM2_FLAGS = ("p", "resolution", "scales", "seed", "phi", "probes", "expectation")
 
 
 def _cmd_thm1(args) -> int:
     started = time.perf_counter()
-    if args.config:
-        cfg = _load_config(args.config)
-        if args.jobs != 1:
-            cfg = dataclasses.replace(cfg, jobs=args.jobs)
-    else:
-        cfg = ExperimentConfig(
-            p_list=tuple(args.p) if args.p else ("1/4", "1/2", "3/4"),
-            support_levels=args.levels or tuple(range(4, 10)),
-            trials=args.trials,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
+    cfg = _config(args, "thm1", _THM1_FLAGS, lambda: ExperimentConfig(
+        p_list=tuple(args.p or ("1/4", "1/2", "3/4")),
+        support_levels=args.levels or tuple(range(4, 10)),
+        trials=500 if args.trials is None else args.trials,
+        seed=42 if args.seed is None else args.seed,
+    ))
     report = theorem1_weak_type(cfg)
-    _write_report_files(
-        report,
-        args.output,
-        started,
-        series=("M", "max_wt_off"),
-        series_rows=report.summary["cells"],
-    )
+    series = EXPERIMENTS["thm1"].series
+    _write_report_files(report, args.output, started, series, report.summary["cells"], jobs=cfg.jobs)
     return 0 if report.verdict else 1
+
+
+def _thm2b_from_flags(args) -> ExperimentConfig:
+    p_list = tuple(args.p or ("1/2",))
+    m = 12 if args.resolution is None else args.resolution
+    rho = args.phi == "rho"
+    return ExperimentConfig(
+        p_list=p_list,
+        resolution=m,
+        scales=args.scales or (() if args.probes else tuple(range(4, m))),
+        probes=args.probes,
+        scheme=scheme_to_json(RhoWeight(PExponent.parse(p_list[0])) if rho else UnitWeight()),
+        expectation=args.expectation or ("bounded" if rho else "divergent"),
+        seed=0 if args.seed is None else args.seed,
+    )
 
 
 def _cmd_thm2(args) -> int:
     if args.config and args.part == "both":
         raise ValueError("a config describes one part; pass --part a or --part b with --config")
+    part_b_only = [f"--{flag}" for flag in _THM2_FLAGS[4:] if getattr(args, flag) is not None]
+    if args.part == "a" and part_b_only:
+        raise ValueError(f"{', '.join(part_b_only)} only apply to --part b")
     ok = True
     if args.part in ("a", "both"):
         started = time.perf_counter()
-        if args.config:
-            cfg = _load_config(args.config)
-        else:
-            cfg = ExperimentConfig(
-                p_list=tuple(args.p) if args.p else ("1/2", "1/3"),
-                resolution=args.resolution,
-                scales=args.scales or tuple(range(3, args.resolution)),
-                seed=args.seed,
-            )
+        cfg = _config(args, "thm2a", _THM2_FLAGS, lambda: ExperimentConfig(
+            p_list=tuple(args.p or ("1/2", "1/3")),
+            resolution=12 if args.resolution is None else args.resolution,
+            scales=args.scales or (),
+            seed=0 if args.seed is None else args.seed,
+        ))
         report = theorem2_growth(cfg)
-        _write_report_files(report, args.output, started, series=("n", "ratio"))
-        ok = ok and report.verdict
+        _write_report_files(report, args.output, started, EXPERIMENTS["thm2a"].series)
+        ok = report.verdict
     if args.part in ("b", "both"):
         started = time.perf_counter()
-        if args.config:
-            cfg = _load_config(args.config)
-            phi = scheme_from_json(cfg.scheme) if cfg.scheme else UnitWeight()
-        else:
-            p_list = tuple(args.p) if args.p else ("1/2",)
-            if args.phi == "rho":
-                phi = RhoWeight(PExponent.parse(p_list[0]))
-                expectation = args.expectation or "bounded"
-            else:
-                phi = UnitWeight()
-                expectation = args.expectation or "divergent"
-            cfg = ExperimentConfig(
-                p_list=p_list,
-                resolution=args.resolution,
-                scales=args.scales or tuple(range(4, args.resolution)),
-                probes=_parse_probes(args.probes) if args.probes else None,
-                expectation=expectation,
-                seed=args.seed,
-            )
-        report = theorem2_weak_divergence(cfg, phi)
+        cfg = _config(args, "thm2b", _THM2_FLAGS, lambda: _thm2b_from_flags(args))
+        report = theorem2_weak_divergence(cfg)
         out = args.output
         if out and args.part == "both":
             out = str(Path(out).with_suffix(".part-b.json"))
-        _write_report_files(report, out, started, series=("n", "ratio"))
+        _write_report_files(report, out, started, EXPERIMENTS["thm2b"].series)
         ok = ok and report.verdict
     return 0 if ok else 1
 
@@ -301,25 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("thm1", help="weak-type stability of the weighted maximal operator on atoms")
-    sp.add_argument("--config", help="JSON experiment config (overrides flags)")
-    sp.add_argument("--p", action="append", help="exponent, e.g. 1/2 (repeatable)")
-    sp.add_argument("--levels", type=_parse_int_list, help="support levels, e.g. 4..9")
-    sp.add_argument("--trials", type=int, default=500)
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes, >= 1; capped at the CPU count")
+    sp.add_argument("--config", help="JSON experiment config, in place of the experiment flags")
+    sp.add_argument("--p", action="append", help="exponent, repeatable (default 1/4, 1/2, 3/4)")
+    sp.add_argument("--levels", type=_parse_int_list, help="support levels (default 4..9)")
+    sp.add_argument("--trials", type=int, help="atoms per exponent and level (default 500)")
+    sp.add_argument("--seed", type=int, help="default 42")
+    sp.add_argument("--jobs", type=int, help="worker processes, >= 1; capped at the CPU count")
     sp.add_argument("--output")
     sp.set_defaults(func=_cmd_thm1)
 
     sp = sub.add_parser("thm2", help="sharpness: growth and weak divergence")
     sp.add_argument("--part", choices=("a", "b", "both"), default="both")
-    sp.add_argument("--config", help="JSON experiment config for one part (needs --part a or b)")
-    sp.add_argument("--p", action="append")
-    sp.add_argument("--resolution", type=int, default=12, metavar="M")
-    sp.add_argument("--scales", type=_parse_int_list, help="scales, e.g. 3..11")
-    sp.add_argument("--phi", choices=("unit", "rho"), default="unit", help="weight for part b")
-    sp.add_argument("--probes", help="probe orders for part b, e.g. 4:0,5:0")
-    sp.add_argument("--expectation", choices=("divergent", "bounded"))
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--config", help="JSON config for --part a or b, in place of flags")
+    sp.add_argument("--p", action="append", help="exponent, repeatable (default 1/2, 1/3 for a; 1/2 for b)")
+    sp.add_argument("--resolution", type=int, metavar="M", help="default 12")
+    sp.add_argument("--scales", type=_parse_int_list, help="default 3..M-1 for a, 4..M-1 for b")
+    sp.add_argument("--phi", choices=("unit", "rho"), help="weight for part b (default unit)")
+    sp.add_argument("--probes", type=_parse_probes, help="part b probe orders in place of scales, e.g. 4:0,5:0")
+    sp.add_argument("--expectation", choices=("divergent", "bounded"), help="part b (default by --phi)")
+    sp.add_argument("--seed", type=int, help="default 0")
     sp.add_argument("--output")
     sp.set_defaults(func=_cmd_thm2)
 

@@ -22,14 +22,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from .analysis import PExponent, hardy_quasinorm, lp_quasinorm, weak_lp_quasinorm
 from .constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, probe_index
-from .group import as_resolution
+from .group import as_resolution, shell_decomposition
 from .operators import (
     PolyWeight,
     RhoWeight,
@@ -71,9 +71,36 @@ class ConfigError(ValueError):
         super().__init__("invalid experiment config: " + "; ".join(self.problems))
 
 
+class ExperimentContract(NamedTuple):
+    """The config fields an experiment reads and the case keys of its TSV series."""
+
+    fields: tuple[str, ...]
+    series: tuple[str, str]
+
+
+#: A config may set only the fields its experiment reads, and the report
+#: records them all but ``jobs``, a run setting kept in the ``.meta.json``
+#: sidecar, so feeding a report's config back reruns it.
+EXPERIMENTS = {
+    "thm1": ExperimentContract(
+        ("name", "p_list", "support_levels", "trials", "seed", "extra_resolution", "ratio_cap", "jobs"),
+        ("M", "max_wt_off"),
+    ),
+    "thm2a": ExperimentContract(
+        ("name", "p_list", "resolution", "scales", "seed", "slope_fraction"),
+        ("n", "ratio"),
+    ),
+    "thm2b": ExperimentContract(
+        ("name", "p_list", "resolution", "scales", "probes", "scheme", "expectation", "seed",
+         "growth_floor", "band_cap"),
+        ("n", "ratio"),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared parameter carrier; each experiment validates the slice it uses."""
+    """Parameter carrier; each experiment reads the fields ``EXPERIMENTS`` lists for it."""
 
     name: str = ""
     p_list: tuple[str, ...] = ()
@@ -91,24 +118,23 @@ class ExperimentConfig:
     band_cap: float = 2.0
     slope_fraction: float = 0.8
     jobs: int = 1
-    output: str | None = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {}
-        for f in dataclass_fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = [list(x) if isinstance(x, tuple) else x for x in v]
-            out[f.name] = v
-        return out
+    def to_json_dict(self, experiment: str | None = None) -> dict:
+        """Every field, or only those ``experiment`` records in its report."""
+        names = EXPERIMENTS[experiment].fields if experiment else [f.name for f in dataclass_fields(self)]
+        return {name: getattr(self, name) for name in names if not (experiment and name == "jobs")}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name: f for f in dataclass_fields(cls)}
-        problems = [f"unknown field '{k}'" for k in data if k not in known]
+    def from_json_dict(cls, data: dict, experiment: str | None = None) -> "ExperimentConfig":
+        """Parse a config; with ``experiment`` given, only the fields it reads are allowed."""
+        known = {f.name for f in dataclass_fields(cls)}
+        allowed = EXPERIMENTS[experiment].fields if experiment else known
+        problems: list[str] = []
         kwargs: dict = {}
         for key, value in data.items():
-            if key not in known:
+            if key not in allowed:
+                reason = f"is not read by {experiment}" if key in known else "is unknown"
+                problems.append(f"field '{key}' {reason}")
                 continue
             if key in ("p_list", "support_levels", "scales"):
                 if not isinstance(value, (list, tuple)):
@@ -136,6 +162,15 @@ class ExperimentConfig:
         if problems:
             raise ConfigError(problems)
         return cls(**kwargs)
+
+
+def _exponent_problems(cfg: ExperimentConfig) -> list[str]:
+    """The exponent rule every experiment shares: a nonempty ``p_list`` in (0, 1)."""
+    problems = [] if cfg.p_list else ["'p_list' must be nonempty"]
+    for pstr in cfg.p_list:
+        if not PExponent.parse(pstr).p < 1:
+            problems.append(f"'p_list' entry {pstr} must lie in (0, 1)")
+    return problems
 
 
 def _provenance(seed: int | None) -> dict:
@@ -202,12 +237,14 @@ def _map_tasks(fn: Callable, tasks: list, jobs: int) -> list:
 _KERNEL_CHUNK = 256
 
 
-def _kernel_rows_stream(m: int, chunk: int = _KERNEL_CHUNK):
-    """Yield (lo, rows) where rows[i] holds the order-(lo+i+1) kernel, int64."""
-    size = 1 << m
-    carry = np.zeros(size, dtype=np.int64)
-    for lo in range(0, size, chunk):
-        hi = min(lo + chunk, size)
+def _kernel_rows_stream(m: int, start: int = 0, stop: int | None = None, carry=0):
+    """Yield (lo, rows) where rows[i] is ``carry`` plus Walsh rows ``start .. lo+i``, int64.
+
+    With the defaults, rows[i] is the order-(lo+i+1) kernel.
+    """
+    stop = 1 << m if stop is None else stop
+    for lo in range(start, stop, _KERNEL_CHUNK):
+        hi = min(lo + _KERNEL_CHUNK, stop)
         rows = walsh_rows(lo, hi, m).astype(np.int64)
         np.cumsum(rows, axis=0, out=rows)
         rows += carry
@@ -245,18 +282,9 @@ def verify_kernels(m: int) -> ExperimentReport:
     for k in range(r.m):
         base = _dirichlet_direct_int64(1 << k, r.m)
         twist = walsh_rows(1 << k, (1 << k) + 1, r.m)[0].astype(np.int64)
-        carry_hi = base.copy()
-        carry_lo = np.zeros(size, dtype=np.int64)
-        for lo in range(0, 1 << k, _KERNEL_CHUNK):
-            hi = min(lo + _KERNEL_CHUNK, 1 << k)
-            rows_hi = walsh_rows((1 << k) + lo, (1 << k) + hi, r.m).astype(np.int64)
-            np.cumsum(rows_hi, axis=0, out=rows_hi)
-            rows_hi += carry_hi
-            carry_hi = rows_hi[-1].copy()
-            rows_lo = walsh_rows(lo, hi, r.m).astype(np.int64)
-            np.cumsum(rows_lo, axis=0, out=rows_lo)
-            rows_lo += carry_lo
-            carry_lo = rows_lo[-1].copy()
+        low = _kernel_rows_stream(r.m, 0, 1 << k)
+        high = _kernel_rows_stream(r.m, 1 << k, 2 << k, carry=base)
+        for (_, rows_lo), (_, rows_hi) in zip(low, high):
             shift_checked += rows_lo.shape[0]
             if not np.array_equal(rows_hi - base, rows_lo * twist):
                 shift_mismatches += rows_lo.shape[0]
@@ -303,6 +331,7 @@ def verify_lemma1(m: int) -> ExperimentReport:
         family[pos : pos + rows.shape[0]] = rows
         pos += rows.shape[0]
 
+    shells = shell_decomposition(r.m)
     checked = 0
     equality_failures = 0
     bound_failures = 0
@@ -311,10 +340,9 @@ def verify_lemma1(m: int) -> ExperimentReport:
         st = index_stats(n)
         if st.low == st.high:
             continue
-        lo_idx = 1 << (r.m - st.low - 1)
-        hi_idx = 1 << (r.m - st.low)
-        dn = np.abs(family[n - 1, lo_idx:hi_idx].astype(np.int64))
-        dref = np.abs(family[n - (1 << st.high) - 1, lo_idx:hi_idx].astype(np.int64))
+        pinned = shells.shell(st.low)
+        dn = np.abs(family[n - 1, pinned.start : pinned.stop].astype(np.int64))
+        dref = np.abs(family[n - (1 << st.high) - 1, pinned.start : pinned.stop].astype(np.int64))
         checked += 1
         if not np.array_equal(dn, dref):
             equality_failures += 1
@@ -415,8 +443,8 @@ def _thm1_case(args: tuple) -> dict:
 
     inv_p = float(p.reciprocal)
     shell_ratios = []
-    for s in range(level):
-        smax = float(gv[1 << (m - s - 1) : 1 << (m - s)].max())
+    for s, shell in shell_decomposition(m).shells()[:level]:
+        smax = float(gv[shell.start : shell.stop].max())
         shell_ratios.append(smax / 2.0 ** (s * inv_p))
     shell_constant = max(shell_ratios) if shell_ratios else 0.0
 
@@ -451,13 +479,7 @@ def _thm1_case(args: tuple) -> dict:
 
 
 def _validate_thm1(cfg: ExperimentConfig) -> None:
-    problems = []
-    if not cfg.p_list:
-        problems.append("'p_list' must be nonempty")
-    for pstr in cfg.p_list:
-        p = PExponent.parse(pstr)
-        if not p.p < 1:
-            problems.append(f"'p_list' entry {pstr} must lie in (0, 1)")
+    problems = _exponent_problems(cfg)
     if not cfg.support_levels:
         problems.append("'support_levels' must be nonempty")
     if any(lv < 1 for lv in cfg.support_levels):
@@ -542,7 +564,7 @@ def theorem1_weak_type(cfg: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport(
         name=cfg.name or "weak-type-on-atoms",
-        config=cfg.to_json_dict(),
+        config=cfg.to_json_dict("thm1"),
         cases=cases,
         summary=summary,
         verdict=verdict,
@@ -554,19 +576,13 @@ def theorem1_weak_type(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _validate_thm2a(cfg: ExperimentConfig) -> None:
-    problems = []
+    problems = _exponent_problems(cfg)
     if cfg.resolution is None or cfg.resolution < 5:
         problems.append("'resolution' must be an integer >= 5")
-    if not cfg.p_list:
-        problems.append("'p_list' must be nonempty")
-    for pstr in cfg.p_list:
-        p = PExponent.parse(pstr)
-        if not p.p < 1:
-            problems.append(f"'p_list' entry {pstr} must lie in (0, 1)")
-    if cfg.resolution is not None:
-        scales = cfg.scales or tuple(range(3, cfg.resolution))
-        if any(not 1 <= n <= cfg.resolution - 1 for n in scales):
-            problems.append("'scales' must lie within [1, resolution - 1]")
+    elif any(not 1 <= n <= cfg.resolution - 1 for n in cfg.scales):
+        problems.append("'scales' must lie within [1, resolution - 1]")
+    if len(set(cfg.scales)) == 1:
+        problems.append("'scales' needs two distinct scales to fit a slope")
     if problems:
         raise ConfigError(problems)
 
@@ -602,10 +618,10 @@ def theorem2_growth(cfg: ExperimentConfig) -> ExperimentReport:
 
             shell_sum = 0.0
             pw = float(p.p)
-            for s in range(n):
+            for s, shell in shell_decomposition(m).shells()[:n]:
                 q = probe_index(n, s).q
                 sq = partial_sum(f, q).values
-                block = np.abs(sq[1 << (m - s - 1) : 1 << (m - s)])
+                block = np.abs(sq[shell.start : shell.stop])
                 w = 2.0 ** ((n - s) * (inv_p - 1.0))
                 shell_sum += float(((block / w) ** pw).sum()) / f.size
             closed_form = n / 2.0 ** (n * (1.0 - pw) + 1.0)
@@ -652,7 +668,7 @@ def theorem2_growth(cfg: ExperimentConfig) -> ExperimentReport:
     summary = {"per_p": per_p, "shell_sums_match_closed_form": shell_ok}
     return ExperimentReport(
         name=cfg.name or "sharpness-growth",
-        config=cfg.to_json_dict(),
+        config=cfg.to_json_dict("thm2a"),
         cases=cases,
         summary=summary,
         verdict=verdict,
@@ -666,27 +682,28 @@ def theorem2_growth(cfg: ExperimentConfig) -> ExperimentReport:
 _PROBE_LOWER_CONSTANT = 0.25
 
 
-def _validate_thm2b(cfg: ExperimentConfig) -> None:
-    problems = []
+def _validate_thm2b(cfg: ExperimentConfig) -> WeightScheme:
+    """Check the config and return its weight, the unit weight when ``scheme`` is unset."""
+    problems = _exponent_problems(cfg)
     if cfg.resolution is None or cfg.resolution < 3:
         problems.append("'resolution' must be an integer >= 3")
-    if not cfg.p_list:
-        problems.append("'p_list' must be nonempty")
-    if not cfg.scales and not cfg.probes:
-        problems.append("either 'scales' or 'probes' must be given")
-    if cfg.probes:
-        for n, s in cfg.probes:
-            if not 0 <= s < n:
-                problems.append(f"probe ({n}, {s}) needs 0 <= s < n")
-            if cfg.resolution is not None and n + 1 > cfg.resolution:
-                problems.append(f"probe scale {n} exceeds resolution {cfg.resolution}")
-    elif cfg.resolution is not None:
-        if any(n + 1 > cfg.resolution for n in cfg.scales):
-            problems.append("'scales' entries need n + 1 <= resolution")
+    if bool(cfg.scales) == bool(cfg.probes):
+        problems.append("exactly one of 'scales' and 'probes' must be given")
+    for n, s in cfg.probes or ():
+        if not 0 <= s < n:
+            problems.append(f"probe ({n}, {s}) needs 0 <= s < n")
+    scales = list(cfg.scales) + [n for n, _ in cfg.probes or ()]
+    if cfg.resolution is not None and any(n + 1 > cfg.resolution for n in scales):
+        problems.append(f"scales and probe scales need n + 1 <= resolution {cfg.resolution}")
     if cfg.expectation not in (None, "divergent", "bounded"):
         problems.append("'expectation' must be 'divergent', 'bounded', or omitted")
+    try:
+        phi = UnitWeight() if cfg.scheme is None else scheme_from_json(cfg.scheme)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        problems.append(f"'scheme' {cfg.scheme!r} is not a weight scheme: {exc}")
     if problems:
         raise ConfigError(problems)
+    return phi
 
 
 def _auto_probe_bit(n: int, p: PExponent, phi: WeightScheme) -> int:
@@ -694,34 +711,29 @@ def _auto_probe_bit(n: int, p: PExponent, phi: WeightScheme) -> int:
     inv_p1 = float(p.weight_exponent)
     best_s, best_val = 0, -np.inf
     for s in range(n):
-        q = (1 << n) + (1 << s)
-        val = 2.0 ** ((n - s) * inv_p1) / float_weight(phi, q)
+        val = 2.0 ** ((n - s) * inv_p1) / float_weight(phi, probe_index(n, s).q)
         if val > best_val:
             best_s, best_val = s, val
     return best_s
 
 
-def theorem2_weak_divergence(cfg: ExperimentConfig, phi: WeightScheme | None = None) -> ExperimentReport:
+def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
     """Weak quasi-norm blow-up for any nondecreasing weight below the reference.
 
     Along probe orders, the normalized weak-L_p ratio of the damped partial
     sum is measured and compared with the reference-to-phi weight ratio it
     must track; with the trivial weight it diverges geometrically, with the
-    reference weight itself it stays in a constant band.
+    reference weight itself it stays in a constant band.  The weight phi is
+    ``cfg.scheme``, the unit weight when unset.
     """
-    if phi is None:
-        phi = scheme_from_json(cfg.scheme) if cfg.scheme else UnitWeight()
-    _validate_thm2b(cfg)
+    phi = _validate_thm2b(cfg)
     m = cfg.resolution
     cases = []
     per_p: dict[str, dict] = {}
     for p_str in cfg.p_list:
         p = PExponent.parse(p_str)
         inv_p = float(p.reciprocal)
-        if cfg.probes:
-            probes = list(cfg.probes)
-        else:
-            probes = [(n, _auto_probe_bit(n, p, phi)) for n in cfg.scales]
+        probes = cfg.probes or [(n, _auto_probe_bit(n, p, phi)) for n in cfg.scales]
         ratios = []
         for n, s in probes:
             q = probe_index(n, s).q
@@ -778,7 +790,7 @@ def theorem2_weak_divergence(cfg: ExperimentConfig, phi: WeightScheme | None = N
     }
     return ExperimentReport(
         name=cfg.name or "sharpness-weak-divergence",
-        config=cfg.to_json_dict(),
+        config=cfg.to_json_dict("thm2b"),
         cases=cases,
         summary=summary,
         verdict=verdict,

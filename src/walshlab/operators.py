@@ -6,8 +6,7 @@ with ``rho`` the spread between the highest and lowest set bit of ``n``;
 siblings are the polynomial weight ``(n+1)^(1/p-1)``, the unit weight, and
 explicit tables.  The sup over all naturals reduces to ``n in [1, 2^m]``
 because the tail clamps to ``f`` with weights that never dip below the
-weight at ``2^m``; that reduction is exercised by tests via ``extend_to``
-rather than assumed.
+weight at ``2^m``; the tests check that reduction rather than assume it.
 
 Every engine reads the weight through one helper, ``_weights``: float64
 values that raise ``ValueError`` on overflow, or exact ``Fraction`` values
@@ -315,8 +314,8 @@ def _packet_partial_sum(packets: list[np.ndarray], n: int, m: int) -> np.ndarray
 _CHUNK_ROWS = 512
 
 
-def _dense_max(f: DyadicFunction, scheme: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
-    """The sup and the engine's own ``S_{2^m} f``, by a running sum over every order.
+def _dense_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
+    """The sup, by a running sum over every order.
 
     Walsh rows come in chunks of ``_CHUNK_ROWS``: each chunk's partial sums
     are the cumulative sum of its coefficient-scaled rows plus the carry of
@@ -330,7 +329,7 @@ def _dense_max(f: DyadicFunction, scheme: WeightScheme) -> tuple[np.ndarray, np.
     carry = np.full(size, zero, dtype)
     nonzero = np.nonzero(coeffs)[0]
     if nonzero.size == 0:
-        return out, carry
+        return out
     _fill_walsh_cache(m)
     for lo in range(int(nonzero[0]), size, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, size)
@@ -342,32 +341,17 @@ def _dense_max(f: DyadicFunction, scheme: WeightScheme) -> tuple[np.ndarray, np.
         np.abs(block, out=block)
         block /= weights[lo:hi, None]
         np.maximum(out, block.max(axis=0), out=out)
-    return out, carry
+    return out
 
 
-def weighted_maximal(
-    f: DyadicFunction,
-    scheme: WeightScheme,
-    extend_to: int | None = None,
-) -> DyadicFunction:
+def weighted_maximal(f: DyadicFunction, scheme: WeightScheme) -> DyadicFunction:
     """Pointwise sup over ``n in [1, 2^m]`` of ``|S_n f| / weight(n)``.
 
-    ``extend_to`` widens the sup to larger orders, where the partial sum
-    clamps to ``f`` itself; it exists so tests can confirm the finite sup
-    already equals the extended one.  A float weight that overflows, or a
-    weight exact mode cannot represent, raises ``ValueError``.
+    A float weight that overflows, or a weight exact mode cannot represent,
+    raises ``ValueError``.
     """
-    if scheme.spread_only:
-        out, last = _spread_max(f, scheme), f.values
-    else:
-        out, last = _dense_max(f, scheme)
-    if extend_to is not None and extend_to > f.size:
-        # Past 2^m every partial sum clamps to f; the engine's own S_{2^m} f
-        # is that clamp.
-        n_min = min(range(f.size + 1, extend_to + 1), key=scheme.at)
-        (w,) = _weights(scheme, [n_min], f.mode == "exact")
-        out = np.maximum(out, np.abs(last) / w)
-    return f.with_values(out)
+    engine = _spread_max if scheme.spread_only else _dense_max
+    return f.with_values(engine(f, scheme))
 
 
 def restricted_maximal(

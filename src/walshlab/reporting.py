@@ -65,17 +65,16 @@ class ExperimentReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
-    def write(self, path: Union[str, Path], runtime_seconds: float | None = None) -> Path:
-        """Write the report; timestamps go only to a ``.meta.json`` sidecar."""
+    def write(self, path: Union[str, Path], **run_meta) -> Path:
+        """Write the report; timestamps and ``run_meta`` go only to a ``.meta.json`` sidecar."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.to_json())
         meta = {
             "written_at": datetime.now(timezone.utc).isoformat(),
             "report": path.name,
+            **run_meta,
         }
-        if runtime_seconds is not None:
-            meta["runtime_seconds"] = runtime_seconds
         sidecar = path.with_name(path.stem + ".meta.json")
         sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
         return path

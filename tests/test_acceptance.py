@@ -26,7 +26,6 @@ from walshlab.experiments import (
     verify_lemma1,
 )
 from walshlab.functions import DyadicFunction, values_equal
-from walshlab.operators import RhoWeight, UnitWeight
 from walshlab.spectral import (
     dirichlet_direct,
     dirichlet_dyadic,
@@ -197,8 +196,7 @@ def test_criterion_7_weak_divergence():
             probes=probes,
             expectation="divergent",
             growth_floor=1.5,
-        ),
-        UnitWeight(),
+        )
     )
     growth = divergent.summary["per_p"]["1/2"]["growth_factors"]
     bounded = theorem2_weak_divergence(
@@ -208,8 +206,8 @@ def test_criterion_7_weak_divergence():
             probes=probes,
             expectation="bounded",
             band_cap=2.0,
-        ),
-        RhoWeight(PExponent.parse("1/2")),
+            scheme={"kind": "rho", "p": "1/2"},
+        )
     )
     ratios = bounded.summary["per_p"]["1/2"]["ratios"]
     band = max(ratios) / min(ratios)
@@ -275,8 +273,7 @@ def test_criterion_9_determinism():
     ok &= twice(
         "thm2b",
         lambda: theorem2_weak_divergence(
-            ExperimentConfig(p_list=("1/2",), resolution=9, scales=(4, 5, 6)),
-            UnitWeight(),
+            ExperimentConfig(p_list=("1/2",), resolution=9, scales=(4, 5, 6))
         ),
     )
     ok &= twice("corollaries", lambda: corollary_suite(8, "1/2", trials=6, seed=5))

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,19 @@ def test_pexponent_parsing_and_properties():
 
 
 # -- L_p ------------------------------------------------------------------------
+
+
+def test_pexponent_caches_derived_values_without_changing_identity():
+    # reciprocal and weight_exponent are derived once; equality, hashing and
+    # the pickled form still see p alone.
+    fresh = PExponent.parse("2/3")
+    used = PExponent.parse("2/3")
+    assert used.weight_exponent == Fraction(1, 2) and used.reciprocal == Fraction(3, 2)
+    assert used.weight_exponent is used.weight_exponent
+    assert used == fresh and hash(used) == hash(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(used))
+    assert back == used and back.weight_exponent == Fraction(1, 2)
 
 
 def test_lp_of_dyadic_kernel_closed_form():

@@ -185,3 +185,76 @@ def test_report_rendering(tmp_path):
                  "--output", str(tmp_path / "g.tsv")]) == 0
     assert (tmp_path / "g.tsv").read_text().splitlines()[0] == "n\tratio"
     assert main(["report", str(src), "--format", "tsv"]) == 2  # missing keys
+
+
+_THM1_CFG = {"p_list": ["1/2"], "support_levels": [3, 4], "trials": 2, "seed": 1}
+_THM2A_CFG = {"p_list": ["1/2"], "resolution": 8}
+_THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
+
+
+@pytest.mark.parametrize(
+    "config, argv, named",
+    [
+        (_THM1_CFG, ["thm1", "--trials", "7", "--p", "1/4"], "--p, --trials"),
+        ({**_THM1_CFG, "resolution": 8}, ["thm1"], "'resolution'"),
+        ({**_THM1_CFG, "probes": [[5, 0]]}, ["thm1"], "'probes'"),
+        ({**_THM1_CFG, "expectation": "bounded"}, ["thm1"], "'expectation'"),
+        ({**_THM1_CFG, "scheme": {"kind": "unit"}}, ["thm1"], "'scheme'"),
+        ({**_THM1_CFG, "output": "x.json"}, ["thm1"], "'output'"),
+        ({**_THM2A_CFG, "probes": [[5, 0]]}, ["thm2", "--part", "a"], "'probes'"),
+        ({**_THM2A_CFG, "jobs": 2}, ["thm2", "--part", "a"], "'jobs'"),
+        (_THM2A_CFG, ["thm2", "--part", "a", "--seed", "3"], "--seed"),
+        ({**_THM2B_CFG, "trials": 5}, ["thm2", "--part", "b"], "'trials'"),
+        ({**_THM2B_CFG, "scheme": {"kind": "rho"}}, ["thm2", "--part", "b"], "'scheme'"),
+        (_THM2B_CFG, ["thm2", "--part", "b", "--phi", "rho"], "--phi"),
+        (None, ["thm2", "--part", "a", "--phi", "rho", "--probes", "5:0", "--expectation", "bounded"],
+         "--phi, --probes, --expectation"),
+        (None, ["thm2", "--part", "b", "--p", "1", "--resolution", "8"], "'p_list' entry 1"),
+        (None, ["thm2", "--part", "a", "--resolution", "8", "--scales", "5"], "two distinct scales"),
+        (None, ["thm2", "--part", "b", "--resolution", "8", "--scales", "4..6", "--probes", "5:0"],
+         "'scales' and 'probes'"),
+    ],
+)
+def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):
+    # Each experiment reads only its own fields and flags; anything else is
+    # a usage error that names it, never silently ignored.
+    argv = [*argv, "--output", str(tmp_path / "r.json")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thm1", "--p", "1/2", "--levels", "3..4", "--trials", "3", "--seed", "5", "--jobs", "2"],
+        ["thm2", "--part", "a", "--p", "1/2", "--p", "1/3", "--resolution", "8"],
+        ["thm2", "--part", "b", "--resolution", "9", "--phi", "unit"],
+        ["thm2", "--part", "b", "--resolution", "9", "--phi", "rho", "--seed", "2"],
+    ],
+)
+def test_report_config_replays(tmp_path, argv):
+    # A report's config, fed back through --config, reproduces every data file.
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code = main([*argv, "--output", str(first)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads(first.read_text())["config"]))
+    part = argv[1:3] if argv[0] == "thm2" else []
+    assert main([argv[0], *part, "--config", str(cfg), "--output", str(second)]) == code
+    for suffix in (".json", ".cases.csv", ".series.tsv"):
+        assert first.with_suffix(suffix).read_bytes() == second.with_suffix(suffix).read_bytes()
+
+
+def test_jobs_is_a_run_setting(tmp_path):
+    # --jobs overrides the config, even back to 1, and goes to the sidecar only.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_THM1_CFG, "jobs": 2}))
+    out = tmp_path / "t.json"
+    assert main(["thm1", "--config", str(cfg), "--jobs", "1", "--output", str(out)]) == 0
+    assert json.loads((tmp_path / "t.meta.json").read_text())["jobs"] == 1
+    assert "jobs" not in json.loads(out.read_text())["config"]

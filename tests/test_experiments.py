@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from walshlab import operators, spectral
+from walshlab import experiments, operators, spectral
 from walshlab.analysis import PExponent
-from walshlab.constructions import partial_sum_probe
+from walshlab.constructions import GENERATORS, AtomRecipe, make_atom, partial_sum_probe
 from walshlab.experiments import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     corollary_suite,
@@ -20,7 +21,7 @@ from walshlab.experiments import (
     verify_lemma1,
     worker_count,
 )
-from walshlab.operators import RhoWeight, TableWeight, UnitWeight
+from walshlab.operators import RhoWeight, TableWeight, weighted_maximal
 from walshlab.reporting import load_report
 from walshlab.spectral import dirichlet_dyadic
 
@@ -54,6 +55,29 @@ def test_config_rejects_bad_exponent():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_json_dict({"p_list": ["5/4"]})
     assert "5/4" in "; ".join(exc.value.problems)
+
+
+_CONTRACT_RUNS = {
+    "thm1": (theorem1_weak_type, dict(p_list=("1/2",), support_levels=(3, 4), trials=2)),
+    "thm2a": (theorem2_growth, dict(p_list=("1/2",), resolution=7)),
+    "thm2b": (theorem2_weak_divergence, dict(p_list=("1/2",), resolution=8, scales=(4, 5))),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_CONTRACT_RUNS))
+def test_each_experiment_accepts_checks_and_records_its_own_fields(experiment):
+    run, fields = _CONTRACT_RUNS[experiment]
+    contract = EXPERIMENTS[experiment]
+    rep = run(ExperimentConfig(**fields))
+    # The report records every field read but the run setting jobs.
+    assert list(rep.config) == [f for f in contract.fields if f != "jobs"]
+    assert ExperimentConfig.from_json_dict(rep.config, experiment).to_json_dict(experiment) == rep.config
+    unread = next(f for f in ("trials", "resolution") if f not in contract.fields)
+    with pytest.raises(ConfigError, match=f"'{unread}' is not read by {experiment}"):
+        ExperimentConfig.from_json_dict({**rep.config, unread: 5}, experiment)
+    # One exponent rule for every experiment: p = 1 lies outside (0, 1).
+    with pytest.raises(ConfigError, match="entry 1 must lie in"):
+        run(ExperimentConfig(**{**fields, "p_list": ("1",)}))
 
 
 # -- kernel sweeps -----------------------------------------------------------------
@@ -138,9 +162,21 @@ def test_theorem1_determinism_and_jobs_equivalence():
     a = theorem1_weak_type(cfg).to_json()
     b = theorem1_weak_type(cfg).to_json()
     assert a == b
-    # parallel execution must not change any recorded number
+    # parallel execution must not change any recorded number, nor the config
     c = theorem1_weak_type(dataclasses.replace(cfg, jobs=2))
-    assert json.loads(c.to_json())["cases"] == json.loads(a)["cases"]
+    assert c.to_json() == a
+
+
+def test_theorem1_shell_constant_reads_shells_by_definition():
+    # Shell s is the index range [2^(m-s-1), 2^(m-s)); the constant is the max
+    # over shells s < M of the operator's sup there over 2^(s/p).
+    p, level, m, seed = PExponent.parse("1/2"), 4, 6, 11
+    for trial in range(len(GENERATORS)):
+        case = experiments._thm1_case((str(p), level, m, seed, trial))
+        recipe = AtomRecipe(level, 0, p, case["generator"], experiments._trial_seed(seed, trial))
+        g = weighted_maximal(make_atom(recipe, m).values, RhoWeight(p)).values
+        want = max(g[1 << (m - s - 1) : 1 << (m - s)].max() / 2.0 ** (2 * s) for s in range(level))
+        assert case["shell_constant"] == want
 
 
 def test_theorem1_config_validation():
@@ -182,7 +218,7 @@ def test_theorem2b_trivial_weight_diverges():
     cfg = ExperimentConfig(
         p_list=("1/2",), resolution=10, scales=tuple(range(4, 10)), expectation="divergent"
     )
-    rep = theorem2_weak_divergence(cfg, UnitWeight())
+    rep = theorem2_weak_divergence(cfg)
     assert rep.verdict
     growth = rep.summary["per_p"]["1/2"]["growth_factors"]
     assert all(g == pytest.approx(2.0, rel=1e-12) for g in growth)
@@ -191,9 +227,10 @@ def test_theorem2b_trivial_weight_diverges():
 
 def test_theorem2b_reference_weight_bounded():
     cfg = ExperimentConfig(
-        p_list=("1/2",), resolution=10, scales=tuple(range(4, 10)), expectation="bounded"
+        p_list=("1/2",), resolution=10, scales=tuple(range(4, 10)), expectation="bounded",
+        scheme={"kind": "rho", "p": "1/2"},
     )
-    rep = theorem2_weak_divergence(cfg, RhoWeight(PExponent.parse("1/2")))
+    rep = theorem2_weak_divergence(cfg)
     assert rep.verdict
     ratios = rep.summary["per_p"]["1/2"]["ratios"]
     assert max(ratios) / min(ratios) <= 2.0
@@ -201,10 +238,10 @@ def test_theorem2b_reference_weight_bounded():
 
 def test_theorem2b_explicit_probes_and_auto_choice():
     cfg = ExperimentConfig(p_list=("1/2",), resolution=9, probes=((5, 0), (6, 2)))
-    rep = theorem2_weak_divergence(cfg, UnitWeight())
+    rep = theorem2_weak_divergence(cfg)
     assert [(c["n"], c["s"]) for c in rep.cases] == [(5, 0), (6, 2)]
     auto = theorem2_weak_divergence(
-        ExperimentConfig(p_list=("1/2",), resolution=9, scales=(5, 6)), UnitWeight()
+        ExperimentConfig(p_list=("1/2",), resolution=9, scales=(5, 6))
     )
     # With a flat weight the best probe bit is always 0 (maximal spread).
     assert [(c["n"], c["s"]) for c in auto.cases] == [(5, 0), (6, 0)]
@@ -218,11 +255,11 @@ def test_theorem2b_table_monotonicity_enforced():
 def test_theorem2b_validation():
     with pytest.raises(ConfigError):
         theorem2_weak_divergence(
-            ExperimentConfig(p_list=("1/2",), resolution=9, probes=((3, 3),)), UnitWeight()
+            ExperimentConfig(p_list=("1/2",), resolution=9, probes=((3, 3),))
         )
     with pytest.raises(ConfigError):
         theorem2_weak_divergence(
-            ExperimentConfig(p_list=("1/2",), resolution=5, scales=(7,)), UnitWeight()
+            ExperimentConfig(p_list=("1/2",), resolution=5, scales=(7,))
         )
 
 
@@ -237,11 +274,11 @@ def test_theorem2_runs_without_the_transform(monkeypatch):
     monkeypatch.setattr(operators, "fwht_forward", no_transform)
     growth = ExperimentConfig(p_list=("1/2",), resolution=8, scales=(3, 4, 5))
     assert theorem2_growth(growth).verdict
-    for phi, expectation in ((UnitWeight(), "divergent"),
-                             (RhoWeight(PExponent.parse("1/2")), "bounded")):
+    for scheme, expectation in (({"kind": "unit"}, "divergent"),
+                                ({"kind": "rho", "p": "1/2"}, "bounded")):
         cfg = ExperimentConfig(p_list=("1/2",), resolution=9, scales=(4, 5, 6),
-                               expectation=expectation)
-        assert theorem2_weak_divergence(cfg, phi).verdict
+                               expectation=expectation, scheme=scheme)
+        assert theorem2_weak_divergence(cfg).verdict
     for mode in ("exact", "float64"):
         probe = partial_sum_probe(5, 2, 8, mode)
         assert np.abs(probe.values).tolist() == dirichlet_dyadic(2, 8, mode).values.tolist()

@@ -142,9 +142,12 @@ def test_tail_sufficiency():
         for scheme in (RhoWeight(P_HALF), PolyWeight(P_HALF), UnitWeight()):
             for _ in range(5 if m < 8 else 2):
                 f = DyadicFunction.from_values(m, rng.standard_normal(1 << m))
-                base = weighted_maximal(f, scheme)
-                extended = weighted_maximal(f, scheme, extend_to=1 << (m + 2))
-                assert np.array_equal(base.values, extended.values)
+                base = weighted_maximal(f, scheme).values
+                for n in range((1 << m) + 1, (1 << (m + 2)) + 1):
+                    tail = partial_sum(f, n)
+                    assert tail.tail_clamped and np.array_equal(tail.values, f.values)
+                    extended = np.maximum(base, np.abs(f.values) / weight(scheme, n))
+                    assert np.array_equal(base, extended)
 
 
 def test_weighted_maximal_with_full_table():
