@@ -27,6 +27,7 @@ from .experiments import (
     theorem1_weak_type,
     theorem2_growth,
     theorem2_weak_divergence,
+    validate_config,
     verify_all,
     verify_kernel_l1_sandwich,
     verify_kernels,
@@ -213,26 +214,30 @@ def _cmd_thm2(args) -> int:
     part_b_only = [f"--{flag}" for flag in _THM2_FLAGS[4:] if getattr(args, flag) is not None]
     if args.part == "a" and part_b_only:
         raise ValueError(f"{', '.join(part_b_only)} only apply to --part b")
-    ok = True
+    # Every part's config is built and checked before any part runs, so a
+    # bad part b leaves no part-a files behind.
+    parts = []
     if args.part in ("a", "both"):
-        started = time.perf_counter()
-        cfg = _config(args, "thm2a", _THM2_FLAGS, lambda: ExperimentConfig(
-            p_list=tuple(args.p or ("1/2", "1/3")),
-            resolution=12 if args.resolution is None else args.resolution,
-            scales=args.scales or (),
-            seed=0 if args.seed is None else args.seed,
-        ))
-        report = theorem2_growth(cfg)
-        _write_report_files(report, args.output, started, EXPERIMENTS["thm2a"].series)
-        ok = report.verdict
+        parts.append(("thm2a", theorem2_growth, args.output, _config(
+            args, "thm2a", _THM2_FLAGS, lambda: ExperimentConfig(
+                p_list=tuple(args.p or ("1/2", "1/3")),
+                resolution=12 if args.resolution is None else args.resolution,
+                scales=args.scales or (),
+                seed=0 if args.seed is None else args.seed,
+            ))))
     if args.part in ("b", "both"):
-        started = time.perf_counter()
-        cfg = _config(args, "thm2b", _THM2_FLAGS, lambda: _thm2b_from_flags(args))
-        report = theorem2_weak_divergence(cfg)
         out = args.output
         if out and args.part == "both":
             out = str(Path(out).with_suffix(".part-b.json"))
-        _write_report_files(report, out, started, EXPERIMENTS["thm2b"].series)
+        parts.append(("thm2b", theorem2_weak_divergence, out,
+                      _config(args, "thm2b", _THM2_FLAGS, lambda: _thm2b_from_flags(args))))
+    for experiment, _, _, cfg in parts:
+        validate_config(experiment, cfg)
+    ok = True
+    for experiment, run, out, cfg in parts:
+        started = time.perf_counter()
+        report = run(cfg)
+        _write_report_files(report, out, started, EXPERIMENTS[experiment].series)
         ok = ok and report.verdict
     return 0 if ok else 1
 
@@ -246,7 +251,7 @@ def _cmd_corollaries(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
-    _write_report_files(report, args.output, started)
+    _write_report_files(report, args.output, started, jobs=args.jobs)
     return 0 if report.verdict else 1
 
 

@@ -140,17 +140,23 @@ class ExperimentConfig:
                 if not isinstance(value, (list, tuple)):
                     problems.append(f"'{key}' must be a list")
                     continue
-                value = tuple(str(v) if key == "p_list" else int(v) for v in value)
+                if key != "p_list" and not all(_is_int(v) for v in value):
+                    problems.append(f"'{key}' entries must be integers")
+                    continue
+                value = tuple(str(v) if key == "p_list" else v for v in value)
             elif key == "probes" and value is not None:
                 try:
-                    value = tuple((int(n), int(s)) for n, s in value)
+                    value = tuple((n, s) for n, s in value)
+                    valid = all(_is_int(n) and _is_int(s) for n, s in value)
                 except (TypeError, ValueError):
-                    problems.append("'probes' must be a list of [n, s] pairs")
+                    valid = False
+                if not valid:
+                    problems.append("'probes' must be a list of [n, s] integer pairs")
                     continue
-            elif key in ("trials", "seed", "extra_resolution", "jobs") and not isinstance(value, int):
+            elif key in ("trials", "seed", "extra_resolution", "jobs") and not _is_int(value):
                 problems.append(f"'{key}' must be an integer")
                 continue
-            elif key == "resolution" and value is not None and not isinstance(value, int):
+            elif key == "resolution" and value is not None and not _is_int(value):
                 problems.append("'resolution' must be an integer")
                 continue
             kwargs[key] = value
@@ -162,6 +168,11 @@ class ExperimentConfig:
         if problems:
             raise ConfigError(problems)
         return cls(**kwargs)
+
+
+def _is_int(value) -> bool:
+    """An integer config value; JSON ``true`` and ``false`` parse as ``bool`` and are refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _exponent_problems(cfg: ExperimentConfig) -> list[str]:
@@ -704,6 +715,18 @@ def _validate_thm2b(cfg: ExperimentConfig) -> WeightScheme:
     if problems:
         raise ConfigError(problems)
     return phi
+
+
+_VALIDATORS: dict[str, Callable[[ExperimentConfig], object]] = {
+    "thm1": _validate_thm1,
+    "thm2a": _validate_thm2a,
+    "thm2b": _validate_thm2b,
+}
+
+
+def validate_config(experiment: str, cfg: ExperimentConfig) -> None:
+    """Raise ``ConfigError`` if ``cfg`` cannot run ``experiment``; runs nothing."""
+    _VALIDATORS[experiment](cfg)
 
 
 def _auto_probe_bit(n: int, p: PExponent, phi: WeightScheme) -> int:

@@ -10,18 +10,25 @@ weight at ``2^m``; the tests check that reduction rather than assume it.
 
 Every engine reads the weight through one helper, ``_weights``: float64
 values that raise ``ValueError`` on overflow, or exact ``Fraction`` values
-that raise ``ValueError`` when the weight is irrational.  Engines, one per
-kind of weight, each written once for float64 and exact:
+that raise ``ValueError`` when the weight is irrational.  No engine runs a
+transform; all of them read the Walsh packets
+``U_j[Q] = E_j(f prod_{k in Q} r_k)``, built level by level from halved
+pair sums and differences.  Engines, one per kind of weight, each written
+once for float64 and exact:
 
 * spread-only weights (``UnitWeight``, ``RhoWeight``; ``spread_only`` is
-  true) go through the Paley-block recursion, O(m^2 2^m) with no
-  transform.  For ``i < 2^h`` the block identity
-  ``S_{2^h+i} f = E_h f + r_h S_i(E_h(f r_h))`` reduces the sup to the max
-  and min of ``S_i`` grouped by the lowest set bit of ``i``, carried level
-  by level over the Walsh packets ``U_j[Q] = E_j(f prod_{k in Q} r_k)``;
-* ``PolyWeight`` and ``TableWeight`` go through the dense engine: one
-  transform, then a running sum over every order in chunks of Walsh rows,
-  O(4^m);
+  true) go through the Paley-block recursion, O(m^2 2^m).  For ``i < 2^h``
+  the block identity ``S_{2^h+i} f = E_h f + r_h S_i(E_h(f r_h))`` reduces
+  the sup to the max and min of ``S_i`` grouped by the lowest set bit of
+  ``i``, carried level by level over the packets;
+* every other weight (``PolyWeight``, ``TableWeight``, any listed table)
+  goes through a bound-and-prune search of the Paley tree of order blocks
+  ``[a, a + 2^l)``.  For ``2^l | a`` and ``i < 2^l``,
+  ``S_{a+i} f = S_a f + w_a S_i(U_l[Q_a])``, so per-level extrema of
+  ``S_i U_l[Q]`` give each block's exact max of ``|S_n f|``; divided by
+  the block's least weight, that bound closes every block that cannot
+  beat a point's best.  O(m 2^m) set-up, then a few blocks per point and
+  level on typical inputs, and never more than O(4^m);
 * ``restricted_maximal`` assembles each requested partial sum from the
   same packet table in ``popcount(n)`` vector steps.
 """
@@ -32,19 +39,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import ClassVar, Iterable, Union
+from typing import ClassVar, Iterable, NamedTuple, Union
 
 import numpy as np
 
 from .analysis import PExponent
 from .functions import DyadicFunction
-from .spectral import (
-    _fill_walsh_cache,
-    _nest_partial_sum,
-    fwht_forward,
-    index_stats,
-    walsh_rows,
-)
+from .spectral import _nest_partial_sum, index_stats
 
 
 @dataclass(frozen=True)
@@ -260,6 +261,23 @@ def _packet_table(values: np.ndarray, m: int) -> list[np.ndarray]:
     return table[::-1]
 
 
+def _child_extrema(base: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of ``base + r_j S`` on the level-``(j+1)`` cells, from the max and min of ``S``.
+
+    ``base`` and ``S`` live on the level-``j`` cells along the last axis;
+    ``r_j`` is +1 on the even and -1 on the odd level-``(j+1)`` cell of each.
+    """
+    shape = np.broadcast_shapes(base.shape, hi.shape)
+    up = np.empty(shape + (2,), hi.dtype)
+    down = np.empty(shape + (2,), hi.dtype)
+    np.add(base, hi, out=up[..., 0])
+    np.subtract(base, lo, out=up[..., 1])
+    np.add(base, lo, out=down[..., 0])
+    np.subtract(base, hi, out=down[..., 1])
+    cells = shape[:-1] + (2 * shape[-1],)
+    return up.reshape(cells), down.reshape(cells)
+
+
 def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
     """Sup over ``n in [1, 2^m]`` of ``|S_n f| / weight(n)`` for a spread-only weight.
 
@@ -280,15 +298,7 @@ def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
         base = packets[j].reshape(groups, 2, 1 << j)[:, 0, None]
         hi2 = hi.reshape(groups, 2, j, 1 << j)
         lo2 = lo.reshape(groups, 2, j, 1 << j)
-        # r_j is +1 on the even and -1 on the odd level-(j+1) cells.
-        up = np.empty((groups, j, 1 << j, 2), dtype)
-        down = np.empty((groups, j, 1 << j, 2), dtype)
-        np.add(base, hi2[:, 1], out=up[..., 0])
-        np.subtract(base, lo2[:, 1], out=up[..., 1])
-        np.add(base, lo2[:, 1], out=down[..., 0])
-        np.subtract(base, hi2[:, 1], out=down[..., 1])
-        up = up.reshape(groups, j, 2 << j)
-        down = down.reshape(groups, j, 2 << j)
+        up, down = _child_extrema(base, hi2[:, 1], lo2[:, 1])
         cand = (np.abs(base[0, 0]) / w[0]).repeat(2)  # n = 2^j
         if j:
             spread = np.maximum(up[0], -down[0]) / w[j - np.arange(j)][:, None]
@@ -309,39 +319,138 @@ def _packet_partial_sum(packets: list[np.ndarray], n: int, m: int) -> np.ndarray
     return _nest_partial_sum(terms, m)
 
 
-# -- dense engine (PolyWeight, TableWeight) -------------------------------------
+# -- bound-and-prune over the Paley tree (every other weight) -------------------
 
-_CHUNK_ROWS = 512
+#: Most (point, block) pairs the pruned search holds in one array stage.
+_FRONTIER_CHUNK = 1 << 14
 
 
-def _dense_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
-    """The sup, by a running sum over every order.
+def _block_extrema(packets: list[np.ndarray], m: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per level ``l``, the max and min over ``0 <= i < 2^l`` of ``S_i U_l[Q]``.
 
-    Walsh rows come in chunks of ``_CHUNK_ROWS``: each chunk's partial sums
-    are the cumulative sum of its coefficient-scaled rows plus the carry of
-    the chunks before it.  One pass serves float64 and ``Fraction`` arrays.
+    Entry ``l`` of each list has the shape of ``packets[l]``.  With
+    ``S_0 = 0`` the max is >= 0 >= the min.  Below ``2^l`` the partial
+    sums of ``U_{l+1}[Q]`` are those of ``U_l[Q]``; orders ``2^l + i`` give
+    ``U_l[Q] + r_l S_i(U_l[Q + {l}])``.  O(m 2^m) work in O(m) array stages.
     """
-    size, m, dtype = f.size, f.m, f.values.dtype
-    coeffs = fwht_forward(f).coeffs
-    weights = _engine_weights(scheme, m, dtype == object)
-    zero = Fraction(0) if dtype == object else 0.0
-    out = np.full(size, zero, dtype)
-    carry = np.full(size, zero, dtype)
-    nonzero = np.nonzero(coeffs)[0]
-    if nonzero.size == 0:
-        return out
-    _fill_walsh_cache(m)
-    for lo in range(int(nonzero[0]), size, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, size)
-        block = walsh_rows(lo, hi, m).astype(dtype)
-        block *= coeffs[lo:hi, None]
-        np.cumsum(block, axis=0, out=block)
-        block += carry
-        carry = block[-1].copy()
-        np.abs(block, out=block)
-        block /= weights[lo:hi, None]
-        np.maximum(out, block.max(axis=0), out=out)
-    return out
+    hi = [np.zeros_like(packets[0])]
+    lo = [np.zeros_like(packets[0])]
+    for j in range(m):
+        groups = 1 << (m - j - 1)
+        base = packets[j].reshape(groups, 2, 1 << j)[:, 0]
+        hi2 = hi[-1].reshape(groups, 2, 1 << j)
+        lo2 = lo[-1].reshape(groups, 2, 1 << j)
+        up, down = _child_extrema(base, hi2[:, 1], lo2[:, 1])
+        hi.append(np.maximum(up, hi2[:, 0].repeat(2, axis=-1), out=up))
+        lo.append(np.minimum(down, lo2[:, 0].repeat(2, axis=-1), out=down))
+    return hi, lo
+
+
+_weight_floor_tables: dict[tuple, list[np.ndarray]] = {}
+
+
+def _weight_floors(scheme: WeightScheme, m: int, exact: bool) -> list[np.ndarray]:
+    """Entry ``l``: the least weight over each order block ``[q 2^l, (q+1) 2^l)``, memoized.
+
+    Order 0 has no weight and reads the weight at order 1.  A minimum, not
+    the weight at the block start, keeps the block bound valid for any
+    positive weights, monotone or not.
+    """
+    key = (scheme, m, exact)
+    if key not in _weight_floor_tables:
+        w = _engine_weights(scheme, m, exact)
+        level = np.concatenate([w[:1], w[:-1]])  # orders 0 .. 2^m - 1
+        floors = [level]
+        for _ in range(m):
+            level = np.minimum(level[0::2], level[1::2])
+            floors.append(level)
+        for table in floors:
+            table.setflags(write=False)
+        _weight_floor_tables[key] = floors
+    return _weight_floor_tables[key]
+
+
+class _PaleyTree(NamedTuple):
+    """One function's packet table, block extrema and weights, read per (point, block) pair.
+
+    A block at level ``l`` is the orders ``[a, a + 2^l)`` with ``q = a >> l``.
+    The search carries ``t = w_a S_a f`` at each pair's point; then
+    ``|S_{a+i} f| = |t + S_i U_l[Q_a]|`` for ``i < 2^l``.
+    """
+
+    m: int
+    packets: list[np.ndarray]
+    hi: list[np.ndarray]
+    lo: list[np.ndarray]
+    weights: np.ndarray
+    floors: list[np.ndarray]
+
+    def bound(self, level: int, pts: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Each block's max of ``|S_n f|`` over its least weight: a bound on ``|S_n f| / weight(n)`` there."""
+        cell = (q << level) + (pts >> (self.m - level))
+        top = self.hi[level].reshape(-1)[cell]
+        bottom = self.lo[level].reshape(-1)[cell]
+        return np.maximum(t + top, -(t + bottom)) / self.floors[level][q]
+
+    def right_child(self, level: int, pts: np.ndarray, q: np.ndarray, t: np.ndarray):
+        """``t`` of the upper half ``[a + 2^(l-1), a + 2^l)`` and ``|S f| / weight`` at its start."""
+        shift = self.m - level
+        u = self.packets[level - 1].reshape(-1)[(q << level) + (pts >> (shift + 1))]
+        s = t + u
+        # w_{a + 2^(l-1)} = w_a r_{l-1}, and r_{l-1} is -1 on the odd level-l cells.
+        child = np.where((pts >> shift) & 1, -s, s)
+        start = (2 * q + 1) << (level - 1)
+        return child, np.abs(s) / self.weights[start - 1]
+
+
+def _pruned_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
+    """Sup over ``n in [1, 2^m]`` of ``|S_n f| / weight(n)`` for any positive weights.
+
+    Searches the Paley tree of order blocks ``[a, a + 2^l)``, ``2^l | a``, per
+    point.  For ``i < 2^l``, ``S_{a+i} f = S_a f + w_a S_i(U_l[Q_a])`` with
+    ``Q_a`` the set bits of ``a``, so a block's exact max of ``|S_n f|`` is
+    ``t`` plus the block extrema of its packet.  Each point's best starts at
+    ``n = 2^m``, then one greedy dive per point takes the child with the
+    larger bound; every block start on the path is a real order and counts.
+    A last walk from the root keeps a block only while its bound strictly
+    exceeds the point's best, and counts every block start it visits.  The
+    walk holds at most ``_FRONTIER_CHUNK`` pairs per stage, deepest first.
+    """
+    m, dtype = f.m, f.values.dtype
+    exact = dtype == object
+    packets = _packet_table(f.values, m)
+    tree = _PaleyTree(m, packets, *_block_extrema(packets, m),
+                      _engine_weights(scheme, m, exact), _weight_floors(scheme, m, exact))
+    best = np.abs(f.values) / tree.weights[-1]  # n = 2^m, where S_n f = f
+    size = best.size
+    root = (np.arange(size), np.zeros(size, np.int64), np.zeros(size, dtype))
+
+    pts, q, t = root
+    for level in range(m, 0, -1):
+        child, cand = tree.right_child(level, pts, q, t)
+        np.maximum(best, cand, out=best)
+        if level > 1:
+            go = tree.bound(level - 1, pts, 2 * q + 1, child) > tree.bound(level - 1, pts, 2 * q, t)
+            q = 2 * q + go
+            t = np.where(go, child, t)
+
+    stack = [(m, *root)]
+    while stack:
+        level, pts, q, t = stack.pop()
+        if pts.size > _FRONTIER_CHUNK:
+            cut = _FRONTIER_CHUNK
+            stack.append((level, pts[cut:], q[cut:], t[cut:]))
+            pts, q, t = pts[:cut], q[:cut], t[:cut]
+        keep = tree.bound(level, pts, q, t) > best[pts]
+        pts, q, t = pts[keep], q[keep], t[keep]
+        if not pts.size:
+            continue
+        child, cand = tree.right_child(level, pts, q, t)
+        np.maximum.at(best, pts, cand)
+        if level > 1:
+            stack.append((level - 1, np.concatenate([pts, pts]),
+                          np.concatenate([2 * q, 2 * q + 1]), np.concatenate([t, child])))
+    return best
 
 
 def weighted_maximal(f: DyadicFunction, scheme: WeightScheme) -> DyadicFunction:
@@ -350,7 +459,7 @@ def weighted_maximal(f: DyadicFunction, scheme: WeightScheme) -> DyadicFunction:
     A float weight that overflows, or a weight exact mode cannot represent,
     raises ``ValueError``.
     """
-    engine = _spread_max if scheme.spread_only else _dense_max
+    engine = _spread_max if scheme.spread_only else _pruned_max
     return f.with_values(engine(f, scheme))
 
 

@@ -8,8 +8,8 @@ coefficients come out in Paley order natively, with no bit-reversal pass.
 
 ``walsh_rows`` is the one accessor for Walsh sign rows: it slices a memo
 of the full sign matrix when the memo holds the resolution and computes
-the rows otherwise.  Only ``dirichlet_direct`` and the dense maximal
-engine fill the memo, up to resolution ``_WALSH_CACHE_MAX``.
+the rows otherwise.  Only ``dirichlet_direct`` fills the memo, up to
+resolution ``_WALSH_CACHE_MAX``.
 
 Dirichlet kernels get three independent constructions: the defining sum
 over Walsh functions, the closed form at powers of two, and the

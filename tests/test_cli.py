@@ -213,6 +213,16 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
         (None, ["thm2", "--part", "a", "--resolution", "8", "--scales", "5"], "two distinct scales"),
         (None, ["thm2", "--part", "b", "--resolution", "8", "--scales", "4..6", "--probes", "5:0"],
          "'scales' and 'probes'"),
+        # Non-integer entries are rejected, never truncated.
+        ({**_THM1_CFG, "support_levels": [3.7, 4.2]}, ["thm1"], "'support_levels' entries"),
+        ({**_THM1_CFG, "support_levels": ["3", 4]}, ["thm1"], "'support_levels' entries"),
+        ({**_THM2A_CFG, "scales": [4, 5.5]}, ["thm2", "--part", "a"], "'scales' entries"),
+        ({**_THM2B_CFG, "scales": [4.9, 5]}, ["thm2", "--part", "b"], "'scales' entries"),
+        ({"p_list": ["1/2"], "resolution": 8, "probes": [[5.5, 0]]}, ["thm2", "--part", "b"], "'probes'"),
+        ({"p_list": ["1/2"], "resolution": 8, "probes": [[5, 0.5]]}, ["thm2", "--part", "b"], "'probes'"),
+        ({"p_list": ["1/2"], "resolution": 8, "probes": [[5, 0, 1]]}, ["thm2", "--part", "b"], "'probes'"),
+        ({**_THM1_CFG, "support_levels": [True, 4]}, ["thm1"], "'support_levels' entries"),
+        ({**_THM1_CFG, "trials": True}, ["thm1"], "'trials' must be an integer"),
     ],
 )
 def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):
@@ -227,6 +237,17 @@ def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_thm2_both_checks_part_b_before_running_part_a(tmp_path, capsys):
+    # Part a's config is valid and part b's is not: nothing may run or be written.
+    out = tmp_path / "t.json"
+    assert main(["thm2", "--part", "both", "--resolution", "8", "--scales", "4..6",
+                 "--probes", "5:0", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "'scales' and 'probes'" in captured.err and "Traceback" not in captured.err
+    assert "sharpness-growth" not in captured.out
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -258,3 +279,10 @@ def test_jobs_is_a_run_setting(tmp_path):
     assert main(["thm1", "--config", str(cfg), "--jobs", "1", "--output", str(out)]) == 0
     assert json.loads((tmp_path / "t.meta.json").read_text())["jobs"] == 1
     assert "jobs" not in json.loads(out.read_text())["config"]
+    cor = tmp_path / "cor.json"
+    assert main(["corollaries", "--resolution", "8", "--trials", "5", "--seed", "1",
+                 "--jobs", "1", "--output", str(cor)]) == 0
+    assert json.loads((tmp_path / "cor.meta.json").read_text())["jobs"] == 1
+    data_files = [p for p in tmp_path.iterdir() if p.name.startswith("cor") and ".meta" not in p.name]
+    assert sorted(p.name for p in data_files) == ["cor.cases.csv", "cor.json"]
+    assert all("jobs" not in p.read_text() for p in data_files)

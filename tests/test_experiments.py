@@ -6,7 +6,7 @@ import pytest
 
 from walshlab import experiments, operators, spectral
 from walshlab.analysis import PExponent
-from walshlab.constructions import GENERATORS, AtomRecipe, make_atom, partial_sum_probe
+from walshlab.constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, partial_sum_probe
 from walshlab.experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -21,7 +21,7 @@ from walshlab.experiments import (
     verify_lemma1,
     worker_count,
 )
-from walshlab.operators import RhoWeight, TableWeight, weighted_maximal
+from walshlab.operators import PolyWeight, RhoWeight, TableWeight, weighted_maximal
 from walshlab.reporting import load_report
 from walshlab.spectral import dirichlet_dyadic
 
@@ -266,12 +266,17 @@ def test_theorem2b_validation():
 def test_theorem2_runs_without_the_transform(monkeypatch):
     # Every sharpness path is transform-free: partial sums by the halving
     # chain, the maximal function by averaging, the operator by the recursion.
+    # Every maximal operator is: operators imports no transform at all.
     def no_transform(*args, **kwargs):
         raise AssertionError("the sharpness experiments must not call the transform")
 
     monkeypatch.setattr(spectral, "fwht_forward", no_transform)
     monkeypatch.setattr(spectral, "fwht_inverse", no_transform)
-    monkeypatch.setattr(operators, "fwht_forward", no_transform)
+    assert not hasattr(operators, "fwht_forward")
+    f = counterexample_fn(4, 7, "float64")
+    table = TableWeight(tuple((n, float(n.bit_length())) for n in range(1, 129)))
+    for scheme in (PolyWeight(PExponent.parse("1/2")), table):
+        assert weighted_maximal(f, scheme).values.max() > 0
     growth = ExperimentConfig(p_list=("1/2",), resolution=8, scales=(3, 4, 5))
     assert theorem2_growth(growth).verdict
     for scheme, expectation in (({"kind": "unit"}, "divergent"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walshlab import operators
 from walshlab.analysis import PExponent, maximal_function
 from walshlab.constructions import GENERATORS, AtomRecipe, make_atom
 from walshlab.functions import DyadicFunction
@@ -226,7 +227,7 @@ def _spread_input(m: int, seed: int, dyadic: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ListedWeight:
-    """Every order's weight listed, with no monotonicity requirement; the dense engine reads it as a table."""
+    """Every order's weight listed, with no monotonicity requirement; the pruned engine reads it as a table."""
 
     entries: tuple
     spread_only = False
@@ -288,9 +289,13 @@ def test_exact_engine_matches_float_on_atoms(m, kind, generator, data):
     assert [float(v) for v in exact] == floats.tolist()
 
 
-# -- dense engine (PolyWeight, TableWeight) ---------------------------------------
+# -- pruned engine (PolyWeight, TableWeight, listed tables) -----------------------
+#
+# The ``dense`` test names date from the O(4^m) engine these weights ran
+# before the Paley-tree search; the checks apply to whichever engine serves them.
 
 POLY_KINDS = ("1/2", "1/3")
+PRUNED_KINDS = ("1/2", "1/3", "3/4", "2/3", "table", "flat", "listed")
 
 
 def _poly_definition(kind: str):
@@ -299,36 +304,114 @@ def _poly_definition(kind: str):
     return lambda n: (n + 1) ** e
 
 
+def _listed(kind: str, m: int, seed: int, exact: bool):
+    """A scheme listing every order ``1 .. 2^m`` with its weight, and the weight from the list.
+
+    ``table`` is a ``TableWeight`` climbing in steps of 0, 1/4 or 1/2, so it
+    has runs of ties; ``flat`` is the ``TableWeight`` 1 everywhere;
+    ``listed`` draws each weight from [1, 4] into a ``_ListedWeight``, so a
+    block's least weight sits inside it as often as at its start.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "listed":
+        values = [1 + Fraction(int(v), 8) for v in rng.integers(0, 25, 1 << m)]
+        scheme = _ListedWeight(tuple(enumerate(values, start=1)))
+    else:
+        steps = np.zeros(1 << m, int) if kind == "flat" else rng.integers(0, 3, 1 << m)
+        values = [1 + Fraction(int(c), 4) for c in np.cumsum(steps)]
+        scheme = TableWeight(tuple(enumerate(values, start=1)))
+    return scheme, (lambda n: values[n - 1]) if exact else (lambda n: float(values[n - 1]))
+
+
+def _pruned_scheme(kind: str, m: int, seed: int):
+    """A float64 scheme of ``PRUNED_KINDS`` and its weight from the definition."""
+    if kind in ("table", "flat", "listed"):
+        return _listed(kind, m, seed, exact=False)
+    e = 1 / Fraction(kind) - 1
+    scheme = PolyWeight(PExponent.parse(kind))
+    if e.denominator == 1:
+        return scheme, _poly_definition(kind)
+    return scheme, lambda n: (n + 1) ** float(e)
+
+
+@given(m=st.integers(1, 7), kind=st.sampled_from(PRUNED_KINDS),
+       values=st.sampled_from(("dyadic", "gaussian", "zero")), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_pruned_engine_matches_definition(m, kind, values, seed):
+    scheme, w = _pruned_scheme(kind, m, seed)
+    vals = np.zeros(1 << m) if values == "zero" else _spread_input(m, seed, values == "dyadic")
+    got = weighted_maximal(DyadicFunction.from_values(m, vals), scheme).values
+    want = np.array(weighted_maximal_by_definition(vals.tolist(), m, lambda n: float(w(n))))
+    if values == "gaussian":
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("kind", POLY_KINDS)
 @pytest.mark.parametrize("m", range(1, 7))
 def test_exact_dense_engine_matches_definition(m, kind):
     rng = np.random.default_rng(1000 * m + len(kind))
     vals = [Fraction(int(v), 8) for v in rng.integers(-64, 65, 1 << m)]
-    f = DyadicFunction.from_values(m, vals, "exact")
-    got = weighted_maximal(f, PolyWeight(PExponent.parse(kind))).values
-    assert got.tolist() == weighted_maximal_by_definition(vals, m, _poly_definition(kind))
+    schemes = [(PolyWeight(PExponent.parse(kind)), _poly_definition(kind))]
+    schemes += [_listed(listed, m, 3000 * m + len(kind), exact=True) for listed in ("table", "flat", "listed")]
+    for scheme, w in schemes:
+        for values in (vals, [Fraction(0)] * (1 << m)):
+            f = DyadicFunction.from_values(m, values, "exact")
+            got = weighted_maximal(f, scheme).values
+            assert got.tolist() == weighted_maximal_by_definition(values, m, w)
 
 
 @pytest.mark.parametrize("kind", POLY_KINDS)
 @pytest.mark.parametrize("m", range(1, 9))
 def test_float_dense_engine_matches_definition(m, kind):
-    vals = _spread_input(m, 2000 * m + len(kind), dyadic=True)
-    f = DyadicFunction.from_values(m, vals)
-    got = weighted_maximal(f, PolyWeight(PExponent.parse(kind))).values
-    want = weighted_maximal_by_definition(vals.tolist(), m, _poly_definition(kind))
-    assert got.tolist() == want
+    scheme = PolyWeight(PExponent.parse(kind))
+    for dyadic in (True, False):
+        vals = _spread_input(m, 2000 * m + len(kind), dyadic)
+        got = weighted_maximal(DyadicFunction.from_values(m, vals), scheme).values
+        want = weighted_maximal_by_definition(vals.tolist(), m, _poly_definition(kind))
+        if dyadic:
+            assert got.tolist() == want
+        else:
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_dense_engine_reads_the_weights_restricted_reads():
-    # A non-integer 1/p - 1: both operators must divide by the same float weights.
+    # Both operators must divide by the same float weights, also for a
+    # non-integer 1/p - 1; the full sup equals the sup over every order.
     rng = np.random.default_rng(83)
-    for kind in ("3/4", "2/3"):
-        scheme = PolyWeight(PExponent.parse(kind))
-        for m in range(1, 11):
-            f = DyadicFunction.from_values(m, rng.integers(-64, 65, 1 << m) / 8.0)
-            full = weighted_maximal(f, scheme).values
-            every = restricted_maximal(f, range(1, (1 << m) + 1), scheme).values
-            assert np.array_equal(full, every), (kind, m)
+    for m in range(1, 11):
+        schemes = [PolyWeight(PExponent.parse(kind)) for kind in ("1/2", "1/3", "3/4", "2/3")]
+        schemes.append(_listed("table", m, m, exact=False)[0])
+        for scheme in schemes:
+            for dyadic in (True, False):
+                f = DyadicFunction.from_values(m, _spread_input(m, int(rng.integers(2**32)), dyadic))
+                full = weighted_maximal(f, scheme).values
+                every = restricted_maximal(f, range(1, (1 << m) + 1), scheme).values
+                if dyadic:
+                    assert np.array_equal(full, every), (scheme, m)
+                else:
+                    assert np.allclose(full, every, rtol=0, atol=1e-12), (scheme, m)
+
+
+def test_ties_do_not_keep_blocks_open(monkeypatch):
+    # A block whose bound only ties a point's best is closed.  With a flat
+    # table every bound on w_5 ties |w_5| = 1 and every bound on the zero
+    # function is 0, so no point gets past two blocks per level.
+    m = 8
+    pairs = []
+    bound = operators._PaleyTree.bound
+
+    def counted(self, level, pts, q, t):
+        pairs.append(pts.size)
+        return bound(self, level, pts, q, t)
+
+    monkeypatch.setattr(operators._PaleyTree, "bound", counted)
+    flat, _ = _listed("flat", m, 0, exact=False)
+    for f in (walsh(5, m, "float64"), DyadicFunction.zeros(m)):
+        pairs.clear()
+        assert weighted_maximal(f, flat).values.tolist() == np.abs(f.values).tolist()
+        assert sum(pairs) <= (2 * m) << m
 
 
 # -- restricted maximal ------------------------------------------------------------
