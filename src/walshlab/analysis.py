@@ -10,7 +10,6 @@ of such rational candidates over the levels of the distribution function.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -18,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .functions import DyadicFunction, Mode
+from .functions import DyadicFunction, Mode, _exact_sum, _half
 from .group import DyadicInterval
 
 ExponentLike = Union["PExponent", Fraction, float, int]
@@ -108,13 +107,25 @@ def _exact_root(x: Fraction, q: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _abs_levels_exact(values: np.ndarray) -> list[tuple[Fraction, int]]:
-    counts: dict[Fraction, int] = {}
-    for v in values.tolist():
-        a = abs(Fraction(v))
-        if a:
-            counts[a] = counts.get(a, 0) + 1
-    return sorted(counts.items())
+def _abs_levels(values: np.ndarray) -> tuple:
+    """The distinct nonzero ``|values|``, ascending, and an int64 array of their counts.
+
+    Float64 levels come back as an array.  Exact levels are a list of
+    ``Fraction`` values counted in a dict, since sorting the whole object
+    array in Python costs twice as much.
+    """
+    if values.dtype == object:
+        tally: dict[Fraction, int] = {}
+        for v in values.tolist():
+            a = abs(Fraction(v))
+            if a:
+                tally[a] = tally.get(a, 0) + 1
+        levels = sorted(tally)
+        return levels, np.array([tally[v] for v in levels], dtype=np.int64)
+    levels, counts = np.unique(np.abs(values), return_counts=True)
+    if levels.size and levels[0] == 0:
+        return levels[1:], counts[1:]
+    return levels, counts
 
 
 def lp_quasinorm(f: DyadicFunction, p: ExponentLike):
@@ -129,17 +140,17 @@ def lp_quasinorm(f: DyadicFunction, p: ExponentLike):
         raise ValueError(f"exponent must be positive, got {pv}")
     if f.mode == "float64":
         pw = float(pv)
-        total = math.fsum(np.abs(f.values) ** pw)
+        total = _exact_sum(np.abs(f.values) ** pw)
         return (total / f.size) ** (1.0 / pw)
     q = _require_reciprocal_integer(pv)
-    levels = _abs_levels_exact(f.values)
+    levels, counts = _abs_levels(f.values)
+    counts = counts.tolist()
     if not levels:
         return Fraction(0)
     if len(levels) == 1:
-        v, c = levels[0]
-        return v * Fraction(c, f.size) ** q
+        return levels[0] * Fraction(counts[0], f.size) ** q
     total = Fraction(0)
-    for v, c in levels:
+    for v, c in zip(levels, counts):
         root = _exact_root(v, q)
         if root is None:
             raise ValueError(
@@ -159,25 +170,18 @@ def weak_lp_quasinorm(f: DyadicFunction, p: ExponentLike):
     pv = _exponent_value(p)
     if pv <= 0:
         raise ValueError(f"exponent must be positive, got {pv}")
+    levels, counts = _abs_levels(f.values)
+    at_least = counts[::-1].cumsum()[::-1]  # count of |f| >= level
     if f.mode == "float64":
         pw = float(pv)
-        vals = np.abs(f.values)
-        levels, counts = np.unique(vals, return_counts=True)
-        at_least = counts[::-1].cumsum()[::-1]  # count of |f| >= level
         best = 0.0
         for v, c in zip(levels, at_least):
-            if v > 0.0:
-                best = max(best, float(v) * (c / f.size) ** (1.0 / pw))
+            best = max(best, float(v) * (c / f.size) ** (1.0 / pw))
         return best
     q = _require_reciprocal_integer(pv)
-    levels = _abs_levels_exact(f.values)
     best = Fraction(0)
-    remaining = sum(c for _, c in levels)
-    seen = 0
-    for v, c in levels:
-        count_at_least = remaining - seen  # levels sorted ascending
-        seen += c
-        best = max(best, v * Fraction(count_at_least, f.size) ** q)
+    for v, c in zip(levels, at_least.tolist()):
+        best = max(best, v * Fraction(c, f.size) ** q)
     return best
 
 
@@ -190,7 +194,7 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
     fine to coarse, then the running max is carried coarse to fine, so each
     level is expanded once by a factor of two: O(2^m) in all.
     """
-    half = Fraction(1, 2) if f.mode == "exact" else 0.5
+    half = _half(f.values)
     pyramid = [np.abs(f.values)]
     cur = f.values
     for _ in range(f.m):
@@ -275,10 +279,7 @@ def validate_atom(a: AtomSpec) -> AtomValidation:
     else:
         support_ok = True
 
-    if f.mode == "exact":
-        total = sum(inside.tolist(), Fraction(0))
-    else:
-        total = math.fsum(inside.tolist())
+    total = _exact_sum(inside)
     mean_violation = abs(float(total)) / f.size
     mean_ok = total == 0
 

@@ -33,20 +33,23 @@ from .experiments import (
     verify_kernels,
     verify_lemma1,
 )
-from .functions import load_csv, store_csv
+from .functions import SpectralVector, _csv_text, load_csv
 from .operators import RhoWeight, UnitWeight, scheme_to_json
 from .reporting import ExperimentReport, load_report
 from .spectral import dirichlet_direct, dirichlet_dyadic, dirichlet_fast, fwht_forward, fwht_inverse, index_stats
-from .functions import SpectralVector
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Accept '4..9' ranges or '4,5,6' lists."""
+    """Accept '4..9' ranges or '4,5,6' lists; an empty one is a usage error."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+        out = tuple(range(int(lo), int(hi) + 1))
+    else:
+        out = tuple(int(tok) for tok in text.split(",") if tok)
+    if not out:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no value")
+    return out
 
 
 def _parse_probes(text: str) -> tuple[tuple[int, int], ...]:
@@ -110,14 +113,9 @@ def _cmd_kernel(args) -> int:
     if args.format == "json":
         text = json.dumps({"order": args.n, "resolution": args.resolution,
                            "values": [str(v) for v in f.values]}) + "\n"
-        _emit(text, args.output)
     else:
-        if args.output:
-            store_csv(f, args.output)
-        else:
-            sys.stdout.write("index,value\n")
-            for i, v in enumerate(f.values):
-                sys.stdout.write(f"{i},{v}\n")
+        text = _csv_text(f)
+    _emit(text, args.output)
     return 0
 
 
@@ -128,14 +126,7 @@ def _cmd_transform(args) -> int:
         result = fwht_inverse(spec)
     else:
         result = fwht_forward(f)
-    out = args.output
-    if out:
-        store_csv(result, out)
-    else:
-        vals = result.values if hasattr(result, "values") else result.coeffs
-        sys.stdout.write("index,value\n")
-        for i, v in enumerate(vals):
-            sys.stdout.write(f"{i},{v!r}\n" if result.mode == "float64" else f"{i},{v}\n")
+    _emit(_csv_text(result), args.output)
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import AtomSpec, PExponent, atom_sup_bound, validate_atom
 from .functions import DyadicFunction, Mode
 from .group import GroupPoint, ResolutionLike, as_resolution, interval
-from .spectral import index_stats, partial_sum
+from .spectral import _to_mode, index_stats, partial_sum
 
 Generator = Literal["haar-pair", "random-signs", "random-bounded"]
 
@@ -81,21 +81,16 @@ def _rng_for(recipe: AtomRecipe, m: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _power_of_two_fit(max_mag: int, bound, mode: Mode) -> int:
-    """Largest j with ``max_mag * 2^j <= bound``; keeps scaling dyadic."""
-    if mode == "exact":
-        j = int(bound).bit_length() - max_mag.bit_length()
-        while max_mag * Fraction(2) ** (j + 1) <= bound:
-            j += 1
-        while max_mag * Fraction(2) ** j > bound:
-            j -= 1
-        return j
-    j = int(np.floor(np.log2(float(bound) / max_mag)))
-    while max_mag * 2.0 ** (j + 1) <= bound:
-        j += 1
-    while max_mag * 2.0**j > bound:
-        j -= 1
-    return j
+def _power_of_two_fit(max_mag: int, bound) -> int:
+    """Largest j with ``max_mag * 2^j <= bound``; keeps scaling dyadic.
+
+    ``Fraction(bound)`` is exact for an int or a float bound.  A ratio with
+    an ``a``-bit numerator and a ``b``-bit denominator lies in
+    ``(2^(a-b-1), 2^(a-b+1))``, so one comparison settles ``j``.
+    """
+    ratio = Fraction(bound) / max_mag
+    j = ratio.numerator.bit_length() - ratio.denominator.bit_length()
+    return j if Fraction(2) ** j <= ratio else j - 1
 
 
 def make_atom(
@@ -106,9 +101,10 @@ def make_atom(
 ) -> AtomSpec:
     """Emit a valid atom per the recipe; all recipes guarantee exact zero mean.
 
-    The bounded generator draws integers, removes the mean in integer
-    arithmetic, and rescales by a power of two, so even float64 atoms sum
-    to exactly zero.
+    Every recipe builds integer units on the support times one scale: the
+    sup bound for the two sign recipes, and a power of two for the bounded
+    generator, which draws integers and removes their mean in integer
+    arithmetic.  So even float64 atoms sum to exactly zero.
     """
     r = as_resolution(m)
     M = recipe.support_level
@@ -122,44 +118,25 @@ def make_atom(
         raise ValueError("atom support has a single cell; only the zero atom fits")
     bound = atom_sup_bound(M, recipe.p, mode)
 
-    if recipe.generator == "haar-pair":
-        raw = np.empty(ncells, dtype=object if mode == "exact" else np.float64)
-        raw[: ncells // 2] = bound
-        raw[ncells // 2 :] = -bound
-    elif recipe.generator == "random-signs":
-        rng = _rng_for(recipe, r.m)
-        signs = np.concatenate(
-            [np.ones(ncells // 2, dtype=np.int64), -np.ones(ncells // 2, dtype=np.int64)]
-        )
-        signs = rng.permutation(signs)
-        if mode == "exact":
-            raw = np.array([bound * int(s) for s in signs], dtype=object)
-        else:
-            raw = signs.astype(np.float64) * bound
-    else:  # random-bounded
+    if recipe.generator == "random-bounded":
         rng = _rng_for(recipe, r.m)
         draws = rng.integers(-_RAW_MAGNITUDE, _RAW_MAGNITUDE + 1, ncells).astype(np.int64)
-        centered = ncells * draws - draws.sum()
-        max_mag = int(np.abs(centered).max())
-        if max_mag == 0:
-            raw = (
-                np.full(ncells, 0, dtype=object)
-                if mode == "exact"
-                else np.zeros(ncells)
-            )
-        else:
-            j = _power_of_two_fit(max_mag, bound, mode)
-            if mode == "exact":
-                scale = Fraction(1 << j) if j >= 0 else Fraction(1, 1 << -j)
-                raw = np.array([int(u) * scale for u in centered], dtype=object)
-            else:
-                raw = centered.astype(np.float64) * 2.0**j
+        units = ncells * draws - draws.sum()
+        max_mag = int(np.abs(units).max())
+        scale = Fraction(2) ** _power_of_two_fit(max_mag, bound) if max_mag else 1
+    else:
+        units = np.repeat(np.array([1, -1], dtype=np.int64), ncells // 2)
+        if recipe.generator == "random-signs":
+            units = _rng_for(recipe, r.m).permutation(units)
+        scale = bound
 
+    # Cells off the support stay integer zeros in exact mode.
     if mode == "exact":
-        values = np.full(r.size, 0, dtype=object)
+        values = np.zeros(r.size, dtype=object)
+        values[iv.start : iv.stop] = units.astype(object) * scale
     else:
         values = np.zeros(r.size)
-    values[iv.start : iv.stop] = raw
+        values[iv.start : iv.stop] = units * float(scale)
     atom = AtomSpec(iv, DyadicFunction(r.m, values, mode), recipe.p)
     if check:
         report = validate_atom(atom)
@@ -185,9 +162,7 @@ def counterexample_fn(n: int, m: ResolutionLike, mode: Mode = "exact") -> Dyadic
     ints = np.zeros(r.size, dtype=np.int64)
     ints[:half] = 1 << n
     ints[half : 2 * half] = -(1 << n)
-    if mode == "exact":
-        return DyadicFunction(r.m, ints.astype(object), "exact")
-    return DyadicFunction(r.m, ints.astype(np.float64), "float64")
+    return _to_mode(ints, r.m, mode)
 
 
 @dataclass(frozen=True)

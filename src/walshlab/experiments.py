@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -202,7 +202,13 @@ def _consecutive_ratios(values: Sequence[float]) -> list[float]:
     return out
 
 
-def _window_trend(maxima: Sequence[float], stable_cap: float, band_cap: float, growth_floor: float) -> dict:
+#: Trend gates of the corollary suite; each report's config records them.
+_COROLLARY_STABLE_CAP = 1.4
+_COROLLARY_BAND_CAP = 4.0
+_COROLLARY_GROWTH_FLOOR = 1.7
+
+
+def _window_trend(maxima: Sequence[float]) -> dict:
     """Classify a per-level series as flat or growing.
 
     Uses two-level windows at both ends so that parity oscillations (a
@@ -221,8 +227,8 @@ def _window_trend(maxima: Sequence[float], stable_cap: float, band_cap: float, g
         "max_by_level": list(maxima),
         "window_growth": growth,
         "band": band,
-        "stable": growth <= stable_cap and band <= band_cap,
-        "growing": growth >= growth_floor,
+        "stable": growth <= _COROLLARY_STABLE_CAP and band <= _COROLLARY_BAND_CAP,
+        "growing": growth >= _COROLLARY_GROWTH_FLOOR,
     }
 
 
@@ -886,20 +892,16 @@ def corollary_suite(
     p: PExponent | str,
     trials: int = 60,
     seed: int = 0,
-    support_levels: Iterable[int] | None = None,
-    stable_cap: float = 1.4,
-    band_cap: float = 4.0,
-    growth_floor: float = 1.7,
     jobs: int = 1,
 ) -> ExperimentReport:
     """Weak-type trends for the derived operators.
 
-    Each special-case operator runs over random atoms at increasing support
-    levels.  Restricted operators with bounded bit spread (or the matching
-    damping) must show flat constants; the undamped unbounded-spread
-    operator must grow.  The spiked orders are also run with the weaker,
-    lower-exponent damping, and the report records which variant is stable
-    without declaring a verdict on it.
+    Each special-case operator runs over random atoms at the support levels
+    ``2 .. m-2``.  Restricted operators with bounded bit spread (or the
+    matching damping) must show flat constants; the undamped
+    unbounded-spread operator must grow.  The spiked orders are also run
+    with the weaker, lower-exponent damping, and the report records which
+    variant is stable without declaring a verdict on it.
     """
     r = as_resolution(m)
     if r.m < 6:
@@ -907,15 +909,15 @@ def corollary_suite(
     p = PExponent.parse(p)
     if not p.p < 1:
         raise ValueError(f"corollary suite needs p in (0, 1), got {p}")
-    levels = tuple(support_levels) if support_levels is not None else tuple(range(2, r.m - 1))
+    if trials < 1:
+        raise ValueError(f"corollary suite needs trials >= 1, got {trials}")
+    levels = tuple(range(2, r.m - 1))
     if len(levels) < 4:
         shared = ", ".join(str(lv) for lv in sorted(set(levels[:2]) & set(levels[-2:])))
         raise ValueError(
             f"corollary trends need at least 4 support levels, got {list(levels)}: "
             f"both two-level end windows would hold level {shared}"
         )
-    if any(not 1 <= lv <= r.m - 2 for lv in levels):
-        raise ValueError("support levels must leave two bits of headroom below m")
 
     tasks = [(str(p), lv, r.m, seed, t) for lv in levels for t in range(trials)]
     cases = _map_tasks(_corollary_case, tasks, jobs)
@@ -927,7 +929,7 @@ def corollary_suite(
         for lv in levels:
             rows = [c[op_name] for c in cases if c["M"] == lv]
             maxima.append(max(rows))
-        trends[op_name] = _window_trend(maxima, stable_cap, band_cap, growth_floor)
+        trends[op_name] = _window_trend(maxima)
     checks = {}
     for op_name in _COROLLARY_EXPECT_STABLE:
         checks[op_name] = trends[op_name]["stable"]
@@ -957,9 +959,9 @@ def corollary_suite(
         "trials": trials,
         "seed": seed,
         "support_levels": list(levels),
-        "stable_cap": stable_cap,
-        "band_cap": band_cap,
-        "growth_floor": growth_floor,
+        "stable_cap": _COROLLARY_STABLE_CAP,
+        "band_cap": _COROLLARY_BAND_CAP,
+        "growth_floor": _COROLLARY_GROWTH_FLOOR,
     }
     return ExperimentReport(
         name="corollary-suite",

@@ -14,6 +14,7 @@ CSV and raw-binary serialization for both directions live here too.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -41,6 +42,47 @@ def is_dyadic_rational(v) -> bool:
     return False
 
 
+def _mode_dtype(mode: Mode) -> np.dtype:
+    """The dtype each mode holds: float64, or objects (ints and ``Fraction`` values) when exact."""
+    if mode == "float64":
+        return np.dtype(np.float64)
+    if mode == "exact":
+        return np.dtype(object)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _seal(arr: np.ndarray, m: int, mode: Mode, what: str) -> None:
+    """Check ``arr`` holds one entry per index at resolution ``m`` in the mode's dtype; freeze it."""
+    r = as_resolution(m)
+    if arr.shape != (r.size,):
+        raise ValueError(f"expected {r.size} {what} at resolution {r.m}, got shape {arr.shape}")
+    if arr.dtype != _mode_dtype(mode):
+        raise ValueError(f"{mode} mode requires {_mode_dtype(mode)} {what}, got {arr.dtype}")
+    arr.setflags(write=False)
+
+
+def _half(values: np.ndarray):
+    """The halving scalar for ``values``: ``Fraction(1, 2)`` in exact mode, else 0.5."""
+    return Fraction(1, 2) if values.dtype == object else 0.5
+
+
+#: Floats ``_exact_sum`` turns into one Python list at a time.
+_SUM_CHUNK = 1 << 13
+
+
+def _exact_sum(values: np.ndarray):
+    """The sum of ``values``: exact in exact mode, correctly rounded in float64.
+
+    ``math.fsum`` reads lists faster than it iterates an array, but one
+    list of ``2^19`` floats adds 16 MiB to the peak memory, so it reads
+    one chunk's list at a time.
+    """
+    if values.dtype == object:
+        return sum(values.tolist(), Fraction(0))
+    chunks = (values[i : i + _SUM_CHUNK].tolist() for i in range(0, values.size, _SUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(chunks))
+
+
 def _coerce_exact(values) -> np.ndarray:
     out = np.empty(len(values), dtype=object)
     for i, v in enumerate(values):
@@ -64,20 +106,7 @@ class DyadicFunction:
     tail_clamped: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        r = as_resolution(self.m)
-        if self.values.shape != (r.size,):
-            raise ValueError(
-                f"expected {r.size} values at resolution {r.m}, got shape {self.values.shape}"
-            )
-        if self.mode == "float64":
-            if self.values.dtype != np.float64:
-                raise ValueError(f"float64 mode requires float64 values, got {self.values.dtype}")
-        elif self.mode == "exact":
-            if self.values.dtype != object:
-                raise ValueError("exact mode requires an object array of rationals")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        self.values.setflags(write=False)
+        _seal(self.values, self.m, self.mode, "values")
 
     # -- construction -------------------------------------------------
 
@@ -93,11 +122,7 @@ class DyadicFunction:
     @classmethod
     def zeros(cls, m: ResolutionLike, mode: Mode = "float64") -> "DyadicFunction":
         r = as_resolution(m)
-        if mode == "exact":
-            arr = np.full(r.size, 0, dtype=object)
-        else:
-            arr = np.zeros(r.size)
-        return cls(r.m, arr, mode)
+        return cls(r.m, np.zeros(r.size, _mode_dtype(mode)), mode)
 
     @classmethod
     def constant(cls, m: ResolutionLike, value: Scalar, mode: Mode = "float64") -> "DyadicFunction":
@@ -121,9 +146,7 @@ class DyadicFunction:
 
     def integral(self) -> Scalar:
         """Mean of the values: the integral against normalized measure."""
-        if self.mode == "exact":
-            return sum(self.values.tolist(), Fraction(0)) / self.size
-        return math.fsum(self.values.tolist()) / self.size
+        return _exact_sum(self.values) / self.size
 
     def as_float_array(self) -> np.ndarray:
         if self.mode == "float64":
@@ -175,16 +198,7 @@ class SpectralVector:
     mode: Mode = "float64"
 
     def __post_init__(self) -> None:
-        r = as_resolution(self.m)
-        if self.coeffs.shape != (r.size,):
-            raise ValueError(
-                f"expected {r.size} coefficients at resolution {r.m}, got shape {self.coeffs.shape}"
-            )
-        if self.mode == "float64" and self.coeffs.dtype != np.float64:
-            raise ValueError(f"float64 mode requires float64 coefficients, got {self.coeffs.dtype}")
-        if self.mode == "exact" and self.coeffs.dtype != object:
-            raise ValueError("exact mode requires an object array of rationals")
-        self.coeffs.setflags(write=False)
+        _seal(self.coeffs, self.m, self.mode, "coefficients")
 
     @property
     def size(self) -> int:
@@ -225,22 +239,33 @@ def _format_value(v, mode: Mode) -> str:
     return repr(float(v))
 
 
-def store_csv(f: Union[DyadicFunction, SpectralVector], path: Union[str, Path]) -> None:
-    """Write ``index,value`` rows; exact mode emits integers and ``p/q``."""
+def _csv_text(f: Union[DyadicFunction, SpectralVector]) -> str:
+    """The ``index,value`` rows :func:`store_csv` writes."""
     vals = f.values if isinstance(f, DyadicFunction) else f.coeffs
     lines = [_CSV_HEADER]
     lines.extend(f"{i},{_format_value(v, f.mode)}" for i, v in enumerate(vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def store_csv(f: Union[DyadicFunction, SpectralVector], path: Union[str, Path]) -> None:
+    """Write ``index,value`` rows; exact mode emits integers and ``p/q``."""
+    Path(path).write_text(_csv_text(f))
 
 
 def _parse_value(text: str):
     text = text.strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"value {text!r} has a zero denominator") from None
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"value {text!r} is not finite")
+    return value
 
 
 def load_csv(path: Union[str, Path], mode: Mode | None = None) -> DyadicFunction:
@@ -291,4 +316,6 @@ def load_binary(path: Union[str, Path]) -> DyadicFunction:
     if len(body) != 8 * n:
         raise ValueError(f"{path}: expected {8 * n} payload bytes, got {len(body)}")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: payload holds a value that is not finite")
     return DyadicFunction(n.bit_length() - 1, values, "float64")

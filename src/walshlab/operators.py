@@ -43,8 +43,8 @@ from typing import ClassVar, Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .analysis import PExponent
-from .functions import DyadicFunction
+from .analysis import PExponent, _abs_levels
+from .functions import DyadicFunction, _half
 from .spectral import _nest_partial_sum, index_stats
 
 
@@ -248,7 +248,7 @@ def _packet_table(values: np.ndarray, m: int) -> list[np.ndarray]:
     comes from the one above by halved pair sums (``j`` not in ``Q``) and
     halved pair differences (``j`` in ``Q``).
     """
-    half = Fraction(1, 2) if values.dtype == object else 0.5
+    half = _half(values)
     table = [values.reshape(1, -1)]
     for j in range(m - 1, -1, -1):
         fine = table[-1]
@@ -524,17 +524,15 @@ def weak_type_constant(
     because the distribution function only steps there.
     """
     vals = g.as_float_array()
-    if vals.size and vals.min() < 0:
+    if not (vals >= 0).all():
         raise ValueError("weak-type measurement expects a nonnegative function")
     if restrict_to is not None:
         vals = vals[np.asarray(restrict_to, dtype=np.int64)]
     pw = float(p.p)
-    levels, counts = np.unique(vals, return_counts=True)
+    levels, counts = _abs_levels(vals)
     at_least = counts[::-1].cumsum()[::-1]
     best, attain = 0.0, 0.0
     for v, c in zip(levels, at_least):
-        if v <= 0.0:
-            continue
         cand = float(v) ** pw * (int(c) / g.size)
         if cand > best:
             best, attain = cand, float(v)

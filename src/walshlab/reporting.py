@@ -110,7 +110,15 @@ class ExperimentReport:
 
 
 def load_report(path: Union[str, Path]) -> ExperimentReport:
+    """Read a report JSON; ``ValueError`` names what a malformed file lacks."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a report is a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("name", "config", "cases", "summary", "verdict") if key not in data]
+    if missing:
+        raise ValueError(f"{path}: report lacks {', '.join(repr(key) for key in missing)}")
+    if not (isinstance(data["cases"], list) and all(isinstance(case, dict) for case in data["cases"])):
+        raise ValueError(f"{path}: report 'cases' must be a list of objects")
     return ExperimentReport(
         name=data["name"],
         config=data["config"],

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .functions import DyadicFunction, Mode, SpectralVector
+from .functions import DyadicFunction, Mode, SpectralVector, _half, _mode_dtype
 from .group import ResolutionLike, as_resolution
 
 #: Walsh sign matrices are memoized up to this resolution (16 MiB at 12).
@@ -41,16 +41,10 @@ _WALSH_CACHE_MAX = 12
 _walsh_cache: dict[int, np.ndarray] = {}
 
 
-def bit_reverse(n, m: int):
-    """Reverse the low ``m`` bits of an integer or integer array."""
-    if isinstance(n, np.ndarray):
-        x = n.astype(np.uint32)
-        r = np.zeros_like(x)
-        for _ in range(m):
-            r = (r << 1) | (x & 1)
-            x >>= 1
-        return r
-    x, r = int(n), 0
+def bit_reverse(n: np.ndarray, m: int) -> np.ndarray:
+    """Reverse the low ``m`` bits of each entry of an integer array."""
+    x = n.astype(np.uint32)
+    r = np.zeros_like(x)
     for _ in range(m):
         r = (r << 1) | (x & 1)
         x >>= 1
@@ -83,9 +77,7 @@ def _fill_walsh_cache(m: int) -> None:
 
 
 def _to_mode(ints: np.ndarray, m: int, mode: Mode) -> DyadicFunction:
-    if mode == "exact":
-        return DyadicFunction(m, ints.astype(object), "exact")
-    return DyadicFunction(m, ints.astype(np.float64), "float64")
+    return DyadicFunction(m, ints.astype(_mode_dtype(mode)), mode)
 
 
 def rademacher(k: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:
@@ -275,7 +267,7 @@ def _partial_sum_terms(values: np.ndarray, n: int, m: int) -> list[tuple[int, np
     bit, the halved pair difference at a set bit, where the pair sum is
     that bit's term.
     """
-    half = Fraction(1, 2) if values.dtype == object else 0.5
+    half = _half(values)
     low = (n & -n).bit_length() - 1
     terms = []
     chain = values

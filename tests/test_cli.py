@@ -69,6 +69,20 @@ def test_transform_roundtrip(tmp_path, capsys):
     assert spec.values.tolist() == [1, 1, 1, 1, 1, 1, 0, 0]
     assert main(["transform", "--input", str(spec_csv), "--inverse", "--output", str(back_csv)]) == 0
     assert back_csv.read_text() == f_csv.read_text()
+    # A float CSV goes forward to stdout and back through --inverse.
+    capsys.readouterr()
+    float_csv = tmp_path / "float.csv"
+    float_csv.write_text("index,value\n0,1.5\n1,-0.25\n2,3.0\n3,0.125\n")
+    assert main(["transform", "--input", str(float_csv)]) == 0
+    spec_csv.write_text(capsys.readouterr().out)
+    assert main(["transform", "--input", str(spec_csv), "--inverse"]) == 0
+    assert capsys.readouterr().out == float_csv.read_text()
+    # Non-finite or undefined values are usage errors, never a silent inf.
+    for bad in ("inf", "nan", "-Infinity", "1/0"):
+        float_csv.write_text(f"index,value\n0,1.5\n1,{bad}\n")
+        assert main(["transform", "--input", str(float_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_verify_pass_and_report(tmp_path):
@@ -173,7 +187,7 @@ def test_jobs_below_one_is_usage_error(tmp_path):
                  "--output", str(tmp_path / "c.json")]) == 2
 
 
-def test_report_rendering(tmp_path):
+def test_report_rendering(tmp_path, capsys):
     src = tmp_path / "g.json"
     assert main(["thm2", "--part", "a", "--p", "1/2", "--resolution", "8",
                  "--scales", "3..7", "--output", str(src)]) == 0
@@ -185,6 +199,16 @@ def test_report_rendering(tmp_path):
                  "--output", str(tmp_path / "g.tsv")]) == 0
     assert (tmp_path / "g.tsv").read_text().splitlines()[0] == "n\tratio"
     assert main(["report", str(src), "--format", "tsv"]) == 2  # missing keys
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    for text, named in (("{}", "'name'"), ("[1]", "JSON object"),
+                        ('{"name": "x", "config": {}}', "'cases', 'summary', 'verdict'"),
+                        ('{"name": "x", "config": {}, "cases": [1], "summary": {}, "verdict": true}',
+                         "'cases' must be")):
+        bad.write_text(text)
+        assert main(["report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
 
 _THM1_CFG = {"p_list": ["1/2"], "support_levels": [3, 4], "trials": 2, "seed": 1}
@@ -223,6 +247,9 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
         ({"p_list": ["1/2"], "resolution": 8, "probes": [[5, 0, 1]]}, ["thm2", "--part", "b"], "'probes'"),
         ({**_THM1_CFG, "support_levels": [True, 4]}, ["thm1"], "'support_levels' entries"),
         ({**_THM1_CFG, "trials": True}, ["thm1"], "'trials' must be an integer"),
+        # An empty range is rejected, never read as the default.
+        (None, ["thm1", "--levels", "5..4", "--trials", "1"], "--levels"),
+        (None, ["thm2", "--part", "a", "--scales", "5..4"], "--scales"),
     ],
 )
 def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):
@@ -233,7 +260,11 @@ def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
-    assert main(argv) == 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag's value itself
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()

@@ -311,14 +311,12 @@ def test_corollary_suite_validation():
         corollary_suite(5, "1/2")
     with pytest.raises(ValueError):
         corollary_suite(8, "1")
-    with pytest.raises(ValueError):
-        corollary_suite(8, "1/2", support_levels=(4, 5))  # too few levels
+    with pytest.raises(ValueError, match="trials"):
+        corollary_suite(8, "1/2", trials=0)
     # Three levels put the middle one in both two-level end windows, so the
     # growth check cannot pass: m = 6 has only the levels 2, 3, 4.
     with pytest.raises(ValueError, match="hold level 3"):
         corollary_suite(6, "1/2")
-    with pytest.raises(ValueError, match="hold level 5"):
-        corollary_suite(8, "1/2", support_levels=(4, 5, 6))
     with pytest.raises(ValueError, match="jobs"):
         corollary_suite(8, "1/2", trials=1, jobs=0)
 

@@ -1,3 +1,4 @@
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,10 @@ def test_csv_rejects_bad_shapes(tmp_path):
     path.write_text("value\n1\n")
     with pytest.raises(ValueError):
         load_csv(path)
+    for bad in ("nan", "inf", "-inf", "1/0"):
+        path.write_text(f"index,value\n0,1\n1,{bad}\n")
+        with pytest.raises(ValueError):
+            load_csv(path)
 
 
 def test_binary_roundtrip(tmp_path):
@@ -126,6 +131,10 @@ def test_binary_rejects_exact_and_corrupt(tmp_path):
     bad.write_bytes(b"\x03" + b"\x00" * 7 + b"\x00" * 24)
     with pytest.raises(ValueError):
         load_binary(bad)
+    for value in (np.nan, np.inf):
+        bad.write_bytes(struct.pack("<Q", 2) + np.array([1.0, value]).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="not finite"):
+            load_binary(bad)
 
 
 def test_tail_clamp_flag_not_part_of_equality():

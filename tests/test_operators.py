@@ -376,9 +376,16 @@ def test_float_dense_engine_matches_definition(m, kind):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_dense_engine_reads_the_weights_restricted_reads():
+def test_dense_engine_reads_the_weights_restricted_reads(monkeypatch):
     # Both operators must divide by the same float weights, also for a
     # non-integer 1/p - 1; the full sup equals the sup over every order.
+    # At m = 6..9 a frontier of 8 pairs, which splits every stage of the
+    # pruned walk, must not move a bit, on exact input too.
+    def chunked(f, scheme):
+        with monkeypatch.context() as patched:
+            patched.setattr(operators, "_FRONTIER_CHUNK", 8)
+            return weighted_maximal(f, scheme).values.tolist()
+
     rng = np.random.default_rng(83)
     for m in range(1, 11):
         schemes = [PolyWeight(PExponent.parse(kind)) for kind in ("1/2", "1/3", "3/4", "2/3")]
@@ -392,6 +399,14 @@ def test_dense_engine_reads_the_weights_restricted_reads():
                     assert np.array_equal(full, every), (scheme, m)
                 else:
                     assert np.allclose(full, every, rtol=0, atol=1e-12), (scheme, m)
+                if 6 <= m <= 9:
+                    assert chunked(f, scheme) == full.tolist(), (scheme, m)
+        if 6 <= m <= 9:
+            draws = np.random.default_rng(m).integers(-64, 65, 1 << m)
+            f = DyadicFunction.from_values(m, [Fraction(int(v), 8) for v in draws], "exact")
+            # One exact scheme per resolution, alternating, keeps the Fraction runs short.
+            scheme = PolyWeight(PExponent.parse("1/2")) if m % 2 else _listed("listed", m, m, exact=True)[0]
+            assert chunked(f, scheme) == weighted_maximal(f, scheme).values.tolist(), (scheme, m)
 
 
 def test_ties_do_not_keep_blocks_open(monkeypatch):
@@ -469,6 +484,9 @@ def test_weak_type_zero_function():
 def test_weak_type_rejects_negative():
     with pytest.raises(ValueError):
         weak_type_constant(DyadicFunction.from_values(2, [-1.0, 0, 0, 0]), P_HALF)
+    # A nan must not hide a negative value from the check.
+    with pytest.raises(ValueError):
+        weak_type_constant(DyadicFunction.from_values(2, [-1.0, np.nan, 0, 0]), P_HALF)
 
 
 def test_weak_type_restriction():
