@@ -251,6 +251,9 @@ def _cmd_report(args) -> int:
     if args.format == "tsv":
         if not (args.x and args.y):
             raise ValueError("tsv output needs --x and --y case keys")
+        missing = [key for key in (args.x, args.y) if not any(key in case for case in report.cases)]
+        if missing:
+            raise ValueError(f"no case holds {', '.join(repr(key) for key in missing)}")
         out = Path(args.output) if args.output else Path(args.input).with_suffix(".series.tsv")
         report.write_series_tsv(out, args.x, args.y)
     else:

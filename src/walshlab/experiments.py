@@ -49,6 +49,8 @@ from .spectral import (
     _dirichlet_direct_int64,
     _dirichlet_dyadic_int64,
     _dirichlet_fast_int64,
+    _kernel_pair_stream,
+    _kernel_rows_stream,
     index_stats,
     partial_sum,
     walsh_rows,
@@ -251,22 +253,16 @@ def _map_tasks(fn: Callable, tasks: list, jobs: int) -> list:
 
 # -- kernel identity sweep --------------------------------------------------
 
-_KERNEL_CHUNK = 256
+
+def _sweep_resolution(m: int, cap: int, sweep: str):
+    r = as_resolution(m)
+    if r.m > cap:
+        raise ValueError(f"{sweep} capped at m = {cap}, got {r.m}")
+    return r
 
 
-def _kernel_rows_stream(m: int, start: int = 0, stop: int | None = None, carry=0):
-    """Yield (lo, rows) where rows[i] is ``carry`` plus Walsh rows ``start .. lo+i``, int64.
-
-    With the defaults, rows[i] is the order-(lo+i+1) kernel.
-    """
-    stop = 1 << m if stop is None else stop
-    for lo in range(start, stop, _KERNEL_CHUNK):
-        hi = min(lo + _KERNEL_CHUNK, stop)
-        rows = walsh_rows(lo, hi, m).astype(np.int64)
-        np.cumsum(rows, axis=0, out=rows)
-        rows += carry
-        carry = rows[-1].copy()
-        yield lo, rows
+def _sweep_report(name: str, m: int, cases: list, summary: dict, verdict: bool) -> ExperimentReport:
+    return ExperimentReport(name, {"resolution": m}, cases, summary, verdict, _provenance(None))
 
 
 def verify_kernels(m: int) -> ExperimentReport:
@@ -276,57 +272,38 @@ def verify_kernels(m: int) -> ExperimentReport:
     assembly; the closed form at powers of two; and the shift identity that
     a kernel block beyond a power of two is the twisted low-order kernel.
     """
-    r = as_resolution(m)
-    if r.m > KERNEL_SWEEP_MAX:
-        raise ValueError(f"kernel sweep capped at m = {KERNEL_SWEEP_MAX}, got {r.m}")
-    size = r.size
-
+    r = _sweep_resolution(m, KERNEL_SWEEP_MAX, "kernel sweep")
     direct_fast_mismatches = 0
-    for lo, rows in _kernel_rows_stream(r.m):
-        for i in range(rows.shape[0]):
-            n = lo + i + 1
-            if not np.array_equal(rows[i], _dirichlet_fast_int64(n, r.m)):
-                direct_fast_mismatches += 1
-
     closed_form_mismatches = 0
-    for k in range(r.m + 1):
-        direct = _dirichlet_direct_int64(1 << k, r.m)
-        if not np.array_equal(direct, _dirichlet_dyadic_int64(k, r.m)):
-            closed_form_mismatches += 1
+    for lo, rows in _kernel_rows_stream(r.m):
+        hi = lo + rows.shape[0]
+        fast = _dirichlet_fast_int64(lo + 1, hi + 1, r.m)
+        direct_fast_mismatches += int((rows != fast).any(axis=1).sum())
+        for k in range(lo.bit_length(), hi.bit_length()):  # the orders 2^k in lo+1 .. hi
+            if not np.array_equal(rows[(1 << k) - lo - 1], _dirichlet_dyadic_int64(k, r.m)):
+                closed_form_mismatches += 1
 
     shift_mismatches = 0
     shift_checked = 0
-    for k in range(r.m):
-        base = _dirichlet_direct_int64(1 << k, r.m)
-        twist = walsh_rows(1 << k, (1 << k) + 1, r.m)[0].astype(np.int64)
-        low = _kernel_rows_stream(r.m, 0, 1 << k)
-        high = _kernel_rows_stream(r.m, 1 << k, 2 << k, carry=base)
-        for (_, rows_lo), (_, rows_hi) in zip(low, high):
-            shift_checked += rows_lo.shape[0]
-            if not np.array_equal(rows_hi - base, rows_lo * twist):
-                shift_mismatches += rows_lo.shape[0]
+    for k, _, low, high, base in _kernel_pair_stream(r.m):
+        twist = walsh_rows(1 << k, (1 << k) + 1, r.m)[0]
+        shift_checked += low.shape[0]
+        shift_mismatches += int((high - base != low * twist).any(axis=1).sum())
 
     spot = [int(v) for v in _dirichlet_direct_int64(3, 2)]
     cases = [
-        {"check": "direct_vs_fast", "count": size, "mismatches": direct_fast_mismatches},
+        {"check": "direct_vs_fast", "count": r.size, "mismatches": direct_fast_mismatches},
         {"check": "closed_form_powers", "count": r.m + 1, "mismatches": closed_form_mismatches},
         {"check": "shift_identity", "count": shift_checked, "mismatches": shift_mismatches},
     ]
     total = direct_fast_mismatches + closed_form_mismatches + shift_mismatches
     summary = {
         "resolution": r.m,
-        "kernels_checked": size,
+        "kernels_checked": r.size,
         "mismatches": total,
         "spot_order3_at_m2": spot,
     }
-    return ExperimentReport(
-        name="kernel-identities",
-        config={"resolution": r.m},
-        cases=cases,
-        summary=summary,
-        verdict=total == 0 and spot == [3, 1, 1, -1],
-        provenance=_provenance(None),
-    )
+    return _sweep_report("kernel-identities", r.m, cases, summary, total == 0 and spot == [3, 1, 1, -1])
 
 
 def verify_lemma1(m: int) -> ExperimentReport:
@@ -337,38 +314,25 @@ def verify_lemma1(m: int) -> ExperimentReport:
     removed, and sit at least a quarter of ``2^low``.  The minimum observed
     ratio is recorded; at finite resolution it turns out to be exactly 1.
     """
-    r = as_resolution(m)
-    if r.m > KERNEL_SWEEP_MAX:
-        raise ValueError(f"lower-bound sweep capped at m = {KERNEL_SWEEP_MAX}, got {r.m}")
-    size = r.size
-
-    family = np.empty((size, size), dtype=np.int32)
-    pos = 0
-    for lo, rows in _kernel_rows_stream(r.m):
-        family[pos : pos + rows.shape[0]] = rows
-        pos += rows.shape[0]
-
+    r = _sweep_resolution(m, KERNEL_SWEEP_MAX, "lower-bound sweep")
     shells = shell_decomposition(r.m)
-    checked = 0
     equality_failures = 0
     bound_failures = 0
-    min_ratio = None  # Fraction
-    for n in range(1, size + 1):
-        st = index_stats(n)
-        if st.low == st.high:
-            continue
-        pinned = shells.shell(st.low)
-        dn = np.abs(family[n - 1, pinned.start : pinned.stop].astype(np.int64))
-        dref = np.abs(family[n - (1 << st.high) - 1, pinned.start : pinned.stop].astype(np.int64))
-        checked += 1
-        if not np.array_equal(dn, dref):
-            equality_failures += 1
-        low_min = int(dn.min())
-        if 4 * low_min < (1 << st.low):
-            bound_failures += 1
-        ratio = Fraction(low_min, 1 << st.low)
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio = ratio
+    ratios = []  # one Fraction per order checked
+    for k, lo, low, high, _ in _kernel_pair_stream(r.m):
+        # Order 2^k + j has top bit k and the lowest bit of j; the rows
+        # with lowest bit l < k are every 2^(l+1)-th from j = 2^l.
+        for low_bit in range(k):
+            pinned = shells.shell(low_bit)
+            first = ((1 << low_bit) - 1 - lo) % (2 << low_bit)
+            dn = np.abs(high[first :: 2 << low_bit, pinned.start : pinned.stop])
+            dref = np.abs(low[first :: 2 << low_bit, pinned.start : pinned.stop])
+            equality_failures += int((dn != dref).any(axis=1).sum())
+            low_mins = dn.min(axis=1)
+            bound_failures += int((4 * low_mins < (1 << low_bit)).sum())
+            ratios += [Fraction(v, 1 << low_bit) for v in low_mins.tolist()]
+    checked = len(ratios)
+    min_ratio = min(ratios, default=None)
     cases = [
         {"check": "absolute_value_equality", "count": checked, "mismatches": equality_failures},
         {"check": "quarter_lower_bound", "count": checked, "mismatches": bound_failures},
@@ -380,14 +344,8 @@ def verify_lemma1(m: int) -> ExperimentReport:
         "min_ratio_exact": str(min_ratio) if min_ratio is not None else None,
         "bound_ever_tight": bool(min_ratio == Fraction(1, 4)) if min_ratio is not None else False,
     }
-    return ExperimentReport(
-        name="kernel-lower-bound",
-        config={"resolution": r.m},
-        cases=cases,
-        summary=summary,
-        verdict=equality_failures == 0 and bound_failures == 0,
-        provenance=_provenance(None),
-    )
+    verdict = equality_failures == 0 and bound_failures == 0
+    return _sweep_report("kernel-lower-bound", r.m, cases, summary, verdict)
 
 
 def verify_kernel_l1_sandwich(m: int) -> ExperimentReport:
@@ -397,9 +355,7 @@ def verify_kernel_l1_sandwich(m: int) -> ExperimentReport:
     compare integers (norms carry an exact 2^-m denominator), so there is
     no tolerance anywhere.
     """
-    r = as_resolution(m)
-    if r.m > SANDWICH_SWEEP_MAX:
-        raise ValueError(f"sandwich sweep capped at m = {SANDWICH_SWEEP_MAX}, got {r.m}")
+    r = _sweep_resolution(m, SANDWICH_SWEEP_MAX, "sandwich sweep")
     size = r.size
     variation = np.array([index_stats(n).variation for n in range(1, size + 1)], dtype=np.int64)
 
@@ -423,14 +379,7 @@ def verify_kernel_l1_sandwich(m: int) -> ExperimentReport:
         "max_at_order": i_max + 1,
         "max_variation_over_norm": float(1.0 / ratios[i_min]),
     }
-    return ExperimentReport(
-        name="kernel-l1-sandwich",
-        config={"resolution": r.m},
-        cases=cases,
-        summary=summary,
-        verdict=bool(lower_ok.all() and upper_ok.all()),
-        provenance=_provenance(None),
-    )
+    return _sweep_report("kernel-l1-sandwich", r.m, cases, summary, bool(lower_ok.all() and upper_ok.all()))
 
 
 # -- weak-type boundedness on atoms ------------------------------------------
@@ -979,14 +928,10 @@ def corollary_suite(
 def verify_all(m: int) -> ExperimentReport:
     """Kernel identities, the lower-bound sweep, and the L1 sandwich in one verdict."""
     parts = [verify_kernels(m), verify_lemma1(m), verify_kernel_l1_sandwich(m)]
-    return ExperimentReport(
-        name="verify-all",
-        config={"resolution": as_resolution(m).m},
-        cases=[
-            {"experiment": part.name, "verdict": part.verdict, "summary": part.summary}
-            for part in parts
-        ],
-        summary={"parts": [part.name for part in parts]},
-        verdict=all(part.verdict for part in parts),
-        provenance=_provenance(None),
+    return _sweep_report(
+        "verify-all",
+        as_resolution(m).m,
+        [{"experiment": part.name, "verdict": part.verdict, "summary": part.summary} for part in parts],
+        {"parts": [part.name for part in parts]},
+        all(part.verdict for part in parts),
     )

@@ -117,6 +117,8 @@ class DyadicFunction:
             arr = _coerce_exact(list(values))
         else:
             arr = np.asarray(values, dtype=np.float64).copy()
+            if not np.isfinite(arr).all():
+                raise ValueError("float64 values must be finite")
         return cls(r.m, arr, mode)
 
     @classmethod
@@ -131,6 +133,8 @@ class DyadicFunction:
             if not is_dyadic_rational(value):
                 raise ValueError(f"exact mode requires a dyadic rational, got {value!r}")
             arr = np.full(r.size, value, dtype=object)
+        elif not math.isfinite(float(value)):
+            raise ValueError(f"float64 value {value!r} is not finite")
         else:
             arr = np.full(r.size, float(value))
         return cls(r.m, arr, mode)

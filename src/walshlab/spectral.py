@@ -14,7 +14,11 @@ resolution ``_WALSH_CACHE_MAX``.
 Dirichlet kernels get three independent constructions: the defining sum
 over Walsh functions, the closed form at powers of two, and the
 binary-expansion formula that assembles a general kernel from
-power-of-two blocks in O(popcount(n) * 2^m).
+power-of-two blocks in O(2^m) per order, built a block of orders at once.
+``_kernel_rows_stream`` is the defining sum run as a cumulative sum, a
+chunk of orders at a time; it is the one definition sum the exhaustive
+kernel sweeps read, and ``_kernel_pair_stream`` pairs its rows across
+each power of two for the shift identity and the lower-bound lemma.
 
 Partial sums use the same binary expansion and no transform.  With
 ``Q_j = {k > j : n_k = 1}``, ``S_n f`` is the sum over the set bits ``j``
@@ -194,18 +198,58 @@ def _dirichlet_dyadic_int64(k: int, m: int) -> np.ndarray:
     return values
 
 
-def _dirichlet_fast_int64(n: int, m: int) -> np.ndarray:
-    if n == (1 << m):
-        # The top-bit block sits above the resolution; the kernel is the
-        # closed-form spike there.
-        return _dirichlet_dyadic_int64(m, m)
-    acc = np.zeros(1 << m, dtype=np.int64)
-    for k in range(n.bit_length()):
-        if (n >> k) & 1:
-            half = 1 << (m - k - 1)
-            acc[:half] += 1 << k
-            acc[half : 2 * half] -= 1 << k
-    return acc * walsh_rows(n, n + 1, m)[0]
+def _dirichlet_fast_int64(lo: int, hi: int, m: int) -> np.ndarray:
+    """Kernels of the orders ``lo .. hi-1``, one row each, from their binary expansions alone."""
+    size = 1 << m
+    top = min(hi, size)
+    orders = np.arange(lo, top, dtype=np.int64)
+    acc = np.zeros((top - lo, size), dtype=np.int64)
+    for k in range(m):
+        half = 1 << (m - k - 1)
+        block = ((orders >> k) & 1)[:, None] << k
+        acc[:, :half] += block
+        acc[:, half : 2 * half] -= block
+    acc *= walsh_rows(lo, top, m)
+    if hi > size:
+        # The top-bit block of order 2^m sits above the resolution; the
+        # kernel is the closed-form spike there.
+        acc = np.vstack((acc, _dirichlet_dyadic_int64(m, m)))
+    return acc
+
+
+#: Orders per chunk of the kernel streams.
+_KERNEL_CHUNK = 256
+
+
+def _kernel_rows_stream(m: int, start: int = 0, stop: int | None = None, carry=0):
+    """Yield (lo, rows) where rows[i] is ``carry`` plus Walsh rows ``start .. lo+i``, int64.
+
+    With the defaults, rows[i] is the order-(lo+i+1) kernel.
+    """
+    stop = 1 << m if stop is None else stop
+    for lo in range(start, stop, _KERNEL_CHUNK):
+        hi = min(lo + _KERNEL_CHUNK, stop)
+        rows = walsh_rows(lo, hi, m).astype(np.int64)
+        np.cumsum(rows, axis=0, out=rows)
+        rows += carry
+        carry = rows[-1].copy()
+        yield lo, rows
+
+
+def _kernel_pair_stream(m: int):
+    """Yield (k, lo, low, high, base) for k < m, chunk by chunk.
+
+    ``low[i]`` is ``D_j`` and ``high[i]`` is ``D_{2^k + j}`` for
+    ``j = lo + i + 1`` in ``1 .. 2^k``; ``base`` is ``D_{2^k}``.  The high
+    stream is carried from ``base``, the previous stage's last high row.
+    """
+    base = np.ones(1 << m, dtype=np.int64)  # D_1 = w_0
+    for k in range(m):
+        low = _kernel_rows_stream(m, 0, 1 << k)
+        high = _kernel_rows_stream(m, 1 << k, 2 << k, carry=base)
+        for (lo, rows_lo), (_, rows_hi) in zip(low, high):
+            yield k, lo, rows_lo, rows_hi, base
+        base = rows_hi[-1].copy()
 
 
 def dirichlet_direct(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:
@@ -228,11 +272,11 @@ def dirichlet_fast(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFun
     """Kernel of order ``n`` assembled from power-of-two blocks.
 
     Uses the binary expansion of ``n``: a signed indicator block per set
-    bit, then one global Walsh twist; O(popcount(n) * 2^m).
+    bit, then one global Walsh twist; O(2^m).
     """
     r = as_resolution(m)
     _check_kernel_order(n, r.m)
-    return _to_mode(_dirichlet_fast_int64(n, r.m), r.m, mode)
+    return _to_mode(_dirichlet_fast_int64(n, n + 1, r.m)[0], r.m, mode)
 
 
 # -- partial sums ----------------------------------------------------------

@@ -39,6 +39,19 @@ def test_kernel_csv(capsys):
     assert main(["kernel", "3", "--resolution", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == ["index,value", "0,3", "1,1", "2,1", "3,-1"]
+    # Every construction prints the same kernel, up to and including the
+    # order 2^m, where the fast construction takes its closed-form branch.
+    for n in range(1, 9):
+        constructions = ("direct", "fast", "dyadic") if n & (n - 1) == 0 else ("direct", "fast")
+        texts = set()
+        for construction in constructions:
+            assert main(["kernel", str(n), "--resolution", "3", "--construction", construction]) == 0
+            texts.add(capsys.readouterr().out)
+        assert len(texts) == 1, n
+        csv_values = [line.split(",")[1] for line in texts.pop().strip().splitlines()[1:]]
+        assert main(["kernel", str(n), "--resolution", "3", "--construction", "fast", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"order": n, "resolution": 3, "values": csv_values}
 
 
 def test_kernel_closed_form_profile(capsys):
@@ -200,6 +213,9 @@ def test_report_rendering(tmp_path, capsys):
     assert (tmp_path / "g.tsv").read_text().splitlines()[0] == "n\tratio"
     assert main(["report", str(src), "--format", "tsv"]) == 2  # missing keys
     capsys.readouterr()
+    typo = tmp_path / "typo.tsv"
+    assert main(["report", str(src), "--format", "tsv", "--x", "n", "--y", "raito", "--output", str(typo)]) == 2
+    assert "'raito'" in capsys.readouterr().err and not typo.exists()
     bad = tmp_path / "bad.json"
     for text, named in (("{}", "'name'"), ("[1]", "JSON object"),
                         ('{"name": "x", "config": {}}', "'cases', 'summary', 'verdict'"),

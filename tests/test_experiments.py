@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,73 @@ def test_verify_kernels_passes():
 def test_verify_kernels_resolution_cap():
     with pytest.raises(ValueError):
         verify_kernels(13)
+
+
+def _mismatches(rep) -> dict:
+    return {c["check"]: c["mismatches"] for c in rep.cases}
+
+
+def test_verify_kernels_counts_injected_faults(monkeypatch):
+    fast, dyadic = experiments._dirichlet_fast_int64, experiments._dirichlet_dyadic_int64
+    rows = experiments.walsh_rows
+    with monkeypatch.context() as mp:  # a wrong kernel from the binary expansion at order 6
+        mp.setattr(experiments, "_dirichlet_fast_int64",
+                   lambda lo, hi, m: fast(lo, hi, m) + (np.arange(lo, hi) == 6)[:, None])
+        rep = verify_kernels(5)
+    assert _mismatches(rep) == {"direct_vs_fast": 1, "closed_form_powers": 0, "shift_identity": 0}
+    assert rep.summary["mismatches"] == 1 and not rep.verdict
+    with monkeypatch.context() as mp:  # a wrong closed form at order 2^3
+        mp.setattr(experiments, "_dirichlet_dyadic_int64", lambda k, m: dyadic(k, m) + (k == 3))
+        rep = verify_kernels(5)
+    assert _mismatches(rep) == {"direct_vs_fast": 0, "closed_form_powers": 1, "shift_identity": 0}
+    assert not rep.verdict
+
+    def flipped_twist(lo, hi, m):  # w_4 with the wrong sign at 0, where every D_j is j
+        out = rows(lo, hi, m)
+        return -out if (lo, hi) == (4, 5) else out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "walsh_rows", flipped_twist)
+        rep = verify_kernels(5)
+    # Every order 4 + j, j = 1..4, of the k = 2 block fails the shift identity.
+    assert _mismatches(rep) == {"direct_vs_fast": 0, "closed_form_powers": 0, "shift_identity": 4}
+    assert not rep.verdict
+
+
+@pytest.mark.parametrize(
+    "order, value, expected",
+    [
+        # |D_11| doubled at the start of its pinned interval: order 11 and
+        # the orders 27 and 43 that compare against it lose the equality.
+        (11, lambda v: 2 * v, {"absolute_value_equality": 3, "quarter_lower_bound": 0}),
+        # D_43 zeroed there: no order compares against it, and the bound fails.
+        (43, lambda v: 0 * v, {"absolute_value_equality": 1, "quarter_lower_bound": 1}),
+    ],
+)
+def test_verify_lemma1_counts_injected_faults(monkeypatch, order, value, expected):
+    stream = spectral._kernel_rows_stream
+
+    def faulty(m, *args, **kwargs):
+        for lo, rows in stream(m, *args, **kwargs):
+            if lo < order <= lo + rows.shape[0]:
+                rows[order - lo - 1, 32] = value(rows[order - lo - 1, 32])
+            yield lo, rows
+
+    monkeypatch.setattr(spectral, "_kernel_rows_stream", faulty)
+    rep = verify_lemma1(6)
+    assert _mismatches(rep) == expected
+    assert not rep.verdict
+
+
+def test_verify_lemma1_holds_no_kernel_family():
+    tracemalloc.start()
+    try:
+        rep = verify_lemma1(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict
+    assert peak < 4**12 * 4  # the int32 family of every order's kernel
 
 
 def test_verify_lemma1_passes_with_unit_ratio():

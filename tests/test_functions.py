@@ -29,6 +29,14 @@ def test_exact_mode_accepts_dyadic_rationals():
     assert f.integral() == Fraction(3, 16) - 1
 
 
+def test_float_constructors_reject_non_finite():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            DyadicFunction.from_values(2, [bad, 0, 0, 0])
+        with pytest.raises(ValueError, match="finite"):
+            DyadicFunction.constant(2, bad)
+
+
 def test_length_checked():
     with pytest.raises(ValueError):
         DyadicFunction.from_values(2, [1.0, 2.0])

@@ -486,7 +486,7 @@ def test_weak_type_rejects_negative():
         weak_type_constant(DyadicFunction.from_values(2, [-1.0, 0, 0, 0]), P_HALF)
     # A nan must not hide a negative value from the check.
     with pytest.raises(ValueError):
-        weak_type_constant(DyadicFunction.from_values(2, [-1.0, np.nan, 0, 0]), P_HALF)
+        weak_type_constant(DyadicFunction(2, np.array([-1.0, np.nan, 0, 0])), P_HALF)
 
 
 def test_weak_type_restriction():
