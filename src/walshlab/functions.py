@@ -9,6 +9,14 @@ numeric modes are supported:
   arising here is such a dyadic rational, so exact mode admits
   tolerance-zero tests.
 
+``Fraction`` values live at the API boundary only.  The exact engines
+(transform, packet table, maximal operators) read their input through
+``_numerators``: integer numerators over one common denominator, int64
+when the caller's stated bound rules out overflow and Python ints in an
+object array otherwise.  ``_from_numerators`` turns their output back
+into exact values, and ``_halve`` and ``_divider`` are the per-dtype
+steps in between, so every per-mode decision of those engines lives here.
+
 CSV and raw-binary serialization for both directions live here too.
 """
 
@@ -64,6 +72,74 @@ def _seal(arr: np.ndarray, m: int, mode: Mode, what: str) -> None:
 def _half(values: np.ndarray):
     """The halving scalar for ``values``: ``Fraction(1, 2)`` in exact mode, else 0.5."""
     return Fraction(1, 2) if values.dtype == object else 0.5
+
+
+def _halve(table: np.ndarray) -> None:
+    """Halve ``table`` in place: ``*= 0.5`` in float64, ``>>= 1`` on integer numerators.
+
+    Integer callers pre-scale their numerators (see :func:`_numerators`)
+    so that every halving they make is exact.
+    """
+    if table.dtype == np.float64:
+        table *= 0.5
+    else:
+        table >>= 1
+
+
+def _numerators(values: np.ndarray, headroom: int, shift: int = 0) -> tuple[np.ndarray, Scalar | None]:
+    """An engine's integer input: ``(nums, unit)`` with ``values == nums * unit``.
+
+    Exact values become numerators over one denominator ``K``, the lcm of
+    their denominators (so a non-dyadic entry works too), times ``2^shift``;
+    ``unit`` is ``Fraction(1, K 2^shift)``, or the int 1 when every value is
+    an int and ``shift`` is 0, so that :func:`_from_numerators` gives back
+    the element types ``Fraction`` arithmetic on ``values`` would.  The
+    caller's ``headroom`` bounds its intermediates: none exceeds
+    ``2^headroom`` times the largest ``|nums|``.  Then ``nums`` is int64
+    when ``bits(max |nums|) + headroom <= 62``, so that no intermediate
+    reaches ``2^62``, and an object array of Python ints otherwise.
+    float64 values pass through, with ``unit`` None.
+    """
+    if values.dtype != object:
+        return values, None
+    vals = values.tolist()
+    denom = math.lcm(*{v.denominator for v in vals})
+    nums = [(v.numerator * (denom // v.denominator)) << shift for v in vals]
+    wide = max(map(abs, nums)).bit_length() + headroom > 62
+    unit = Fraction(1, denom << shift) if shift or any(isinstance(v, Fraction) for v in vals) else 1
+    return np.array(nums, dtype=object if wide else np.int64), unit
+
+
+def _divider(divisors: np.ndarray, unit: Scalar | None):
+    """``(op, by, unit)``: ``op(x, by[i])`` is ``x / divisors[i]``, in entries worth the new ``unit``.
+
+    float64 (``unit`` None) divides.  On integer numerators every divisor
+    must divide the largest, ``D``, as exact spread weights (powers of two)
+    do; then ``op`` multiplies by the integer ``D // divisors[i]``, which
+    is at most ``D``, and each entry is worth ``unit / D``.
+    """
+    if unit is None:
+        return np.divide, divisors, None
+    top = max(divisors)
+    by = [int(top // d) for d in divisors]
+    return np.multiply, np.array(by, dtype=np.int64 if int(top).bit_length() <= 62 else object), unit / top
+
+
+def _from_numerators(nums: np.ndarray, unit: Scalar | None, divisor: int = 1) -> np.ndarray:
+    """The values ``nums * unit / divisor`` that :func:`_numerators` stood for.
+
+    In exact mode an object array: int entries times the int unit stay
+    ints, anything times a ``Fraction`` is a ``Fraction``.  float64 entries
+    (``unit`` None) are divided as they are.
+    """
+    if unit is None:
+        return nums if divisor == 1 else nums / divisor
+    if divisor != 1:
+        unit = unit * Fraction(1, divisor)
+    if isinstance(unit, int):
+        return np.array(nums.tolist(), dtype=object)
+    # unit is 1/D: one Fraction(v, D) per entry costs half of v * unit.
+    return np.array([Fraction(v, unit.denominator) for v in nums.tolist()], dtype=object)
 
 
 #: Floats ``_exact_sum`` turns into one Python list at a time.

@@ -13,7 +13,10 @@ values that raise ``ValueError`` on overflow, or exact ``Fraction`` values
 that raise ``ValueError`` when the weight is irrational.  No engine runs a
 transform; all of them read the Walsh packets
 ``U_j[Q] = E_j(f prod_{k in Q} r_k)``, built level by level from halved
-pair sums and differences.  Engines, one per kind of weight, each written
+pair sums and differences.  In exact mode the table holds integer
+numerators pre-scaled by ``2^m`` (``functions._numerators``), so every
+halving is an exact shift, and ``Fraction`` values are built once, at the
+output.  Engines, one per kind of weight, each written
 once for float64 and exact:
 
 * spread-only weights (``UnitWeight``, ``RhoWeight``; ``spread_only`` is
@@ -44,7 +47,7 @@ from typing import ClassVar, Iterable, NamedTuple, Union
 import numpy as np
 
 from .analysis import PExponent, _abs_levels
-from .functions import DyadicFunction, _half
+from .functions import DyadicFunction, _divider, _from_numerators, _halve, _numerators
 from .spectral import _nest_partial_sum, index_stats
 
 
@@ -246,9 +249,9 @@ def _packet_table(values: np.ndarray, m: int) -> list[np.ndarray]:
     Entry ``j`` has shape ``(2^(m-j), 2^j)``: row ``q`` holds the packet of
     ``Q = {k >= j : bit k-j of q}`` on the level-``j`` intervals.  Each level
     comes from the one above by halved pair sums (``j`` not in ``Q``) and
-    halved pair differences (``j`` in ``Q``).
+    halved pair differences (``j`` in ``Q``).  ``values`` are float64, or
+    integer numerators pre-scaled by ``2^m``, which keeps every halving exact.
     """
-    half = _half(values)
     table = [values.reshape(1, -1)]
     for j in range(m - 1, -1, -1):
         fine = table[-1]
@@ -256,7 +259,7 @@ def _packet_table(values: np.ndarray, m: int) -> list[np.ndarray]:
         coarse = np.empty((1 << (m - j - 1), 2, 1 << j), values.dtype)
         np.add(a, b, out=coarse[:, 0])
         np.subtract(a, b, out=coarse[:, 1])
-        coarse *= half
+        _halve(coarse)
         table.append(coarse.reshape(1 << (m - j), 1 << j))
     return table[::-1]
 
@@ -287,11 +290,17 @@ def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
     ``U_j[Q] + r_j S_i(U_j[Q + {j}])``; with ``Q`` empty these are the
     partial sums of ``f`` whose highest bit is ``j``, and their weight is
     fixed by ``j - l``.  O(m^2 2^m) work in O(m) array stages.
+
+    Exact mode runs on numerators: every ``S_i`` is at most ``m`` times
+    the largest entry, and a weighed entry at most ``max(w)`` times that.
     """
-    m, dtype = f.m, f.values.dtype
-    w = _engine_weights(scheme, m, dtype == object)
-    packets = _packet_table(f.values, m)
-    out = np.abs(f.values) / w[0]  # n = 2^m, where S_n f = f
+    m = f.m
+    w = _engine_weights(scheme, m, f.mode == "exact")
+    values, unit = _numerators(f.values, m.bit_length() + int(max(w)).bit_length(), shift=m)
+    weigh, w, unit = _divider(w, unit)
+    dtype = values.dtype
+    packets = _packet_table(values, m)
+    out = weigh(np.abs(values), w[0])  # n = 2^m, where S_n f = f
     hi = lo = np.empty((1 << m, 0, 1), dtype)
     for j in range(m):
         groups = 1 << (m - j - 1)
@@ -299,9 +308,9 @@ def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
         hi2 = hi.reshape(groups, 2, j, 1 << j)
         lo2 = lo.reshape(groups, 2, j, 1 << j)
         up, down = _child_extrema(base, hi2[:, 1], lo2[:, 1])
-        cand = (np.abs(base[0, 0]) / w[0]).repeat(2)  # n = 2^j
+        cand = weigh(np.abs(base[0, 0]), w[0]).repeat(2)  # n = 2^j
         if j:
-            spread = np.maximum(up[0], -down[0]) / w[j - np.arange(j)][:, None]
+            spread = weigh(np.maximum(up[0], -down[0]), w[j - np.arange(j)][:, None])
             cand = np.maximum(cand, spread.max(axis=0))
         np.maximum(out, cand.repeat(groups), out=out)
         if j + 1 < m:
@@ -310,7 +319,7 @@ def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
             np.maximum(hi2[:, 0].repeat(2, axis=-1), up, out=hi[:, :j])
             np.minimum(lo2[:, 0].repeat(2, axis=-1), down, out=lo[:, :j])
             hi[:, j] = lo[:, j] = base[:, 0].repeat(2, axis=-1)
-    return out
+    return _from_numerators(out, unit)
 
 
 def _packet_partial_sum(packets: list[np.ndarray], n: int, m: int) -> np.ndarray:
@@ -415,15 +424,18 @@ def _pruned_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
     A last walk from the root keeps a block only while its bound strictly
     exceeds the point's best, and counts every block start it visits.  The
     walk holds at most ``_FRONTIER_CHUNK`` pairs per stage, deepest first.
+
+    Exact mode runs on numerators, each ``|S_n f|`` at most ``m`` times the
+    largest entry, over the exact weights; one rescale at the output.
     """
-    m, dtype = f.m, f.values.dtype
-    exact = dtype == object
-    packets = _packet_table(f.values, m)
+    m, exact = f.m, f.mode == "exact"
+    values, unit = _numerators(f.values, m.bit_length(), shift=m)
+    packets = _packet_table(values, m)
     tree = _PaleyTree(m, packets, *_block_extrema(packets, m),
                       _engine_weights(scheme, m, exact), _weight_floors(scheme, m, exact))
-    best = np.abs(f.values) / tree.weights[-1]  # n = 2^m, where S_n f = f
+    best = np.abs(values) / tree.weights[-1]  # n = 2^m, where S_n f = f
     size = best.size
-    root = (np.arange(size), np.zeros(size, np.int64), np.zeros(size, dtype))
+    root = (np.arange(size), np.zeros(size, np.int64), np.zeros(size, values.dtype))
 
     pts, q, t = root
     for level in range(m, 0, -1):
@@ -450,7 +462,7 @@ def _pruned_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
         if level > 1:
             stack.append((level - 1, np.concatenate([pts, pts]),
                           np.concatenate([2 * q, 2 * q + 1]), np.concatenate([t, child])))
-    return best
+    return _from_numerators(best, unit)
 
 
 def weighted_maximal(f: DyadicFunction, scheme: WeightScheme) -> DyadicFunction:
@@ -476,14 +488,15 @@ def restricted_maximal(
     """
     if not isinstance(seq, Subsequence):
         seq = Subsequence(tuple(seq))
-    packets = _packet_table(f.values, f.m)
+    values, unit = _numerators(f.values, f.m.bit_length(), shift=f.m)
+    packets = _packet_table(values, f.m)
     weights = _weights(scheme, seq.indices, f.mode == "exact")
     out = None
     for n, w in zip(seq.indices, weights):
-        part = f.values if n >= f.size else _packet_partial_sum(packets, n, f.m)
+        part = values if n >= f.size else _packet_partial_sum(packets, n, f.m)
         cand = np.abs(part) / w
         out = cand if out is None else np.maximum(out, cand)
-    return f.with_values(out)
+    return f.with_values(_from_numerators(out, unit))
 
 
 # -- weak-type measurement --------------------------------------------------

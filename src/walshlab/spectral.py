@@ -5,6 +5,8 @@ set bits of ``n``.  With coordinate 0 stored as the most significant index
 bit, ``w_n(x) = (-1)^popcount(bitrev(n) & x)``; the transform butterfly
 below retires one input axis per stage to the fast end of the output, so
 coefficients come out in Paley order natively, with no bit-reversal pass.
+In exact mode it runs on integer numerators (``functions._numerators``)
+and divides once at the output.
 
 ``walsh_rows`` is the one accessor for Walsh sign rows: it slices a memo
 of the full sign matrix when the memo holds the resolution and computes
@@ -15,8 +17,8 @@ Dirichlet kernels get three independent constructions: the defining sum
 over Walsh functions, the closed form at powers of two, and the
 binary-expansion formula that assembles a general kernel from
 power-of-two blocks in O(2^m) per order, built a block of orders at once.
-``_kernel_rows_stream`` is the defining sum run as a cumulative sum, a
-chunk of orders at a time; it is the one definition sum the exhaustive
+``_kernel_rows_stream`` is the defining sum run as a running sum, row by
+row within a chunk of orders; it is the one definition sum the exhaustive
 kernel sweeps read, and ``_kernel_pair_stream`` pairs its rows across
 each power of two for the shift identity and the lower-bound lemma.
 
@@ -33,11 +35,10 @@ with the same helper.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
-from .functions import DyadicFunction, Mode, SpectralVector, _half, _mode_dtype
+from .functions import DyadicFunction, Mode, SpectralVector, _from_numerators, _half, _mode_dtype, _numerators
 from .group import ResolutionLike, as_resolution
 
 #: Walsh sign matrices are memoized up to this resolution (16 MiB at 12).
@@ -122,17 +123,20 @@ def _butterfly_paley(vec: np.ndarray) -> np.ndarray:
 def fwht_forward(f: DyadicFunction) -> SpectralVector:
     """Analysis transform: coefficient k is the mean of ``f * w_k``.
 
-    O(m 2^m); bit-exact against the quadratic sum in exact mode.
+    O(m 2^m); bit-exact against the quadratic sum in exact mode, where the
+    butterfly runs on integer numerators and divides once at the output.
     """
-    acc = _butterfly_paley(f.values)
-    if f.mode == "exact":
-        return SpectralVector(f.m, acc * Fraction(1, f.size), "exact")
-    return SpectralVector(f.m, acc / f.size, "float64")
+    nums, unit = _numerators(f.values, f.m)  # the butterfly grows entries at most 2^m-fold
+    return SpectralVector(f.m, _from_numerators(_butterfly_paley(nums), unit, f.size), f.mode)
 
 
 def fwht_inverse(c: SpectralVector) -> DyadicFunction:
-    """Synthesis transform: sum of ``coeffs[k] * w_k``; exact roundtrip partner."""
-    return DyadicFunction(c.m, _butterfly_paley(c.coeffs), c.mode)
+    """Synthesis transform: sum of ``coeffs[k] * w_k``; exact roundtrip partner.
+
+    Exact coefficients that are all ints give ints, and ``Fraction`` values otherwise.
+    """
+    nums, unit = _numerators(c.coeffs, c.m)
+    return DyadicFunction(c.m, _from_numerators(_butterfly_paley(nums), unit), c.mode)
 
 
 # -- index characteristics ------------------------------------------------
@@ -230,8 +234,10 @@ def _kernel_rows_stream(m: int, start: int = 0, stop: int | None = None, carry=0
     for lo in range(start, stop, _KERNEL_CHUNK):
         hi = min(lo + _KERNEL_CHUNK, stop)
         rows = walsh_rows(lo, hi, m).astype(np.int64)
-        np.cumsum(rows, axis=0, out=rows)
-        rows += carry
+        rows[0] += carry
+        # Row by row: one cumulative sum along the order axis is about four times slower.
+        for i in range(1, hi - lo):
+            np.add(rows[i], rows[i - 1], out=rows[i])
         carry = rows[-1].copy()
         yield lo, rows
 

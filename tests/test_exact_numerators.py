@@ -1,0 +1,141 @@
+"""Exact mode on integer numerators: both numerator widths, non-dyadic values and element types.
+
+The transform and the maximal operators run exact inputs as integer
+numerators over one common denominator: int64 when a stated bound rules
+out overflow, Python ints in an object array otherwise.  Each input here
+sits on one side of that bound, and every result must equal the
+definitional oracle exactly, with the element types Fraction arithmetic
+gives: ``Fraction`` everywhere, except ints from the inverse transform of
+int coefficients.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from walshlab import operators, spectral
+from walshlab.analysis import PExponent
+from walshlab.functions import DyadicFunction, SpectralVector
+from walshlab.operators import (
+    PolyWeight,
+    RhoWeight,
+    TableWeight,
+    UnitWeight,
+    restricted_maximal,
+    weight,
+    weighted_maximal,
+)
+
+from oracles import (
+    naive_forward,
+    partial_sum_by_definition,
+    walsh_value,
+    weighted_maximal_by_definition,
+)
+
+M = 3
+SIZE = 1 << M
+RNG = np.random.default_rng(2024)
+
+#: name -> (values, the numerator dtype the engines must pick)
+INPUTS = {
+    "small-ints": ([int(v) for v in RNG.integers(-9, 10, SIZE)], np.int64),
+    "small-dyadic": ([Fraction(int(a), 1 << int(b)) for a, b in
+                      zip(RNG.integers(-99, 100, SIZE), RNG.integers(0, 6, SIZE))], np.int64),
+    "wide-dyadic": ([Fraction(2**61 + 1 + int(a), 2**40) for a in RNG.integers(-3, 4, SIZE)], object),
+    "wide-ints": ([2**60 * int(s) + int(a) for s, a in
+                   zip(RNG.choice([-1, 1], SIZE), RNG.integers(-5, 6, SIZE))], object),
+    "thirds": ([Fraction(int(a), 3) for a in RNG.integers(-9, 10, SIZE)], np.int64),
+}
+
+P_HALF = PExponent.parse("1/2")
+SCHEMES = [
+    UnitWeight(),
+    RhoWeight(P_HALF),
+    RhoWeight(PExponent.parse("1/3")),
+    PolyWeight(P_HALF),
+    TableWeight(tuple((n, Fraction(4 * n + 5, 3)) for n in range(1, SIZE + 1))),
+]
+
+
+def _function(values) -> DyadicFunction:
+    # Built directly, as DyadicFunction.from_values accepts dyadic rationals only.
+    return DyadicFunction(M, np.array(values, dtype=object), "exact")
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The dtype of every numerator array the transform and the engines build."""
+    seen = []
+    for module in (spectral, operators):
+        original = module._numerators
+
+        def spy(*args, _original=original, **kwargs):
+            nums, unit = _original(*args, **kwargs)
+            seen.append(nums.dtype)
+            return nums, unit
+
+        monkeypatch.setattr(module, "_numerators", spy)
+    return seen
+
+
+def _types(values) -> set:
+    return {type(v) for v in values}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_transform_numerators(name, widths):
+    values, dtype = INPUTS[name]
+    spec = spectral.fwht_forward(_function(values))
+    assert spec.coeffs.tolist() == naive_forward(values, M)
+    assert _types(spec.coeffs) == {Fraction}
+    back = spectral.fwht_inverse(spec)
+    assert back.values.tolist() == values
+    assert _types(back.values) == {Fraction}
+    assert widths == [np.dtype(dtype)] * 2
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_inverse_numerators(name, widths):
+    coeffs, dtype = INPUTS[name]
+    back = spectral.fwht_inverse(SpectralVector(M, np.array(coeffs, dtype=object), "exact"))
+    want = [sum(c * walsh_value(k, x, M) for k, c in enumerate(coeffs)) for x in range(SIZE)]
+    assert back.values.tolist() == want
+    # Int coefficients give ints, as the butterfly on ints did; a Fraction anywhere gives Fractions.
+    assert _types(back.values) == ({int} if name.endswith("ints") else {Fraction})
+    assert widths == [np.dtype(dtype)]
+
+
+def test_inverse_of_int_valued_fractions_stays_fraction():
+    back = spectral.fwht_inverse(SpectralVector(1, np.array([Fraction(3), 1], dtype=object), "exact"))
+    assert back.values.tolist() == [4, 2]
+    assert _types(back.values) == {Fraction}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_weighted_maximal_numerators(name, scheme, widths):
+    values, dtype = INPUTS[name]
+    got = weighted_maximal(_function(values), scheme).values
+    want = weighted_maximal_by_definition(values, M, lambda n: Fraction(weight(scheme, n)))
+    assert got.tolist() == want
+    assert _types(got) == {Fraction}
+    assert widths == [np.dtype(dtype)]
+
+
+@pytest.mark.parametrize("scheme", [RhoWeight(P_HALF), PolyWeight(P_HALF), SCHEMES[-1]],
+                         ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_restricted_maximal_numerators(name, scheme, widths):
+    values, dtype = INPUTS[name]
+    orders = (1, 3, 5, 6, SIZE) if isinstance(scheme, TableWeight) else (1, 3, 5, 6, SIZE, SIZE + 3)
+    got = restricted_maximal(_function(values), orders, scheme).values
+    sums = partial_sum_by_definition(values, M)
+    want = [
+        max(abs(sums[min(n, SIZE) - 1][x]) / Fraction(weight(scheme, n)) for n in orders)
+        for x in range(SIZE)
+    ]
+    assert got.tolist() == want
+    assert _types(got) == {Fraction}
+    assert widths == [np.dtype(dtype)]

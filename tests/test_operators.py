@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshlab import operators
-from walshlab.analysis import PExponent, maximal_function
-from walshlab.constructions import GENERATORS, AtomRecipe, make_atom
+from walshlab.analysis import PExponent, hardy_quasinorm, lp_quasinorm, maximal_function
+from walshlab.constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom
 from walshlab.functions import DyadicFunction
 from walshlab.operators import (
     PolyWeight,
@@ -287,6 +287,14 @@ def test_exact_engine_matches_float_on_atoms(m, kind, generator, data):
     exact = weighted_maximal(make_atom(recipe, m, "exact").values, scheme).values
     floats = weighted_maximal(make_atom(recipe, m, "float64").values, scheme).values
     assert [float(v) for v in exact] == floats.tolist()
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_exact_sharpness_law_at_m14(n):
+    # Theorem 2's R^p = (n+2)/2 at tolerance zero: L_p(g) / H_p(f_n) = ((n+2)/2)^2 at p = 1/2.
+    f = counterexample_fn(n, 14, "exact")
+    g = weighted_maximal(f, RhoWeight(P_HALF))
+    assert lp_quasinorm(g, P_HALF) / hardy_quasinorm(f, P_HALF) == Fraction(n + 2, 2) ** 2
 
 
 # -- pruned engine (PolyWeight, TableWeight, listed tables) -----------------------

@@ -251,6 +251,45 @@ def test_shift_identity_exhaustive_small():
                 assert values_equal(lhs, rhs), (m, k, j)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_kernel_rows_stream_matches_cumsum_reference(chunk, monkeypatch):
+    # The running sum, its chunk boundaries and its carry against one cumsum of the Walsh rows.
+    monkeypatch.setattr(spectral, "_KERNEL_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for m in range(1, 8):
+        size = 1 << m
+        spans = {(0, size), (1, size - 1), (size // 3, size), (chunk + 1, size), (size // 2, size // 2 + 5)}
+        for start, stop in sorted(spans):
+            stop = min(stop, size)
+            if start >= stop:
+                continue
+            for carry in (0, rng.integers(-50, 51, size)):
+                before = np.copy(carry)
+                want = np.cumsum(walsh_rows(start, stop, m).astype(np.int64), axis=0) + carry
+                got = list(spectral._kernel_rows_stream(m, start, stop, carry=carry))
+                assert [lo for lo, _ in got] == list(range(start, stop, chunk)), (m, start, stop)
+                assert all(rows.dtype == np.int64 for _, rows in got)
+                assert np.array_equal(np.vstack([rows for _, rows in got]), want), (m, start, stop)
+                assert np.array_equal(carry, before)  # the caller's carry is read, not written
+        kernels = np.vstack([rows for _, rows in spectral._kernel_rows_stream(m)])
+        assert np.array_equal(kernels, np.cumsum(walsh_rows(0, size, m).astype(np.int64), axis=0))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_kernel_pair_stream_matches_direct_kernels(chunk, monkeypatch):
+    monkeypatch.setattr(spectral, "_KERNEL_CHUNK", chunk)
+    for m in range(1, 7):
+        seen = []
+        for k, lo, low, high, base in spectral._kernel_pair_stream(m):
+            assert np.array_equal(base, dirichlet_direct(1 << k, m).values.astype(np.int64)), (m, k)
+            for i in range(low.shape[0]):
+                j = lo + i + 1
+                assert np.array_equal(low[i], dirichlet_direct(j, m).values.astype(np.int64)), (m, k, j)
+                assert np.array_equal(high[i], dirichlet_direct((1 << k) + j, m).values.astype(np.int64)), (m, k, j)
+                seen.append((k, j))
+        assert seen == [(k, j) for k in range(m) for j in range(1, (1 << k) + 1)]
+
+
 # -- partial sums ---------------------------------------------------------------
 
 
