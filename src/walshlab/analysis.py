@@ -6,6 +6,8 @@ dyadic-capable rational where mathematics allows: the key device is that
 for ``p = 1/q`` with integer ``q`` a single-level function has
 ``||f||_p = v * mu(support)^q``, and the weak quasi-norm is always the max
 of such rational candidates over the levels of the distribution function.
+The exact maximal function and level counts run on integer numerators
+(``functions._numerators``) and build exact values once, at the output.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .functions import DyadicFunction, Mode, _exact_sum, _half
+from .functions import DyadicFunction, Mode, _exact_sum, _from_numerators, _halve, _numerators
 from .group import DyadicInterval
 
 ExponentLike = Union["PExponent", Fraction, float, int]
@@ -107,25 +109,18 @@ def _exact_root(x: Fraction, q: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _abs_levels(values: np.ndarray) -> tuple:
+def _abs_levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct nonzero ``|values|``, ascending, and an int64 array of their counts.
 
-    Float64 levels come back as an array.  Exact levels are a list of
-    ``Fraction`` values counted in a dict, since sorting the whole object
-    array in Python costs twice as much.
+    Exact values are counted as integer numerators (``functions._numerators``,
+    headroom 0, as ``|num|`` is the largest intermediate), and only the
+    distinct levels are turned back into exact values.
     """
-    if values.dtype == object:
-        tally: dict[Fraction, int] = {}
-        for v in values.tolist():
-            a = abs(Fraction(v))
-            if a:
-                tally[a] = tally.get(a, 0) + 1
-        levels = sorted(tally)
-        return levels, np.array([tally[v] for v in levels], dtype=np.int64)
-    levels, counts = np.unique(np.abs(values), return_counts=True)
+    nums, unit = _numerators(values, 0)
+    levels, counts = np.unique(np.abs(nums), return_counts=True)
     if levels.size and levels[0] == 0:
-        return levels[1:], counts[1:]
-    return levels, counts
+        levels, counts = levels[1:], counts[1:]
+    return _from_numerators(levels, unit), counts
 
 
 def lp_quasinorm(f: DyadicFunction, p: ExponentLike):
@@ -145,7 +140,7 @@ def lp_quasinorm(f: DyadicFunction, p: ExponentLike):
     q = _require_reciprocal_integer(pv)
     levels, counts = _abs_levels(f.values)
     counts = counts.tolist()
-    if not levels:
+    if not levels.size:
         return Fraction(0)
     if len(levels) == 1:
         return levels[0] * Fraction(counts[0], f.size) ** q
@@ -193,17 +188,21 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
     runs over ``k = 0 .. m`` and dominates ``|f|``.  The averages are built
     fine to coarse, then the running max is carried coarse to fine, so each
     level is expanded once by a factor of two: O(2^m) in all.
+
+    Exact mode runs on numerators pre-scaled by ``2^m``, each pair sum at
+    most twice the largest entry, and returns ``Fraction`` values.
     """
-    half = _half(f.values)
-    pyramid = [np.abs(f.values)]
-    cur = f.values
+    values, unit = _numerators(f.values, 1, shift=f.m)
+    pyramid = [np.abs(values)]
+    cur = values
     for _ in range(f.m):
-        cur = (cur[0::2] + cur[1::2]) * half
+        cur = cur[0::2] + cur[1::2]
+        _halve(cur)
         pyramid.append(np.abs(cur))
     best = pyramid.pop()
     while pyramid:
         best = np.maximum(np.repeat(best, 2), pyramid.pop())
-    return f.with_values(best)
+    return f.with_values(_from_numerators(best, unit))
 
 
 def hardy_quasinorm(f: DyadicFunction, p: ExponentLike):

@@ -97,7 +97,6 @@ def make_atom(
     recipe: AtomRecipe,
     m: ResolutionLike,
     mode: Mode = "float64",
-    check: bool = True,
 ) -> AtomSpec:
     """Emit a valid atom per the recipe; all recipes guarantee exact zero mean.
 
@@ -138,12 +137,9 @@ def make_atom(
         values = np.zeros(r.size)
         values[iv.start : iv.stop] = units * float(scale)
     atom = AtomSpec(iv, DyadicFunction(r.m, values, mode), recipe.p)
-    if check:
-        report = validate_atom(atom)
-        if not report.passed:
-            raise RuntimeError(
-                f"generated atom violates its own contract: {report.to_json_dict()}"
-            )
+    report = validate_atom(atom)
+    if not report.passed:
+        raise RuntimeError(f"generated atom violates its own contract: {report.to_json_dict()}")
     return atom
 
 

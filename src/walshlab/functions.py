@@ -9,13 +9,14 @@ numeric modes are supported:
   arising here is such a dyadic rational, so exact mode admits
   tolerance-zero tests.
 
-``Fraction`` values live at the API boundary only.  The exact engines
-(transform, packet table, maximal operators) read their input through
-``_numerators``: integer numerators over one common denominator, int64
-when the caller's stated bound rules out overflow and Python ints in an
-object array otherwise.  ``_from_numerators`` turns their output back
-into exact values, and ``_halve`` and ``_divider`` are the per-dtype
-steps in between, so every per-mode decision of those engines lives here.
+``Fraction`` values live at the API boundary only.  Every exact engine
+(transform, partial sums, maximal function, level counts, packet table,
+maximal operators) reads its input through ``_numerators``: integer
+numerators over one common denominator, int64 when the caller's stated
+bound rules out overflow and Python ints in an object array otherwise.
+``_from_numerators`` turns their output back into exact values, and
+``_halve`` and ``_divider`` are the per-dtype steps in between, so every
+per-mode decision of those engines lives here.
 
 CSV and raw-binary serialization for both directions live here too.
 """
@@ -67,11 +68,6 @@ def _seal(arr: np.ndarray, m: int, mode: Mode, what: str) -> None:
     if arr.dtype != _mode_dtype(mode):
         raise ValueError(f"{mode} mode requires {_mode_dtype(mode)} {what}, got {arr.dtype}")
     arr.setflags(write=False)
-
-
-def _half(values: np.ndarray):
-    """The halving scalar for ``values``: ``Fraction(1, 2)`` in exact mode, else 0.5."""
-    return Fraction(1, 2) if values.dtype == object else 0.5
 
 
 def _halve(table: np.ndarray) -> None:
@@ -300,7 +296,9 @@ def values_equal(a: Union[DyadicFunction, SpectralVector], b: Union[DyadicFuncti
 
 
 def translate(f: DyadicFunction, t: Union[int, GroupPoint]) -> DyadicFunction:
-    """Group translation ``x -> f(x + t)``, realized as XOR on indices."""
+    """Group translation ``x -> f(x + t)``, realized as XOR on indices; ``t`` at the resolution of ``f``."""
+    if isinstance(t, GroupPoint) and t.m != f.m:
+        raise ValueError(f"translation point at resolution {t.m}, function at resolution {f.m}")
     shift = t.idx if isinstance(t, GroupPoint) else int(t)
     if not 0 <= shift < f.size:
         raise ValueError(f"translation index {shift} outside [0, {f.size})")

@@ -95,7 +95,7 @@ class PolyWeight:
 
 @dataclass(frozen=True)
 class TableWeight:
-    """Explicit weights at chosen orders; must be >= 1 and nondecreasing."""
+    """Explicit weights at chosen orders; must be finite, >= 1 and nondecreasing."""
 
     spread_only: ClassVar[bool] = False
     entries: tuple[tuple[int, Union[int, float, Fraction]], ...]
@@ -107,6 +107,8 @@ class TableWeight:
                 raise ValueError(f"table order {n} must be >= 1")
             if n <= prev_n:
                 raise ValueError("table orders must be strictly increasing")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"table weight {v} at n={n} is not finite")
             if v < 1:
                 raise ValueError(f"table weight {v} at n={n} is below 1")
             if prev_v is not None and v < prev_v:

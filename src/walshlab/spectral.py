@@ -27,7 +27,8 @@ Partial sums use the same binary expansion and no transform.  With
 of ``n`` of ``prod_{k in Q_j} r_k`` times ``E_j(f prod_{k in Q_j} r_k)``.
 One halving chain over the bits of ``n`` yields every such conditional
 expectation, and they nest from the lowest set bit up as
-``V <- E_j(...) + r_j V``: O(2^m) per order in float64 and exact mode.
+``V <- E_j(...) + r_j V``: O(2^m) per order in float64 and exact mode,
+the exact chain on numerators pre-scaled by ``2^m``.
 ``operators.restricted_maximal`` nests terms read off its packet table
 with the same helper.
 """
@@ -38,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functions import DyadicFunction, Mode, SpectralVector, _from_numerators, _half, _mode_dtype, _numerators
+from .functions import DyadicFunction, Mode, SpectralVector, _from_numerators, _halve, _mode_dtype, _numerators
 from .group import ResolutionLike, as_resolution
 
 #: Walsh sign matrices are memoized up to this resolution (16 MiB at 12).
@@ -315,21 +316,20 @@ def _partial_sum_terms(values: np.ndarray, n: int, m: int) -> list[tuple[int, np
     The chain walks the bits of ``n`` from the top down, carrying
     ``E_j(f prod_{k >= j, n_k = 1} r_k)``: the halved pair sum at a clear
     bit, the halved pair difference at a set bit, where the pair sum is
-    that bit's term.
+    that bit's term.  Exact ``values`` are numerators pre-scaled by ``2^m``.
     """
-    half = _half(values)
     low = (n & -n).bit_length() - 1
     terms = []
     chain = values
     for j in range(m - 1, low - 1, -1):
         a, b = chain[0::2], chain[1::2]
         total = np.add(a, b)
-        total *= half
+        _halve(total)
         if (n >> j) & 1:
             terms.append((j, total))
             if j > low:
                 chain = np.subtract(a, b)
-                chain *= half
+                _halve(chain)
         else:
             chain = total
     return terms[::-1]
@@ -340,13 +340,15 @@ def partial_sum(f: DyadicFunction, n: int) -> DyadicFunction:
 
     Computed without a transform: one halving chain over the bits of ``n``
     gives a conditional expectation per set bit, and ``_nest_partial_sum``
-    assembles them; O(2^m) in float64 and exact mode.  For ``n >= 2^m``
-    the whole spectrum is kept, so the input comes back unchanged with
-    ``tail_clamped`` set.
+    assembles them; O(2^m) in float64 and exact mode, the exact nested sum
+    on numerators at most ``popcount(n) <= m`` times the largest entry.
+    For ``n >= 2^m`` the whole spectrum is kept, so the input comes back
+    unchanged with ``tail_clamped`` set.
     """
     if n < 1:
         raise ValueError(f"partial-sum order must be >= 1, got {n}")
     if n >= f.size:
         return replace(f, tail_clamped=True)
-    terms = _partial_sum_terms(f.values, n, f.m)
-    return DyadicFunction(f.m, _nest_partial_sum(terms, f.m), f.mode)
+    values, unit = _numerators(f.values, f.m.bit_length(), shift=f.m)
+    terms = _partial_sum_terms(values, n, f.m)
+    return DyadicFunction(f.m, _from_numerators(_nest_partial_sum(terms, f.m), unit), f.mode)

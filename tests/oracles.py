@@ -53,7 +53,9 @@ def interval_average_maximal(values, m: int):
         best = None
         for level in range(m + 1):
             members = interval_members(x, level, m)
-            avg = abs(sum(values[y] for y in members) / len(members))
+            total = sum(values[y] for y in members)
+            exact = isinstance(total, (int, Fraction))
+            avg = abs(Fraction(total, len(members)) if exact else total / len(members))
             best = avg if best is None else max(best, avg)
         out.append(best)
     return out

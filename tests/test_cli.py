@@ -266,6 +266,9 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
         # An empty range is rejected, never read as the default.
         (None, ["thm1", "--levels", "5..4", "--trials", "1"], "--levels"),
         (None, ["thm2", "--part", "a", "--scales", "5..4"], "--scales"),
+        # A non-finite table weight (JSON NaN) fails validation, not mid-run.
+        ({**_THM2B_CFG, "scheme": {"kind": "table", "values": {"1": 1.0, "2": float("nan")}}},
+         ["thm2", "--part", "b"], "at n=2 is not finite"),
     ],
 )
 def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):

@@ -1,6 +1,7 @@
 """Exact mode on integer numerators: both numerator widths, non-dyadic values and element types.
 
-The transform and the maximal operators run exact inputs as integer
+The transform, the partial sums, the maximal function, the level counts
+behind the norms and the maximal operators run exact inputs as integer
 numerators over one common denominator: int64 when a stated bound rules
 out overflow, Python ints in an object array otherwise.  Each input here
 sits on one side of that bound, and every result must equal the
@@ -9,13 +10,14 @@ gives: ``Fraction`` everywhere, except ints from the inverse transform of
 int coefficients.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from walshlab import operators, spectral
-from walshlab.analysis import PExponent
+from walshlab import analysis, operators, spectral
+from walshlab.analysis import PExponent, hardy_quasinorm, lp_quasinorm, maximal_function, weak_lp_quasinorm
 from walshlab.functions import DyadicFunction, SpectralVector
 from walshlab.operators import (
     PolyWeight,
@@ -28,6 +30,7 @@ from walshlab.operators import (
 )
 
 from oracles import (
+    interval_average_maximal,
     naive_forward,
     partial_sum_by_definition,
     walsh_value,
@@ -66,9 +69,9 @@ def _function(values) -> DyadicFunction:
 
 @pytest.fixture
 def widths(monkeypatch):
-    """The dtype of every numerator array the transform and the engines build."""
+    """The dtype of every numerator array the transform, the norms and the engines build."""
     seen = []
-    for module in (spectral, operators):
+    for module in (spectral, analysis, operators):
         original = module._numerators
 
         def spy(*args, _original=original, **kwargs):
@@ -82,6 +85,14 @@ def widths(monkeypatch):
 
 def _types(values) -> set:
     return {type(v) for v in values}
+
+
+def _level_width(values) -> np.dtype:
+    """The numerator dtype of the level counts: headroom 0 over the lcm of the denominators."""
+    exact = [Fraction(v) for v in values]
+    denom = math.lcm(*(v.denominator for v in exact))
+    top = max(abs(v.numerator) * (denom // v.denominator) for v in exact)
+    return np.dtype(np.int64 if top.bit_length() <= 62 else object)
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
@@ -139,3 +150,49 @@ def test_restricted_maximal_numerators(name, scheme, widths):
     assert got.tolist() == want
     assert _types(got) == {Fraction}
     assert widths == [np.dtype(dtype)]
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_partial_sum_numerators(name, widths):
+    values, dtype = INPUTS[name]
+    f = _function(values)
+    sums = partial_sum_by_definition(values, M)
+    for n in range(1, SIZE):
+        got = spectral.partial_sum(f, n).values
+        assert got.tolist() == sums[n - 1]
+        assert _types(got) == {Fraction}
+    assert widths == [np.dtype(dtype)] * (SIZE - 1)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_maximal_function_numerators(name, widths):
+    values, dtype = INPUTS[name]
+    got = maximal_function(_function(values)).values
+    assert got.tolist() == interval_average_maximal(values, M)
+    assert _types(got) == {Fraction}
+    assert widths == [np.dtype(dtype)]
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_norm_numerators(name, widths):
+    values, dtype = INPUTS[name]
+    f = _function(values)
+    exact = [abs(Fraction(v)) for v in values]
+    peaks = interval_average_maximal(values, M)
+    weak = max(v * Fraction(sum(u >= v for u in exact), SIZE) ** 2 for v in exact)
+    got = [lp_quasinorm(f, 1), weak_lp_quasinorm(f, P_HALF), hardy_quasinorm(f, 1)]
+    assert got == [sum(exact) / SIZE, weak, sum(peaks) / SIZE]
+    assert _types(got) == {Fraction}
+    # lp and weak count the levels of f; hardy builds the pyramid, then counts its levels.
+    assert widths == [_level_width(values)] * 2 + [np.dtype(dtype), _level_width(peaks)]
+
+
+def test_level_counts_past_int64(widths):
+    values = [2**70, -(2**70), Fraction(2**70 + 1, 2), 0, 3, -3, 2**70, 1]
+    f = DyadicFunction(M, np.array(values, dtype=object), "exact")
+    levels, counts = analysis._abs_levels(f.values)
+    assert levels.tolist() == [1, 3, Fraction(2**70 + 1, 2), 2**70]
+    assert counts.tolist() == [1, 2, 1, 3]
+    assert widths == [np.dtype(object)]
+    assert weak_lp_quasinorm(f, 1) == max(v * Fraction(c, SIZE) for v, c in
+                                          ((1, 7), (3, 6), (Fraction(2**70 + 1, 2), 4), (2**70, 3)))

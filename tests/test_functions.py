@@ -80,6 +80,12 @@ def test_translate_range_check():
         translate(DyadicFunction.zeros(2), 4)
 
 
+def test_translate_point_must_share_resolution():
+    f = DyadicFunction.from_values(3, list(range(8)), "exact")
+    with pytest.raises(ValueError, match="resolution 5"):
+        translate(f, GroupPoint(5, 3))
+
+
 def test_csv_roundtrip_exact(tmp_path):
     f = DyadicFunction.from_values(2, [3, Fraction(-1, 2), 0, Fraction(7, 8)], "exact")
     path = tmp_path / "f.csv"

@@ -58,6 +58,9 @@ def test_table_weight_validation():
         TableWeight(((1, 0.5),))  # below 1
     with pytest.raises(ValueError):
         TableWeight(((5, 1.0), (2, 2.0)))  # unsorted orders
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="at n=5 is not finite"):
+            TableWeight(((1, 1.0), (5, bad)))
     tw = TableWeight.from_dict({"4": 2.0, "2": 1.0})
     assert tw.at(4) == 2.0
     with pytest.raises(ValueError):
@@ -441,10 +444,17 @@ def test_ties_do_not_keep_blocks_open(monkeypatch):
 
 
 def test_restricted_powers_equals_dyadic_maximal():
+    # Both halve the same pair sums, so the match is exact in float64 too.
     rng = np.random.default_rng(71)
-    f = DyadicFunction.from_values(5, rng.standard_normal(32))
-    got = restricted_maximal(f, Subsequence.powers_of_two(5), UnitWeight())
-    assert np.allclose(got.values, maximal_function(f).values, atol=1e-13)
+    for m in range(1, 13):
+        for values in (rng.standard_normal(1 << m), rng.integers(-64, 65, 1 << m) / 8.0):
+            f = DyadicFunction.from_values(m, values)
+            got = restricted_maximal(f, Subsequence.powers_of_two(m), UnitWeight())
+            assert np.array_equal(got.values, maximal_function(f).values), m
+    f = DyadicFunction.from_values(6, [Fraction(int(a), 1 << int(b)) for a, b in
+                                       zip(rng.integers(-99, 100, 64), rng.integers(0, 6, 64))], "exact")
+    got = restricted_maximal(f, Subsequence.powers_of_two(6), UnitWeight())
+    assert got.values.tolist() == maximal_function(f).values.tolist()
 
 
 def test_restricted_singleton_is_partial_sum():
