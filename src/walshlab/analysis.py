@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .functions import DyadicFunction, Mode, _exact_sum, _from_numerators, _halve, _numerators
+from .functions import DyadicFunction, Mode, Scalar, _exact_sum, _from_numerators, _halve, _numerators
 from .group import DyadicInterval
 
 ExponentLike = Union["PExponent", Fraction, float, int]
@@ -109,18 +109,52 @@ def _exact_root(x: Fraction, q: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _abs_levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct nonzero ``|values|``, ascending, and an int64 array of their counts.
+def _levels(nums: np.ndarray, unit: Scalar | None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct nonzero ``|nums|``, ascending, as values worth ``unit`` each, and their int64 counts.
 
-    Exact values are counted as integer numerators (``functions._numerators``,
-    headroom 0, as ``|num|`` is the largest intermediate), and only the
-    distinct levels are turned back into exact values.
+    ``(nums, unit)`` is a pair as ``functions._numerators`` gives it; only
+    the distinct levels are turned back into exact values.
     """
-    nums, unit = _numerators(values, 0)
     levels, counts = np.unique(np.abs(nums), return_counts=True)
     if levels.size and levels[0] == 0:
         levels, counts = levels[1:], counts[1:]
     return _from_numerators(levels, unit), counts
+
+
+def _abs_levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct nonzero ``|values|``, ascending, and an int64 array of their counts.
+
+    Exact values are counted as integer numerators (``functions._numerators``,
+    headroom 0, as ``|num|`` is the largest intermediate).
+    """
+    return _levels(*_numerators(values, 0))
+
+
+def _lp(nums: np.ndarray, unit: Scalar | None, size: int, p: ExponentLike):
+    """The ``L_p`` quasi-norm of the ``size`` values ``nums * unit`` (``unit`` None in float64)."""
+    pv = _exponent_value(p)
+    if pv <= 0:
+        raise ValueError(f"exponent must be positive, got {pv}")
+    if unit is None:
+        pw = float(pv)
+        total = _exact_sum(np.abs(nums) ** pw)
+        return (total / size) ** (1.0 / pw)
+    q = _require_reciprocal_integer(pv)
+    levels, counts = _levels(nums, unit)
+    counts = counts.tolist()
+    if not levels.size:
+        return Fraction(0)
+    if len(levels) == 1:
+        return levels[0] * Fraction(counts[0], size) ** q
+    total = Fraction(0)
+    for v, c in zip(levels, counts):
+        root = _exact_root(v, q)
+        if root is None:
+            raise ValueError(
+                f"L_{pv} quasi-norm of this function is irrational; use float64 mode"
+            )
+        total += Fraction(c, size) * root
+    return total**q
 
 
 def lp_quasinorm(f: DyadicFunction, p: ExponentLike):
@@ -130,29 +164,7 @@ def lp_quasinorm(f: DyadicFunction, p: ExponentLike):
     ``p = 1/q`` and returns a ``Fraction`` when the value is rational
     (always for a single-level function), raising otherwise.
     """
-    pv = _exponent_value(p)
-    if pv <= 0:
-        raise ValueError(f"exponent must be positive, got {pv}")
-    if f.mode == "float64":
-        pw = float(pv)
-        total = _exact_sum(np.abs(f.values) ** pw)
-        return (total / f.size) ** (1.0 / pw)
-    q = _require_reciprocal_integer(pv)
-    levels, counts = _abs_levels(f.values)
-    counts = counts.tolist()
-    if not levels.size:
-        return Fraction(0)
-    if len(levels) == 1:
-        return levels[0] * Fraction(counts[0], f.size) ** q
-    total = Fraction(0)
-    for v, c in zip(levels, counts):
-        root = _exact_root(v, q)
-        if root is None:
-            raise ValueError(
-                f"L_{pv} quasi-norm of this function is irrational; use float64 mode"
-            )
-        total += Fraction(c, f.size) * root
-    return total**q
+    return _lp(*_numerators(f.values, 0), f.size, p)
 
 
 def weak_lp_quasinorm(f: DyadicFunction, p: ExponentLike):
@@ -180,17 +192,11 @@ def weak_lp_quasinorm(f: DyadicFunction, p: ExponentLike):
     return best
 
 
-def maximal_function(f: DyadicFunction) -> DyadicFunction:
-    """Pointwise sup over all levels of the dyadic conditional expectations.
-
-    Level ``k`` averages ``f`` over the level-``k`` interval around each
-    point, which coincides with the 2^k-th spectral partial sum; the sup
-    runs over ``k = 0 .. m`` and dominates ``|f|``.  The averages are built
-    fine to coarse, then the running max is carried coarse to fine, so each
-    level is expanded once by a factor of two: O(2^m) in all.
+def _maximal_numerators(f: DyadicFunction) -> tuple[np.ndarray, Scalar | None]:
+    """The maximal function of ``f`` as the pair ``(nums, unit)`` of ``functions._numerators``.
 
     Exact mode runs on numerators pre-scaled by ``2^m``, each pair sum at
-    most twice the largest entry, and returns ``Fraction`` values.
+    most twice the largest entry.
     """
     values, unit = _numerators(f.values, 1, shift=f.m)
     pyramid = [np.abs(values)]
@@ -202,12 +208,29 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
     best = pyramid.pop()
     while pyramid:
         best = np.maximum(np.repeat(best, 2), pyramid.pop())
-    return f.with_values(_from_numerators(best, unit))
+    return best, unit
+
+
+def maximal_function(f: DyadicFunction) -> DyadicFunction:
+    """Pointwise sup over all levels of the dyadic conditional expectations.
+
+    Level ``k`` averages ``f`` over the level-``k`` interval around each
+    point, which coincides with the 2^k-th spectral partial sum; the sup
+    runs over ``k = 0 .. m`` and dominates ``|f|``.  The averages are built
+    fine to coarse, then the running max is carried coarse to fine, so each
+    level is expanded once by a factor of two: O(2^m) in all.  Exact mode
+    returns ``Fraction`` values.
+    """
+    return f.with_values(_from_numerators(*_maximal_numerators(f)))
 
 
 def hardy_quasinorm(f: DyadicFunction, p: ExponentLike):
-    """H_p quasi-norm: the L_p quasi-norm of the maximal function."""
-    return lp_quasinorm(maximal_function(f), p)
+    """H_p quasi-norm: the L_p quasi-norm of the maximal function.
+
+    Exact mode counts the levels straight off the maximal function's
+    numerators, so only its distinct levels become ``Fraction`` values.
+    """
+    return _lp(*_maximal_numerators(f), f.size, p)
 
 
 # -- atoms ---------------------------------------------------------------

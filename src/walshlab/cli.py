@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--part", choices=("a", "b", "both"), default="both")
     sp.add_argument("--config", help="JSON config for --part a or b, in place of flags")
     sp.add_argument("--p", action="append", help="exponent, repeatable (default 1/2, 1/3 for a; 1/2 for b)")
-    sp.add_argument("--resolution", type=int, metavar="M", help="default 12")
+    sp.add_argument("--resolution", type=int, metavar="M",
+                    help="cap on the scales, n + 1 <= M; each scale runs at n + 1 (default 12)")
     sp.add_argument("--scales", type=_parse_int_list, help="default 3..M-1 for a, 4..M-1 for b")
     sp.add_argument("--phi", choices=("unit", "rho"), help="weight for part b (default unit)")
     sp.add_argument("--probes", type=_parse_probes, help="part b probe orders in place of scales, e.g. 4:0,5:0")

@@ -564,6 +564,11 @@ def theorem2_growth(cfg: ExperimentConfig) -> ExperimentReport:
     ratio equals ``(n/2)^(1/p)`` with slope exactly ``1/p``, and that is
     the series the slope verdict applies to.  Strict growth is required of
     the full ratio, and the shell sums must match their closed form.
+
+    Each scale runs at resolution ``n + 1``, on which ``f_n`` and all its
+    operators depend; ``resolution`` only caps the scales.  The report is
+    the one resolution ``m`` would give: the norms are correctly rounded
+    sums, and each shell sum adds its block as it stands at ``m``.
     """
     _validate_thm2a(cfg)
     m = cfg.resolution
@@ -576,7 +581,7 @@ def theorem2_growth(cfg: ExperimentConfig) -> ExperimentReport:
         ratios = []
         shell_ratios = []
         for n in scales:
-            f = counterexample_fn(n, m, "float64")
+            f = counterexample_fn(n, n + 1, "float64")
             g = weighted_maximal(f, RhoWeight(p))
             lp_out = lp_quasinorm(g, p)
             hardy = hardy_quasinorm(f, p)
@@ -584,12 +589,14 @@ def theorem2_growth(cfg: ExperimentConfig) -> ExperimentReport:
 
             shell_sum = 0.0
             pw = float(p.p)
-            for s, shell in shell_decomposition(m).shells()[:n]:
+            for s, shell in shell_decomposition(n + 1).shells()[:n]:
                 q = probe_index(n, s).q
                 sq = partial_sum(f, q).values
                 block = np.abs(sq[shell.start : shell.stop])
                 w = 2.0 ** ((n - s) * (inv_p - 1.0))
-                shell_sum += float(((block / w) ** pw).sum()) / f.size
+                # np.sum's pairwise order depends on the length: sum the block as it stands at m.
+                terms = np.repeat((block / w) ** pw, 1 << (m - n - 1))
+                shell_sum += float(terms.sum()) / (1 << m)
             closed_form = n / 2.0 ** (n * (1.0 - pw) + 1.0)
             rel_err = abs(shell_sum - closed_form) / closed_form
             shell_ratio = shell_sum**inv_p / hardy
@@ -703,9 +710,12 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
     must track; with the trivial weight it diverges geometrically, with the
     reference weight itself it stays in a constant band.  The weight phi is
     ``cfg.scheme``, the unit weight when unset.
+
+    Each scale runs at resolution ``n + 1``, as in :func:`theorem2_growth`;
+    measures are exact ratios of counts, so the report is the one
+    resolution ``m`` would give.
     """
     phi = _validate_thm2b(cfg)
-    m = cfg.resolution
     cases = []
     per_p: dict[str, dict] = {}
     for p_str in cfg.p_list:
@@ -715,7 +725,7 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
         ratios = []
         for n, s in probes:
             q = probe_index(n, s).q
-            f = counterexample_fn(n, m, "float64")
+            f = counterexample_fn(n, n + 1, "float64")
             sq = partial_sum(f, q)
             phi_q = float_weight(phi, q)
             threshold = _PROBE_LOWER_CONSTANT * 2.0**s

@@ -183,8 +183,9 @@ def test_norm_numerators(name, widths):
     got = [lp_quasinorm(f, 1), weak_lp_quasinorm(f, P_HALF), hardy_quasinorm(f, 1)]
     assert got == [sum(exact) / SIZE, weak, sum(peaks) / SIZE]
     assert _types(got) == {Fraction}
-    # lp and weak count the levels of f; hardy builds the pyramid, then counts its levels.
-    assert widths == [_level_width(values)] * 2 + [np.dtype(dtype), _level_width(peaks)]
+    # lp and weak count the levels of f; hardy counts its levels on the pyramid's
+    # own numerators, with no second conversion.
+    assert widths == [_level_width(values)] * 2 + [np.dtype(dtype)]
 
 
 def test_level_counts_past_int64(widths):

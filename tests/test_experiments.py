@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from walshlab import experiments, operators, spectral
-from walshlab.analysis import PExponent
-from walshlab.constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, partial_sum_probe
+from walshlab.analysis import PExponent, hardy_quasinorm, lp_quasinorm
+from walshlab.constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, partial_sum_probe, probe_index
 from walshlab.experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -22,9 +22,10 @@ from walshlab.experiments import (
     verify_lemma1,
     worker_count,
 )
+from walshlab.group import shell_decomposition
 from walshlab.operators import PolyWeight, RhoWeight, TableWeight, weighted_maximal
 from walshlab.reporting import load_report
-from walshlab.spectral import dirichlet_dyadic
+from walshlab.spectral import dirichlet_dyadic, partial_sum
 
 
 # -- config ---------------------------------------------------------------------
@@ -355,6 +356,72 @@ def test_theorem2_runs_without_the_transform(monkeypatch):
     for mode in ("exact", "float64"):
         probe = partial_sum_probe(5, 2, 8, mode)
         assert np.abs(probe.values).tolist() == dirichlet_dyadic(2, 8, mode).values.tolist()
+
+
+_FULL_RESOLUTION_SCALES = {9: (1, 2, 3, 5, 8), 12: (4, 7, 11), 14: (5, 13)}
+
+
+@pytest.mark.parametrize("m", sorted(_FULL_RESOLUTION_SCALES))
+def test_theorem2_reports_equal_the_full_resolution_path(m):
+    # Both parts build f_n at n + 1. The reference here builds it at m and runs
+    # every operator, partial sum and norm on all 2^m points; the report fields
+    # must equal it exactly.
+    p_list = ("1/2", "1/3")
+    scales = _FULL_RESOLUTION_SCALES[m]
+    growth = theorem2_growth(ExperimentConfig(p_list=p_list, resolution=m, scales=scales))
+    assert len(growth.cases) == len(p_list) * len(scales)
+    for case in growth.cases:
+        n, p = case["n"], PExponent.parse(case["p"])
+        inv_p, pw = float(p.reciprocal), float(p.p)
+        f = counterexample_fn(n, m, "float64")
+        g = weighted_maximal(f, RhoWeight(p))
+        own = weighted_maximal(counterexample_fn(n, n + 1, "float64"), RhoWeight(p))
+        assert np.array_equal(g.values, np.repeat(own.values, 1 << (m - n - 1)))
+        lp_out, hardy = lp_quasinorm(g, p), hardy_quasinorm(f, p)
+        shell_sum = 0.0
+        for s, shell in shell_decomposition(m).shells()[:n]:
+            block = np.abs(partial_sum(f, probe_index(n, s).q).values[shell.start : shell.stop])
+            w = 2.0 ** ((n - s) * (inv_p - 1.0))
+            shell_sum += float(((block / w) ** pw).sum()) / f.size
+        assert case["lp_of_output"] == lp_out
+        assert case["hardy_of_input"] == hardy
+        assert case["ratio"] == lp_out / hardy
+        assert case["shell_sum"] == shell_sum
+        assert case["shell_ratio"] == shell_sum**inv_p / hardy
+
+    probes = tuple((n, s) for n in scales for s in sorted({0, n // 2, n - 1}))
+    for scheme in ({"kind": "unit"}, {"kind": "rho", "p": "1/2"}):
+        cfg = ExperimentConfig(p_list=p_list, resolution=m, probes=probes, scheme=scheme)
+        phi = operators.scheme_from_json(scheme)
+        cases = theorem2_weak_divergence(cfg).cases
+        assert len(cases) == len(p_list) * len(probes)
+        for case in cases:
+            n, s, p = case["n"], case["s"], PExponent.parse(case["p"])
+            f = counterexample_fn(n, m, "float64")
+            sq = partial_sum(f, probe_index(n, s).q)
+            threshold = 0.25 * 2.0**s
+            meas = int((np.abs(sq.values) >= threshold).sum()) / f.size
+            phi_q = operators.float_weight(phi, case["q"])
+            ratio = (threshold / phi_q) * meas ** float(p.reciprocal) / hardy_quasinorm(f, p)
+            assert case["measure"] == meas
+            assert case["ratio"] == ratio
+
+
+def test_theorem2b_cases_do_not_depend_on_resolution():
+    # resolution only caps the scales: every scale runs at its own n + 1, so
+    # the cap at 24 costs what the cap at 9 does.
+    fields = dict(p_list=("1/2", "1/3"), scales=(4, 5, 6, 7, 8), scheme={"kind": "rho", "p": "1/2"})
+    low = theorem2_weak_divergence(ExperimentConfig(resolution=9, **fields))
+    tracemalloc.start()
+    try:
+        high = theorem2_weak_divergence(ExperimentConfig(resolution=24, **fields))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert high.cases == low.cases
+    assert high.summary == low.summary
+    assert (high.config["resolution"], low.config["resolution"]) == (24, 9)
+    assert peak < 8 << 20  # one float64 function at m = 24 is 128 MiB
 
 
 # -- corollaries --------------------------------------------------------------------------
