@@ -6,8 +6,10 @@ dyadic-capable rational where mathematics allows: the key device is that
 for ``p = 1/q`` with integer ``q`` a single-level function has
 ``||f||_p = v * mu(support)^q``, and the weak quasi-norm is always the max
 of such rational candidates over the levels of the distribution function.
-The exact maximal function and level counts run on integer numerators
-(``functions._numerators``) and build exact values once, at the output.
+``LevelSet`` is that distribution, the one every norm and weak-type scan
+reads.  The exact maximal function and level counts run on integer
+numerators (``functions._numerators``) and build exact values once, at
+the output.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -45,7 +47,10 @@ class PExponent:
     def parse(cls, value: Union[str, float, int, Fraction, "PExponent"]) -> "PExponent":
         if isinstance(value, PExponent):
             return value
-        return cls(Fraction(value))
+        try:
+            return cls(Fraction(value))
+        except ZeroDivisionError:
+            raise ValueError(f"exponent {value} has a zero denominator") from None
 
     # Cached, since weight tables read them per order; eq, hash and pickle see ``p`` alone.
     @cached_property
@@ -69,11 +74,16 @@ class PExponent:
 
 
 def _exponent_value(p: ExponentLike) -> Union[Fraction, float]:
+    """``p`` as a ``Fraction``, or a float for float input; ``ValueError`` unless positive."""
     if isinstance(p, PExponent):
-        return p.p
-    if isinstance(p, (Fraction, int)):
-        return Fraction(p)
-    return float(p)
+        pv = p.p
+    elif isinstance(p, (Fraction, int)):
+        pv = Fraction(p)
+    else:
+        pv = float(p)
+    if not pv > 0:  # a nan exponent fails here too
+        raise ValueError(f"exponent must be positive, got {pv}")
+    return pv
 
 
 def _require_reciprocal_integer(p: Union[Fraction, float]) -> int:
@@ -109,38 +119,52 @@ def _exact_root(x: Fraction, q: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _levels(nums: np.ndarray, unit: Scalar | None) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct nonzero ``|nums|``, ascending, as values worth ``unit`` each, and their int64 counts.
+class LevelSet(NamedTuple):
+    """The distribution of ``|f|`` on ``size`` points: its distinct nonzero levels and their counts.
 
-    ``(nums, unit)`` is a pair as ``functions._numerators`` gives it; only
-    the distinct levels are turned back into exact values.
+    ``levels`` ascend, float64 or exact values in an object array; ``counts``
+    are int64 and may sum to less than ``size``, which the measures divide by.
     """
-    levels, counts = np.unique(np.abs(nums), return_counts=True)
-    if levels.size and levels[0] == 0:
-        levels, counts = levels[1:], counts[1:]
-    return _from_numerators(levels, unit), counts
 
+    levels: np.ndarray
+    counts: np.ndarray
+    size: int
 
-def _abs_levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct nonzero ``|values|``, ascending, and an int64 array of their counts.
+    @classmethod
+    def of(cls, nums: np.ndarray, unit: Scalar | None, size: int) -> "LevelSet":
+        """The level set of ``nums * unit``, a pair as ``functions._numerators`` gives it.
 
-    Exact values are counted as integer numerators (``functions._numerators``,
-    headroom 0, as ``|num|`` is the largest intermediate).
-    """
-    return _levels(*_numerators(values, 0))
+        Only the distinct levels are turned back into exact values.
+        """
+        levels, counts = np.unique(np.abs(nums), return_counts=True)
+        if levels.size and levels[0] == 0:
+            levels, counts = levels[1:], counts[1:]
+        return cls(_from_numerators(levels, unit), counts, size)
+
+    def scan(self, candidate: Callable, zero) -> tuple:
+        """The largest ``candidate(v, c)`` over the levels ``v`` and the level attaining it.
+
+        ``c`` is the int64 count of points at or above ``v``.  The scan
+        climbs from ``(zero, zero)``; a later level wins only when its
+        candidate is strictly larger.
+        """
+        best = level = zero
+        for v, c in zip(self.levels, self.counts[::-1].cumsum()[::-1]):
+            cand = candidate(v, c)
+            if cand > best:
+                best, level = cand, v
+        return best, level
 
 
 def _lp(nums: np.ndarray, unit: Scalar | None, size: int, p: ExponentLike):
     """The ``L_p`` quasi-norm of the ``size`` values ``nums * unit`` (``unit`` None in float64)."""
     pv = _exponent_value(p)
-    if pv <= 0:
-        raise ValueError(f"exponent must be positive, got {pv}")
     if unit is None:
         pw = float(pv)
         total = _exact_sum(np.abs(nums) ** pw)
         return (total / size) ** (1.0 / pw)
     q = _require_reciprocal_integer(pv)
-    levels, counts = _levels(nums, unit)
+    levels, counts, _ = LevelSet.of(nums, unit, size)
     counts = counts.tolist()
     if not levels.size:
         return Fraction(0)
@@ -172,24 +196,16 @@ def weak_lp_quasinorm(f: DyadicFunction, p: ExponentLike):
 
     The distribution function is a right-continuous step function, so the
     supremum is attained as ``t`` climbs to a level from the left; scanning
-    the distinct levels of ``|f|`` gives the exact value with no grid.
+    the distinct levels of ``|f|`` gives the exact value with no grid.  The
+    mode only picks how ``mu^(1/p)`` is formed.
     """
     pv = _exponent_value(p)
-    if pv <= 0:
-        raise ValueError(f"exponent must be positive, got {pv}")
-    levels, counts = _abs_levels(f.values)
-    at_least = counts[::-1].cumsum()[::-1]  # count of |f| >= level
+    levels = LevelSet.of(*_numerators(f.values, 0), f.size)
     if f.mode == "float64":
-        pw = float(pv)
-        best = 0.0
-        for v, c in zip(levels, at_least):
-            best = max(best, float(v) * (c / f.size) ** (1.0 / pw))
-        return best
+        root = 1.0 / float(pv)
+        return levels.scan(lambda v, c: v * (c / f.size) ** root, 0.0)[0]
     q = _require_reciprocal_integer(pv)
-    best = Fraction(0)
-    for v, c in zip(levels, at_least.tolist()):
-        best = max(best, v * Fraction(c, f.size) ** q)
-    return best
+    return levels.scan(lambda v, c: v * Fraction(int(c), f.size) ** q, Fraction(0))[0]
 
 
 def _maximal_numerators(f: DyadicFunction) -> tuple[np.ndarray, Scalar | None]:

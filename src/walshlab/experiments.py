@@ -18,6 +18,7 @@ so verdicts enforce stability or growth trends rather than absolute caps.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
@@ -27,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .analysis import PExponent, hardy_quasinorm, lp_quasinorm, weak_lp_quasinorm
+from .analysis import LevelSet, PExponent, hardy_quasinorm, lp_quasinorm, weak_lp_quasinorm
 from .constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, probe_index
 from .group import as_resolution, shell_decomposition
 from .operators import (
@@ -37,6 +38,7 @@ from .operators import (
     TableWeight,
     UnitWeight,
     WeightScheme,
+    _weak_type,
     float_weight,
     restricted_maximal,
     scheme_from_json,
@@ -161,11 +163,16 @@ class ExperimentConfig:
             elif key == "resolution" and value is not None and not _is_int(value):
                 problems.append("'resolution' must be an integer")
                 continue
+            elif key in ("ratio_cap", "growth_floor", "band_cap", "slope_fraction") and not (
+                _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+            ):
+                problems.append(f"'{key}' must be a finite number")
+                continue
             kwargs[key] = value
         for pstr in kwargs.get("p_list", ()):
             try:
                 PExponent.parse(pstr)
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 problems.append(f"'p_list' entry {pstr!r} is not an exponent in (0, 1]")
         if problems:
             raise ConfigError(problems)
@@ -398,11 +405,9 @@ def _thm1_case(args: tuple) -> dict:
     g = weighted_maximal(atom.values, RhoWeight(p))
     gv = g.values
 
-    iv = atom.support
-    off = iv.complement_indices()
-    wt = weak_type_constant(
-        g, p, off, f"complement({iv})", {"generator": generator, "trial": trial}
-    )
+    # The atom's support is I_M(0), so the points off it are the shells s < M.
+    off = LevelSet.of(gv[atom.support.complement_indices()], None, g.size)
+    wt = _weak_type(off, float(p.p))
     weak_all = weak_lp_quasinorm(g, p)
     hardy = hardy_quasinorm(atom.values, p)
     normalized = weak_all / hardy if hardy > 0 else 0.0
@@ -415,19 +420,15 @@ def _thm1_case(args: tuple) -> dict:
     shell_constant = max(shell_ratios) if shell_ratios else 0.0
 
     # Tail bound: above threshold 2^(k/p) (times the trial constant), the
-    # super-level set off the support keeps measure below 2^(1-k).
+    # super-level set off the support keeps measure below 2^(1-k).  Its
+    # count is a search of the off-support levels; sigma0 reads the top one.
     sigma4_margin = None
     if shell_constant > 0:
-        off_vals = gv[off]
-        worst = -np.inf
-        for k in range(level):
-            thr = shell_constant * 2.0 ** (k * inv_p)
-            meas = int((off_vals >= thr).sum()) / g.size
-            worst = max(worst, meas - 2.0 / (1 << k))
-        sigma4_margin = worst
+        above = np.searchsorted(off.levels, [shell_constant * 2.0 ** (k * inv_p) for k in range(level)])
+        sigma4_margin = max(int(off.counts[i:].sum()) / g.size - 2.0 / (1 << k) for k, i in enumerate(above))
     sigma0_ok = bool(
         shell_constant == 0.0
-        or float(gv[off].max()) <= shell_constant * 2.0 ** (level * inv_p)
+        or float(off.levels[-1]) <= shell_constant * 2.0 ** (level * inv_p)
     )
 
     return {

@@ -34,6 +34,9 @@ once for float64 and exact:
   level on typical inputs, and never more than O(4^m);
 * ``restricted_maximal`` assembles each requested partial sum from the
   same packet table in ``popcount(n)`` vector steps.
+
+``weak_type_constant`` measures an operator's output through
+``analysis.LevelSet``, the distribution of ``|f|`` the norms read too.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import ClassVar, Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .analysis import PExponent, _abs_levels
+from .analysis import ExponentLike, LevelSet, PExponent, _exponent_value
 from .functions import DyadicFunction, _divider, _from_numerators, _halve, _numerators
 from .spectral import _nest_partial_sum, index_stats
 
@@ -508,28 +511,14 @@ def restricted_maximal(
 class WeakTypeReport:
     """The measured ``sup_t t^p mu{g >= t}`` with its attaining level."""
 
-    p: str
     value: float
     attaining_level: float
-    restricted_to: str | None
-    function_meta: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "value": self.value,
-            "attaining_level": self.attaining_level,
-            "restricted_to": self.restricted_to,
-            "function_meta": self.function_meta,
-        }
 
 
 def weak_type_constant(
     g: DyadicFunction,
-    p: PExponent,
+    p: ExponentLike,
     restrict_to: np.ndarray | None = None,
-    restrict_label: str | None = None,
-    function_meta: dict | None = None,
 ) -> WeakTypeReport:
     """Exact sup over levels of ``t^p mu{g >= t}`` for a nonnegative ``g``.
 
@@ -538,23 +527,16 @@ def weak_type_constant(
     excluded.  The sup over real ``t`` is attained at a level of ``g``
     because the distribution function only steps there.
     """
+    pv = _exponent_value(p)
     vals = g.as_float_array()
     if not (vals >= 0).all():
         raise ValueError("weak-type measurement expects a nonnegative function")
     if restrict_to is not None:
         vals = vals[np.asarray(restrict_to, dtype=np.int64)]
-    pw = float(p.p)
-    levels, counts = _abs_levels(vals)
-    at_least = counts[::-1].cumsum()[::-1]
-    best, attain = 0.0, 0.0
-    for v, c in zip(levels, at_least):
-        cand = float(v) ** pw * (int(c) / g.size)
-        if cand > best:
-            best, attain = cand, float(v)
-    return WeakTypeReport(
-        p=str(p),
-        value=best,
-        attaining_level=attain,
-        restricted_to=restrict_label,
-        function_meta=function_meta or {},
-    )
+    return _weak_type(LevelSet.of(vals, None, g.size), float(pv))
+
+
+def _weak_type(levels: LevelSet, pw: float) -> WeakTypeReport:
+    """``weak_type_constant`` at exponent ``pw``, read off a float64 level set."""
+    best, level = levels.scan(lambda v, c: float(v) ** pw * (int(c) / levels.size), 0.0)
+    return WeakTypeReport(best, float(level))

@@ -104,3 +104,17 @@ def weighted_maximal_by_definition(values, m: int, weight) -> list:
         for x, s in enumerate(sums):
             out[x] = max(out[x], abs(s) / w)
     return out
+
+
+def weak_lp_by_definition(values, m: int, p: Fraction) -> Fraction:
+    """sup over nonzero t in |values| of t (#{|f| >= t} / 2^m)^(1/p), in Fractions.
+
+    Float values are read as the rationals they are; ``1/p`` must be an
+    integer, so every candidate is exact.
+    """
+    size = 1 << m
+    levels = [abs(Fraction(v)) for v in values]
+    return max(
+        (t * Fraction(sum(u >= t for u in levels), size) ** (1 / p) for t in levels if t),
+        default=Fraction(0),
+    )

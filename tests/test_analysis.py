@@ -21,7 +21,7 @@ from walshlab.functions import DyadicFunction
 from walshlab.group import GroupPoint, interval, point_e
 from walshlab.spectral import dirichlet_direct, dirichlet_dyadic, walsh
 
-from oracles import interval_average_maximal
+from oracles import interval_average_maximal, weak_lp_by_definition
 
 
 def test_pexponent_parsing_and_properties():
@@ -32,7 +32,7 @@ def test_pexponent_parsing_and_properties():
     q = PExponent.parse(0.75)
     assert q.p == Fraction(3, 4) and not q.is_exact
     assert PExponent.parse(1).weight_exponent == 0
-    for bad in ("0", "9/8", -0.5):
+    for bad in ("0", "9/8", -0.5, "1/0"):
         with pytest.raises(ValueError):
             PExponent.parse(bad)
 
@@ -81,6 +81,10 @@ def test_lp_rejects_bad_exponents():
         lp_quasinorm(f, 0)
     with pytest.raises(ValueError):
         lp_quasinorm(f, -1)
+    # A nan exponent would otherwise give nan for L_p and 0.0 for weak L_p.
+    for norm in (lp_quasinorm, weak_lp_quasinorm):
+        with pytest.raises(ValueError):
+            norm(f, float("nan"))
 
 
 def test_lp_exact_multi_level_perfect_roots():
@@ -154,6 +158,45 @@ def test_weak_lp_equals_lp_for_unimodular_values():
         signs = rng.choice([-1.0, 1.0], size=1 << m)
         f = DyadicFunction.from_values(m, signs)
         assert weak_lp_quasinorm(f, 0.5) == 1.0 == lp_quasinorm(f, 0.5)
+
+
+_EXACT_KINDS = ("ints", "past-int64", "thirds", "dyadic")
+
+
+@given(st.integers(1, 8), st.sampled_from((1, 2, 3)), st.sampled_from(_EXACT_KINDS), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_weak_lp_matches_definition_exact(m, q, kind, seed):
+    # Small entries repeat, so most levels are held by several points.
+    rng = np.random.default_rng(seed)
+    small = [int(v) for v in rng.integers(-4, 5, 1 << m)]
+    values = {
+        "ints": small,
+        "past-int64": [v * 2**70 + int(b) for v, b in zip(small, rng.integers(0, 2, 1 << m))],
+        "thirds": [Fraction(v, 3) for v in small],
+        "dyadic": [Fraction(v, 1 << int(e)) for v, e in zip(small, rng.integers(0, 6, 1 << m))],
+    }[kind]
+    f = DyadicFunction(m, np.array(values, dtype=object), "exact")
+    got = weak_lp_quasinorm(f, Fraction(1, q))
+    assert got == weak_lp_by_definition(values, m, Fraction(1, q))
+    assert type(got) is Fraction
+
+
+@given(st.integers(1, 8), st.sampled_from((1, 2, 3)), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_weak_lp_matches_definition_float(m, q, dyadic, seed):
+    # Dyadic entries of a few bits keep every candidate exact, so the float
+    # result must equal the rounded definition bit for bit.
+    rng = np.random.default_rng(seed)
+    if dyadic:
+        values = rng.integers(-8, 9, 1 << m) / 2.0 ** rng.integers(0, 4, 1 << m)
+    else:
+        values = rng.standard_normal(1 << m)
+    got = weak_lp_quasinorm(DyadicFunction.from_values(m, values), Fraction(1, q))
+    want = float(weak_lp_by_definition(values.tolist(), m, Fraction(1, q)))
+    if dyadic:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # -- maximal function ---------------------------------------------------------------

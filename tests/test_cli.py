@@ -269,6 +269,19 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
         # A non-finite table weight (JSON NaN) fails validation, not mid-run.
         ({**_THM2B_CFG, "scheme": {"kind": "table", "values": {"1": 1.0, "2": float("nan")}}},
          ["thm2", "--part", "b"], "at n=2 is not finite"),
+        # An exponent with a zero denominator is bad input on every path.
+        (None, ["thm1", "--p", "1/0", "--levels", "3", "--trials", "1"], "zero denominator"),
+        (None, ["thm2", "--part", "a", "--p", "1/0", "--resolution", "8"], "zero denominator"),
+        (None, ["thm2", "--part", "b", "--p", "1/0", "--resolution", "8"], "zero denominator"),
+        (None, ["corollaries", "--p", "1/0", "--resolution", "6", "--trials", "1"], "zero denominator"),
+        ({**_THM2B_CFG, "scheme": {"kind": "rho", "p": "1/0"}}, ["thm2", "--part", "b"], "zero denominator"),
+        # The float gates take finite numbers only, checked before any trial runs.
+        ({**_THM1_CFG, "ratio_cap": "abc"}, ["thm1"], "'ratio_cap' must be a finite number"),
+        ({**_THM1_CFG, "ratio_cap": float("nan")}, ["thm1"], "'ratio_cap' must be a finite number"),
+        ({**_THM2A_CFG, "slope_fraction": None}, ["thm2", "--part", "a"], "'slope_fraction' must be"),
+        ({**_THM2B_CFG, "growth_floor": "x"}, ["thm2", "--part", "b"], "'growth_floor' must be"),
+        ({**_THM2B_CFG, "band_cap": True}, ["thm2", "--part", "b"], "'band_cap' must be"),
+        ({**_THM2B_CFG, "band_cap": float("inf")}, ["thm2", "--part", "b"], "'band_cap' must be"),
     ],
 )
 def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):

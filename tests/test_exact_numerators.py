@@ -191,7 +191,7 @@ def test_norm_numerators(name, widths):
 def test_level_counts_past_int64(widths):
     values = [2**70, -(2**70), Fraction(2**70 + 1, 2), 0, 3, -3, 2**70, 1]
     f = DyadicFunction(M, np.array(values, dtype=object), "exact")
-    levels, counts = analysis._abs_levels(f.values)
+    levels, counts, _ = analysis.LevelSet.of(*analysis._numerators(f.values, 0), SIZE)
     assert levels.tolist() == [1, 3, Fraction(2**70 + 1, 2), 2**70]
     assert counts.tolist() == [1, 2, 1, 3]
     assert widths == [np.dtype(object)]

@@ -54,9 +54,19 @@ def test_config_rejects_unknown_and_bad_fields():
 
 
 def test_config_rejects_bad_exponent():
+    for entry in ("5/4", "1/0"):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_json_dict({"p_list": [entry]})
+        assert entry in "; ".join(exc.value.problems)
+
+
+def test_config_float_gates_take_finite_numbers():
+    gates = {"ratio_cap": 2, "growth_floor": 1.25, "band_cap": 3, "slope_fraction": 0.5}
+    cfg = ExperimentConfig.from_json_dict(gates)
+    assert {key: getattr(cfg, key) for key in gates} == gates
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig.from_json_dict({"p_list": ["5/4"]})
-    assert "5/4" in "; ".join(exc.value.problems)
+        ExperimentConfig.from_json_dict({"ratio_cap": False, "band_cap": float("-inf"), "growth_floor": [1]})
+    assert len(exc.value.problems) == 3
 
 
 _CONTRACT_RUNS = {
@@ -246,6 +256,15 @@ def test_theorem1_shell_constant_reads_shells_by_definition():
         g = weighted_maximal(make_atom(recipe, m).values, RhoWeight(p)).values
         want = max(g[1 << (m - s - 1) : 1 << (m - s)].max() / 2.0 ** (2 * s) for s in range(level))
         assert case["shell_constant"] == want
+        # The tail statistics read the off-support points, the shells s < M.
+        off = g[1 << (m - level) :]
+        cands = {float(t): float(t) ** 0.5 * (int((off >= t).sum()) / g.size) for t in off[off > 0]}
+        best = max(cands.values())
+        assert case["wt_off_value"] == best
+        assert case["wt_off_attaining_level"] == min(t for t, c in cands.items() if c == best)
+        tails = [int((off >= want * 2.0 ** (2 * k)).sum()) / g.size - 2.0 / (1 << k) for k in range(level)]
+        assert case["sigma4_margin"] == max(tails)
+        assert case["sigma0_ok"] == bool(off.max() <= want * 2.0 ** (2 * level))
 
 
 def test_theorem1_config_validation():

@@ -491,7 +491,15 @@ def test_weak_type_single_level():
     rep = weak_type_constant(g, P_HALF)
     assert rep.value == 8**0.5 * 2**-3
     assert rep.attaining_level == 8.0
-    assert rep.restricted_to is None
+
+
+def test_weak_type_takes_any_exponent_the_norms_take():
+    g = dirichlet_dyadic(3, 6, "float64")
+    want = weak_type_constant(g, P_HALF)
+    assert weak_type_constant(g, Fraction(1, 2)) == want == weak_type_constant(g, 0.5)
+    for p in (0, -1, Fraction(-1, 2), 0.0, float("nan")):
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            weak_type_constant(g, p)
 
 
 def test_weak_type_zero_function():
@@ -512,17 +520,9 @@ def test_weak_type_restriction():
     vals[0] = 100.0  # huge spike inside the excluded region
     vals[8:] = 2.0
     g = DyadicFunction.from_values(4, vals)
-    rep = weak_type_constant(g, P_HALF, np.arange(4, 16), "off-head")
+    rep = weak_type_constant(g, P_HALF, np.arange(4, 16))
     assert rep.attaining_level == 2.0
     assert rep.value == 2**0.5 * (8 / 16)
-    assert rep.restricted_to == "off-head"
-
-
-def test_weak_type_report_json():
-    rep = weak_type_constant(DyadicFunction.zeros(3), P_HALF, function_meta={"k": 1})
-    d = rep.to_json_dict()
-    assert set(d) == {"p", "value", "attaining_level", "restricted_to", "function_meta"}
-    assert d["p"] == "1/2" and d["function_meta"] == {"k": 1}
 
 
 @given(st.integers(0, 2**32 - 1))
