@@ -14,6 +14,7 @@ the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -51,6 +52,8 @@ class PExponent:
             return cls(Fraction(value))
         except ZeroDivisionError:
             raise ValueError(f"exponent {value} has a zero denominator") from None
+        except OverflowError:
+            raise ValueError(f"exponent {value} is not finite") from None
 
     # Cached, since weight tables read them per order; eq, hash and pickle see ``p`` alone.
     @cached_property
@@ -74,15 +77,15 @@ class PExponent:
 
 
 def _exponent_value(p: ExponentLike) -> Union[Fraction, float]:
-    """``p`` as a ``Fraction``, or a float for float input; ``ValueError`` unless positive."""
+    """``p`` as a ``Fraction``, or a float for float input; ``ValueError`` unless positive and finite."""
     if isinstance(p, PExponent):
         pv = p.p
     elif isinstance(p, (Fraction, int)):
         pv = Fraction(p)
     else:
         pv = float(p)
-    if not pv > 0:  # a nan exponent fails here too
-        raise ValueError(f"exponent must be positive, got {pv}")
+    if not 0 < pv < math.inf:  # a nan exponent fails here too
+        raise ValueError(f"exponent must be positive and finite, got {pv}")
     return pv
 
 

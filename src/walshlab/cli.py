@@ -27,7 +27,6 @@ from .experiments import (
     theorem1_weak_type,
     theorem2_growth,
     theorem2_weak_divergence,
-    validate_config,
     verify_all,
     verify_kernel_l1_sandwich,
     verify_kernels,
@@ -223,7 +222,7 @@ def _cmd_thm2(args) -> int:
         parts.append(("thm2b", theorem2_weak_divergence, out,
                       _config(args, "thm2b", _THM2_FLAGS, lambda: _thm2b_from_flags(args))))
     for experiment, _, _, cfg in parts:
-        validate_config(experiment, cfg)
+        EXPERIMENTS[experiment].validate(cfg)
     ok = True
     for experiment, run, out, cfg in parts:
         started = time.perf_counter()

@@ -23,13 +23,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .analysis import LevelSet, PExponent, hardy_quasinorm, lp_quasinorm, weak_lp_quasinorm
+from .analysis import AtomSpec, LevelSet, PExponent, hardy_quasinorm, lp_quasinorm, weak_lp_quasinorm
 from .constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, probe_index
+from .functions import DyadicFunction
 from .group import as_resolution, shell_decomposition
 from .operators import (
     PolyWeight,
@@ -43,7 +45,6 @@ from .operators import (
     restricted_maximal,
     scheme_from_json,
     scheme_to_json,
-    weak_type_constant,
     weighted_maximal,
 )
 from .reporting import ExperimentReport
@@ -76,30 +77,15 @@ class ConfigError(ValueError):
 
 
 class ExperimentContract(NamedTuple):
-    """The config fields an experiment reads and the case keys of its TSV series."""
+    """The config fields an experiment reads, the case keys of its TSV series and its config check.
+
+    ``validate`` raises ``ConfigError`` if a config cannot run the
+    experiment, and runs nothing.
+    """
 
     fields: tuple[str, ...]
     series: tuple[str, str]
-
-
-#: A config may set only the fields its experiment reads, and the report
-#: records them all but ``jobs``, a run setting kept in the ``.meta.json``
-#: sidecar, so feeding a report's config back reruns it.
-EXPERIMENTS = {
-    "thm1": ExperimentContract(
-        ("name", "p_list", "support_levels", "trials", "seed", "extra_resolution", "ratio_cap", "jobs"),
-        ("M", "max_wt_off"),
-    ),
-    "thm2a": ExperimentContract(
-        ("name", "p_list", "resolution", "scales", "seed", "slope_fraction"),
-        ("n", "ratio"),
-    ),
-    "thm2b": ExperimentContract(
-        ("name", "p_list", "resolution", "scales", "probes", "scheme", "expectation", "seed",
-         "growth_floor", "band_cap"),
-        ("n", "ratio"),
-    ),
-}
+    validate: Callable[["ExperimentConfig"], object]
 
 
 @dataclass(frozen=True)
@@ -396,17 +382,26 @@ def _trial_seed(seed: int, trial: int) -> int:
     return (seed ^ ((trial + 1) * _GOLDEN)) & _MASK64
 
 
+def _trial_atom(p_str: str, level: int, m: int, seed: int, trial: int) -> tuple[str, AtomSpec]:
+    """A trial's generator and its float64 atom on ``I_level(0)`` at resolution ``m``."""
+    generator = GENERATORS[trial % len(GENERATORS)]
+    recipe = AtomRecipe(level, 0, PExponent.parse(p_str), generator, _trial_seed(seed, trial))
+    return generator, make_atom(recipe, m, "float64")
+
+
+def _off_support(g: DyadicFunction, level: int) -> LevelSet:
+    """The level set of ``g`` off the support ``I_level(0)``: the shells ``s < level``, one slice."""
+    return LevelSet.of(g.values[g.size >> level :], None, g.size)
+
+
 def _thm1_case(args: tuple) -> dict:
     p_str, level, m, seed, trial = args
-    p = PExponent.parse(p_str)
-    generator = GENERATORS[trial % len(GENERATORS)]
-    recipe = AtomRecipe(level, 0, p, generator, _trial_seed(seed, trial))
-    atom = make_atom(recipe, m, "float64")
+    generator, atom = _trial_atom(*args)
+    p = atom.p
     g = weighted_maximal(atom.values, RhoWeight(p))
     gv = g.values
 
-    # The atom's support is I_M(0), so the points off it are the shells s < M.
-    off = LevelSet.of(gv[atom.support.complement_indices()], None, g.size)
+    off = _off_support(g, level)
     wt = _weak_type(off, float(p.p))
     weak_all = weak_lp_quasinorm(g, p)
     hardy = hardy_quasinorm(atom.values, p)
@@ -680,16 +675,27 @@ def _validate_thm2b(cfg: ExperimentConfig) -> WeightScheme:
     return phi
 
 
-_VALIDATORS: dict[str, Callable[[ExperimentConfig], object]] = {
-    "thm1": _validate_thm1,
-    "thm2a": _validate_thm2a,
-    "thm2b": _validate_thm2b,
+#: A config may set only the fields its experiment reads, and the report
+#: records them all but ``jobs``, a run setting kept in the ``.meta.json``
+#: sidecar, so feeding a report's config back reruns it.
+EXPERIMENTS = {
+    "thm1": ExperimentContract(
+        ("name", "p_list", "support_levels", "trials", "seed", "extra_resolution", "ratio_cap", "jobs"),
+        ("M", "max_wt_off"),
+        _validate_thm1,
+    ),
+    "thm2a": ExperimentContract(
+        ("name", "p_list", "resolution", "scales", "seed", "slope_fraction"),
+        ("n", "ratio"),
+        _validate_thm2a,
+    ),
+    "thm2b": ExperimentContract(
+        ("name", "p_list", "resolution", "scales", "probes", "scheme", "expectation", "seed",
+         "growth_floor", "band_cap"),
+        ("n", "ratio"),
+        _validate_thm2b,
+    ),
 }
-
-
-def validate_config(experiment: str, cfg: ExperimentConfig) -> None:
-    """Raise ``ConfigError`` if ``cfg`` cannot run ``experiment``; runs nothing."""
-    _VALIDATORS[experiment](cfg)
 
 
 def _auto_probe_bit(n: int, p: PExponent, phi: WeightScheme) -> int:
@@ -790,8 +796,8 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
 # -- corollary suite ----------------------------------------------------------
 
 
-def _corollary_operators(m: int, p: PExponent) -> dict[str, tuple]:
-    """Named (kind, payload) operator specs; built per resolution."""
+def _corollary_operators(m: int, p: PExponent) -> dict[str, tuple[Subsequence | None, WeightScheme]]:
+    """Named ``(orders, weight)`` operators at resolution ``m``; ``orders`` None runs every order."""
     e = p.weight_exponent
     powers = Subsequence.powers_of_two(m)
     bounded = Subsequence(tuple((1 << k) + (1 << (k - 1)) for k in range(1, m)))
@@ -804,36 +810,33 @@ def _corollary_operators(m: int, p: PExponent) -> dict[str, tuple]:
         tuple((n, 2.0 ** float(k * e)) for k, n in zip(range(1, m), spikes.indices))
     )
     ops: dict[str, tuple] = {
-        "dyadic-orders-unit": ("restricted", powers, UnitWeight()),
-        "bounded-spread-unit": ("restricted", bounded, UnitWeight()),
-        "unbounded-spread-unit": ("restricted", spikes, UnitWeight()),
-        "half-bit-weighted": ("restricted", Subsequence(half), half_weights),
-        "spike-orders-rho-exponent": ("restricted", spikes, spike_rho),
-        "polynomial-weight": ("full", None, PolyWeight(p)),
+        "dyadic-orders-unit": (powers, UnitWeight()),
+        "bounded-spread-unit": (bounded, UnitWeight()),
+        "unbounded-spread-unit": (spikes, UnitWeight()),
+        "half-bit-weighted": (Subsequence(half), half_weights),
+        "spike-orders-rho-exponent": (spikes, spike_rho),
+        "polynomial-weight": (None, PolyWeight(p)),
     }
     stated = p.reciprocal - 2
     if stated >= 0:
         spike_stated = TableWeight(
             tuple((n, 2.0 ** float(k * stated)) for k, n in zip(range(1, m), spikes.indices))
         )
-        ops["spike-orders-stated-exponent"] = ("restricted", spikes, spike_stated)
+        ops["spike-orders-stated-exponent"] = (spikes, spike_stated)
     return ops
 
 
-def _corollary_case(args: tuple) -> dict:
+def _corollary_case(ops: dict, args: tuple) -> dict:
     p_str, level, m, seed, trial = args
-    p = PExponent.parse(p_str)
-    generator = GENERATORS[trial % len(GENERATORS)]
-    recipe = AtomRecipe(level, 0, p, generator, _trial_seed(seed, trial))
-    atom = make_atom(recipe, m, "float64")
-    off = atom.support.complement_indices()
+    generator, atom = _trial_atom(*args)
+    pw = float(atom.p.p)
     row: dict = {"p": p_str, "M": level, "trial": trial, "generator": generator}
-    for op_name, (kind, seq, scheme) in _corollary_operators(m, p).items():
-        if kind == "restricted":
-            g = restricted_maximal(atom.values, seq, scheme)
-        else:
+    for op_name, (orders, scheme) in ops.items():
+        if orders is None:
             g = weighted_maximal(atom.values, scheme)
-        row[op_name] = weak_type_constant(g, p, off).value
+        else:
+            g = restricted_maximal(atom.values, orders, scheme)
+        row[op_name] = _weak_type(_off_support(g, level), pw).value
     return row
 
 
@@ -879,12 +882,12 @@ def corollary_suite(
             f"both two-level end windows would hold level {shared}"
         )
 
+    ops = _corollary_operators(r.m, p)
     tasks = [(str(p), lv, r.m, seed, t) for lv in levels for t in range(trials)]
-    cases = _map_tasks(_corollary_case, tasks, jobs)
+    cases = _map_tasks(partial(_corollary_case, ops), tasks, jobs)
 
-    op_names = list(_corollary_operators(r.m, p).keys())
     trends: dict[str, dict] = {}
-    for op_name in op_names:
+    for op_name in ops:
         maxima = []
         for lv in levels:
             rows = [c[op_name] for c in cases if c["M"] == lv]

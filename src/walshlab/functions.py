@@ -280,11 +280,6 @@ class SpectralVector:
     def size(self) -> int:
         return self.coeffs.shape[0]
 
-    def as_float_array(self) -> np.ndarray:
-        if self.mode == "float64":
-            return self.coeffs
-        return np.array([float(v) for v in self.coeffs], dtype=np.float64)
-
 
 def values_equal(a: Union[DyadicFunction, SpectralVector], b: Union[DyadicFunction, SpectralVector]) -> bool:
     """Elementwise equality of the stored values (exact; no tolerance)."""

@@ -139,12 +139,6 @@ class DyadicInterval:
         idx = x.idx if isinstance(x, GroupPoint) else x
         return self.start <= idx < self.stop
 
-    def complement_indices(self) -> np.ndarray:
-        n = 1 << self.m
-        return np.concatenate(
-            [np.arange(0, self.start), np.arange(self.stop, n)]
-        )
-
     def __str__(self) -> str:
         return f"I_{self.level}({self.start})@m={self.m}"
 

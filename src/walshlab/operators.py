@@ -525,18 +525,19 @@ def weak_type_constant(
     The measure always refers to the whole group; ``restrict_to`` limits
     the event ``{g >= t}`` to an index set, as when an atom's support is
     excluded.  The sup over real ``t`` is attained at a level of ``g``
-    because the distribution function only steps there.
+    because the distribution function only steps there.  Exact input is
+    read as numerators, so only its distinct levels become floats.
     """
     pv = _exponent_value(p)
-    vals = g.as_float_array()
-    if not (vals >= 0).all():
+    nums, unit = _numerators(g.values, 0)
+    if not (nums >= 0).all():
         raise ValueError("weak-type measurement expects a nonnegative function")
     if restrict_to is not None:
-        vals = vals[np.asarray(restrict_to, dtype=np.int64)]
-    return _weak_type(LevelSet.of(vals, None, g.size), float(pv))
+        nums = nums[np.asarray(restrict_to, dtype=np.int64)]
+    return _weak_type(LevelSet.of(nums, unit, g.size), float(pv))
 
 
 def _weak_type(levels: LevelSet, pw: float) -> WeakTypeReport:
-    """``weak_type_constant`` at exponent ``pw``, read off a float64 level set."""
+    """``weak_type_constant`` at exponent ``pw``, read off a level set of either mode."""
     best, level = levels.scan(lambda v, c: float(v) ** pw * (int(c) / levels.size), 0.0)
     return WeakTypeReport(best, float(level))

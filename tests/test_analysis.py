@@ -32,7 +32,7 @@ def test_pexponent_parsing_and_properties():
     q = PExponent.parse(0.75)
     assert q.p == Fraction(3, 4) and not q.is_exact
     assert PExponent.parse(1).weight_exponent == 0
-    for bad in ("0", "9/8", -0.5, "1/0"):
+    for bad in ("0", "9/8", -0.5, "1/0", float("inf"), float("-inf"), float("nan"), "inf"):
         with pytest.raises(ValueError):
             PExponent.parse(bad)
 
@@ -85,6 +85,12 @@ def test_lp_rejects_bad_exponents():
     for norm in (lp_quasinorm, weak_lp_quasinorm):
         with pytest.raises(ValueError):
             norm(f, float("nan"))
+    # An infinite one would give 1.0 for the L_p and H_p norms of 0..7, whose sup is 7.
+    g = DyadicFunction.from_values(3, range(8))
+    for norm in (lp_quasinorm, hardy_quasinorm, weak_lp_quasinorm):
+        for p in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                norm(g, p)
 
 
 def test_lp_exact_multi_level_perfect_roots():

@@ -22,8 +22,15 @@ from walshlab.experiments import (
     verify_lemma1,
     worker_count,
 )
-from walshlab.group import shell_decomposition
-from walshlab.operators import PolyWeight, RhoWeight, TableWeight, weighted_maximal
+from walshlab.group import GroupPoint, interval, shell_decomposition
+from walshlab.operators import (
+    PolyWeight,
+    RhoWeight,
+    TableWeight,
+    restricted_maximal,
+    weak_type_constant,
+    weighted_maximal,
+)
 from walshlab.reporting import load_report
 from walshlab.spectral import dirichlet_dyadic, partial_sum
 
@@ -458,6 +465,40 @@ def test_corollary_suite_verdicts():
     assert rep.summary["dyadic_orders_vanish_off_support"]
     finding = rep.summary["stated_exponent_finding"]
     assert finding["rho_exponent_stable"]
+
+
+@pytest.mark.parametrize("p_str", ["1/2", "1/3"])
+def test_off_support_constants_equal_weak_type_constant(p_str):
+    # Off the support I_M(0) means outside the level-M interval at 0; thm1 and
+    # every corollary operator must read exactly the public measurement there.
+    p, level, m, seed = PExponent.parse(p_str), 4, 6, 5
+    support = interval(GroupPoint(m, 0), level)
+    off = [x for x in range(1 << m) if not support.contains(x)]
+    ops = experiments._corollary_operators(m, p)
+    for trial in range(len(GENERATORS)):
+        args = (p_str, level, m, seed, trial)
+        atom = make_atom(AtomRecipe(level, 0, p, GENERATORS[trial], experiments._trial_seed(seed, trial)), m)
+        case = experiments._thm1_case(args)
+        want = weak_type_constant(weighted_maximal(atom.values, RhoWeight(p)), p, off)
+        assert case["generator"] == GENERATORS[trial]
+        assert (case["wt_off_value"], case["wt_off_attaining_level"]) == (want.value, want.attaining_level)
+        row = experiments._corollary_case(ops, args)
+        assert list(row) == ["p", "M", "trial", "generator", *ops]
+        for name, (orders, scheme) in ops.items():
+            if orders is None:
+                g = weighted_maximal(atom.values, scheme)
+            else:
+                g = restricted_maximal(atom.values, orders, scheme)
+            assert row[name] == weak_type_constant(g, p, off).value
+
+
+def test_corollary_suite_builds_its_operators_once(monkeypatch):
+    calls = []
+    build = experiments._corollary_operators
+    monkeypatch.setattr(experiments, "_corollary_operators", lambda *a: calls.append(a) or build(*a))
+    rep = corollary_suite(7, "1/2", trials=2, seed=1)
+    assert calls == [(7, PExponent.parse("1/2"))]
+    assert len(rep.cases) == 8
 
 
 def test_corollary_suite_validation():

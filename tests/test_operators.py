@@ -497,7 +497,7 @@ def test_weak_type_takes_any_exponent_the_norms_take():
     g = dirichlet_dyadic(3, 6, "float64")
     want = weak_type_constant(g, P_HALF)
     assert weak_type_constant(g, Fraction(1, 2)) == want == weak_type_constant(g, 0.5)
-    for p in (0, -1, Fraction(-1, 2), 0.0, float("nan")):
+    for p in (0, -1, Fraction(-1, 2), 0.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="exponent must be positive"):
             weak_type_constant(g, p)
 
@@ -513,6 +513,12 @@ def test_weak_type_rejects_negative():
     # A nan must not hide a negative value from the check.
     with pytest.raises(ValueError):
         weak_type_constant(DyadicFunction(2, np.array([-1.0, np.nan, 0, 0])), P_HALF)
+    # Nor may rounding: -2^-1100 is -0.0 as a float, and -1e-320 is a
+    # subnormal; the check reads the exact value, and the float64 one as stored.
+    for g in (DyadicFunction.from_values(2, [Fraction(-1, 1 << 1100), 1, 0, 0], "exact"),
+              DyadicFunction.from_values(2, [-1e-320, 1.0, 0, 0])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            weak_type_constant(g, P_HALF)
 
 
 def test_weak_type_restriction():
