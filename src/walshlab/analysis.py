@@ -77,14 +77,21 @@ class PExponent:
 
 
 def _exponent_value(p: ExponentLike) -> Union[Fraction, float]:
-    """``p`` as a ``Fraction``, or a float for float input; ``ValueError`` unless positive and finite."""
+    """``p`` as a ``Fraction``, or a float for float input; ``ValueError`` unless positive and finite.
+
+    So must its float form be, which the float64 paths raise to.
+    """
     if isinstance(p, PExponent):
         pv = p.p
     elif isinstance(p, (Fraction, int)):
         pv = Fraction(p)
     else:
         pv = float(p)
-    if not 0 < pv < math.inf:  # a nan exponent fails here too
+    try:
+        pf = float(pv)
+    except OverflowError:
+        pf = math.inf
+    if not 0 < pf < math.inf:  # a nan exponent fails here too
         raise ValueError(f"exponent must be positive and finite, got {pv}")
     return pv
 

@@ -8,12 +8,12 @@ explicit tables.  The sup over all naturals reduces to ``n in [1, 2^m]``
 because the tail clamps to ``f`` with weights that never dip below the
 weight at ``2^m``; the tests check that reduction rather than assume it.
 
-Every engine reads the weight through one helper, ``_weights``: float64
-values that raise ``ValueError`` on overflow, or exact ``Fraction`` values
-that raise ``ValueError`` when the weight is irrational.  No engine runs a
-transform; all of them read the Walsh packets
-``U_j[Q] = E_j(f prod_{k in Q} r_k)``, built level by level from halved
-pair sums and differences.  In exact mode the table holds integer
+Every engine and ``restricted_maximal`` read the weight through one
+memoized helper, ``_weights``, each naming its orders: float64 values that
+raise ``ValueError`` on overflow, or exact ``Fraction`` values that raise
+``ValueError`` when the weight is irrational.  No engine runs a transform;
+all of them read the Walsh packets ``U_j[Q] = E_j(f prod_{k in Q} r_k)``,
+built level by level from halved pair sums and differences.  In exact mode the table holds integer
 numerators pre-scaled by ``2^m`` (``functions._numerators``), so every
 halving is an exact shift, and ``Fraction`` values are built once, at the
 output.  Engines, one per kind of weight, each written
@@ -35,8 +35,8 @@ once for float64 and exact:
 * ``restricted_maximal`` assembles each requested partial sum from the
   same packet table in ``popcount(n)`` vector steps.
 
-``weak_type_constant`` measures an operator's output through
-``analysis.LevelSet``, the distribution of ``|f|`` the norms read too.
+``weak_type_constant`` measures an operator's output over the whole group
+through ``analysis.LevelSet``, the distribution of ``|f|`` the norms read.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from numbers import Rational
 from typing import ClassVar, Iterable, NamedTuple, Union
 
@@ -157,45 +158,28 @@ def float_weight(scheme: WeightScheme, n: int) -> float:
     return out
 
 
-def _exact_weight(scheme: WeightScheme, n: int):
-    v = scheme.at(n)
-    if not isinstance(v, Rational):
-        raise ValueError(
-            f"weight at order {n} is not exactly representable; use float64 mode"
-        )
-    return v
-
-
-def _weights(scheme: WeightScheme, orders: Iterable[int], exact: bool) -> np.ndarray:
+@cache
+def _weights(scheme: WeightScheme, orders: tuple[int, ...] | range, exact: bool) -> np.ndarray:
     """The scheme's weights at ``orders``: float64, or ``Fraction`` objects in exact mode.
 
-    Every engine reads its weights here.  A float weight that overflows,
-    or a weight exact mode cannot represent, raises ``ValueError``.
+    Every engine and ``restricted_maximal`` read their weights here, each
+    table once per ``(scheme, orders, exact)``, read-only.  A float weight
+    that overflows, or a weight exact mode cannot represent, raises
+    ``ValueError``, and nothing is cached.
     """
     if exact:
-        return np.array([Fraction(_exact_weight(scheme, n)) for n in orders], dtype=object)
-    return np.array([float_weight(scheme, n) for n in orders])
-
-
-_engine_weight_tables: dict[tuple, np.ndarray] = {}
-
-
-def _engine_weights(scheme: WeightScheme, m: int, exact: bool) -> np.ndarray:
-    """The weights an engine reads at resolution ``m``, memoized.
-
-    A spread-only scheme is read at one order per bit spread ``0 .. m-1``;
-    any other scheme at every order ``1 .. 2^m``, entry ``n - 1`` for ``n``.
-    """
-    key = (scheme, m, exact)
-    if key not in _engine_weight_tables:
-        if scheme.spread_only:
-            orders = [1] + [(1 << r) + 1 for r in range(1, m)]
-        else:
-            orders = range(1, (1 << m) + 1)
-        w = _weights(scheme, orders, exact)
-        w.setflags(write=False)
-        _engine_weight_tables[key] = w
-    return _engine_weight_tables[key]
+        table = np.empty(len(orders), dtype=object)
+        for i, n in enumerate(orders):
+            v = scheme.at(n)
+            if not isinstance(v, Rational):
+                raise ValueError(
+                    f"weight at order {n} is not exactly representable; use float64 mode"
+                )
+            table[i] = Fraction(v)
+    else:
+        table = np.array([float_weight(scheme, n) for n in orders])
+    table.setflags(write=False)
+    return table
 
 
 def scheme_to_json(scheme: WeightScheme) -> dict:
@@ -300,7 +284,8 @@ def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
     the largest entry, and a weighed entry at most ``max(w)`` times that.
     """
     m = f.m
-    w = _engine_weights(scheme, m, f.mode == "exact")
+    # One order per bit spread r: 1, then 2^r + 1.
+    w = _weights(scheme, tuple((1 << r) | 1 for r in range(m)), f.mode == "exact")
     values, unit = _numerators(f.values, m.bit_length() + int(max(w)).bit_length(), shift=m)
     weigh, w, unit = _divider(w, unit)
     dtype = values.dtype
@@ -360,28 +345,23 @@ def _block_extrema(packets: list[np.ndarray], m: int) -> tuple[list[np.ndarray],
     return hi, lo
 
 
-_weight_floor_tables: dict[tuple, list[np.ndarray]] = {}
-
-
-def _weight_floors(scheme: WeightScheme, m: int, exact: bool) -> list[np.ndarray]:
+@cache
+def _weight_floors(scheme: WeightScheme, m: int, exact: bool) -> tuple[np.ndarray, ...]:
     """Entry ``l``: the least weight over each order block ``[q 2^l, (q+1) 2^l)``, memoized.
 
     Order 0 has no weight and reads the weight at order 1.  A minimum, not
     the weight at the block start, keeps the block bound valid for any
     positive weights, monotone or not.
     """
-    key = (scheme, m, exact)
-    if key not in _weight_floor_tables:
-        w = _engine_weights(scheme, m, exact)
-        level = np.concatenate([w[:1], w[:-1]])  # orders 0 .. 2^m - 1
-        floors = [level]
-        for _ in range(m):
-            level = np.minimum(level[0::2], level[1::2])
-            floors.append(level)
-        for table in floors:
-            table.setflags(write=False)
-        _weight_floor_tables[key] = floors
-    return _weight_floor_tables[key]
+    w = _weights(scheme, range(1, (1 << m) + 1), exact)
+    level = np.concatenate([w[:1], w[:-1]])  # orders 0 .. 2^m - 1
+    floors = [level]
+    for _ in range(m):
+        level = np.minimum(level[0::2], level[1::2])
+        floors.append(level)
+    for table in floors:
+        table.setflags(write=False)
+    return tuple(floors)
 
 
 class _PaleyTree(NamedTuple):
@@ -397,7 +377,7 @@ class _PaleyTree(NamedTuple):
     hi: list[np.ndarray]
     lo: list[np.ndarray]
     weights: np.ndarray
-    floors: list[np.ndarray]
+    floors: tuple[np.ndarray, ...]
 
     def bound(self, level: int, pts: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Each block's max of ``|S_n f|`` over its least weight: a bound on ``|S_n f| / weight(n)`` there."""
@@ -437,7 +417,7 @@ def _pruned_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
     values, unit = _numerators(f.values, m.bit_length(), shift=m)
     packets = _packet_table(values, m)
     tree = _PaleyTree(m, packets, *_block_extrema(packets, m),
-                      _engine_weights(scheme, m, exact), _weight_floors(scheme, m, exact))
+                      _weights(scheme, range(1, (1 << m) + 1), exact), _weight_floors(scheme, m, exact))
     best = np.abs(values) / tree.weights[-1]  # n = 2^m, where S_n f = f
     size = best.size
     root = (np.arange(size), np.zeros(size, np.int64), np.zeros(size, values.dtype))
@@ -515,25 +495,19 @@ class WeakTypeReport:
     attaining_level: float
 
 
-def weak_type_constant(
-    g: DyadicFunction,
-    p: ExponentLike,
-    restrict_to: np.ndarray | None = None,
-) -> WeakTypeReport:
+def weak_type_constant(g: DyadicFunction, p: ExponentLike) -> WeakTypeReport:
     """Exact sup over levels of ``t^p mu{g >= t}`` for a nonnegative ``g``.
 
-    The measure always refers to the whole group; ``restrict_to`` limits
-    the event ``{g >= t}`` to an index set, as when an atom's support is
-    excluded.  The sup over real ``t`` is attained at a level of ``g``
-    because the distribution function only steps there.  Exact input is
-    read as numerators, so only its distinct levels become floats.
+    The measure is taken over the whole group.  To measure off a set, such
+    as an atom's support, set ``g`` to 0 there: zero carries no measure.
+    The sup over real ``t`` is attained at a level of ``g`` because the
+    distribution function only steps there.  Exact input is read as
+    numerators, so only its distinct levels become floats.
     """
     pv = _exponent_value(p)
     nums, unit = _numerators(g.values, 0)
     if not (nums >= 0).all():
         raise ValueError("weak-type measurement expects a nonnegative function")
-    if restrict_to is not None:
-        nums = nums[np.asarray(restrict_to, dtype=np.int64)]
     return _weak_type(LevelSet.of(nums, unit, g.size), float(pv))
 
 

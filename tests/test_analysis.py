@@ -91,6 +91,11 @@ def test_lp_rejects_bad_exponents():
         for p in (float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="finite"):
                 norm(g, p)
+    # So must a Fraction whose float form overflows (10^400) or rounds to 0 (10^-400).
+    for norm in (lp_quasinorm, hardy_quasinorm, weak_lp_quasinorm):
+        for p in (Fraction(10**400), Fraction(1, 10**400)):
+            with pytest.raises(ValueError, match="exponent must be positive and finite"):
+                norm(g, p)
 
 
 def test_lp_exact_multi_level_perfect_roots():

@@ -1,5 +1,5 @@
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +200,58 @@ def test_weight_overflow_is_value_error():
         restricted_maximal(f, [4095], PolyWeight(p))
     exact = weighted_maximal(DyadicFunction.from_values(4, [1] * 16, "exact"), PolyWeight(p))
     assert exact.values.tolist() == [Fraction(1, 2**99)] * 16  # exact weights do not overflow
+
+
+@dataclass(frozen=True)
+class _CountedWeight:
+    """``inner`` with every order it is read at logged; ``tag`` keeps its tables its own."""
+
+    inner: object
+    tag: object = field(default_factory=object)
+    reads: list = field(default_factory=list, compare=False)
+
+    @property
+    def spread_only(self):
+        return self.inner.spread_only
+
+    def at(self, n: int):
+        self.reads.append(n)
+        return self.inner.at(n)
+
+
+def test_each_weight_table_is_read_once():
+    # One read per (scheme, orders, mode) table: the recursion reads one order
+    # per bit spread, the pruned search and its floors every order up to 2^m.
+    m = 5
+    f = DyadicFunction.from_values(m, np.arange(1 << m) % 7 - 3.0)
+    fx = DyadicFunction.from_values(m, [Fraction(int(v), 4) for v in f.values], "exact")
+    spread, poly = _CountedWeight(RhoWeight(P_HALF)), _CountedWeight(PolyWeight(P_HALF))
+    ops = (lambda g: weighted_maximal(g, spread), lambda g: weighted_maximal(g, poly),
+           lambda g: restricted_maximal(g, [3, 6, 40], spread))
+    runs = [[op(g).values.tolist() for g in (f, fx) for op in ops] for _ in range(3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert spread.reads == [1, 3, 5, 9, 17, 3, 6, 40] * 2
+    assert poly.reads == list(range(1, 33)) * 2
+    tables = [operators._weights(spread, (1, 3, 5, 9, 17), exact) for exact in (False, True)]
+    tables += operators._weight_floors(poly, m, True)
+    assert not any(table.flags.writeable for table in tables)
+
+
+def test_weight_errors_are_not_cached():
+    ones = DyadicFunction.from_values(11, np.ones(1 << 11))
+    exact = DyadicFunction.from_values(3, [1, -1, 0, 0, 2, 0, 0, -2], "exact")
+    for f, scheme, match in ((ones, PolyWeight(PExponent.parse("1/100")), "overflows float64"),
+                             (exact, RhoWeight(PExponent.parse("3/4")), "not exactly representable")):
+        sizes = operators._weights.cache_info().currsize, operators._weight_floors.cache_info().currsize
+        messages = []
+        for _ in range(2):
+            for run in (lambda: weighted_maximal(f, scheme), lambda: restricted_maximal(f, [3, 2047], scheme)):
+                with pytest.raises(ValueError, match=match) as err:
+                    run()
+                messages.append(str(err.value))
+        assert messages[:2] == messages[2:]
+        assert (operators._weights.cache_info().currsize,
+                operators._weight_floors.cache_info().currsize) == sizes
 
 
 # -- Paley-block recursion against the definition and the dense engine ------------
@@ -497,8 +549,11 @@ def test_weak_type_takes_any_exponent_the_norms_take():
     g = dirichlet_dyadic(3, 6, "float64")
     want = weak_type_constant(g, P_HALF)
     assert weak_type_constant(g, Fraction(1, 2)) == want == weak_type_constant(g, 0.5)
-    for p in (0, -1, Fraction(-1, 2), 0.0, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="exponent must be positive"):
+    # So does a Fraction with no positive finite float form: 10^400
+    # overflows, and 10^-400 rounds to 0.
+    for p in (0, -1, Fraction(-1, 2), 0.0, float("nan"), float("inf"), float("-inf"),
+              Fraction(10**400), Fraction(1, 10**400)):
+        with pytest.raises(ValueError, match="exponent must be positive and finite"):
             weak_type_constant(g, p)
 
 
@@ -522,11 +577,12 @@ def test_weak_type_rejects_negative():
 
 
 def test_weak_type_restriction():
+    # Measuring off a set means zeroing g there; the measure stays the whole group's.
     vals = np.zeros(16)
     vals[0] = 100.0  # huge spike inside the excluded region
     vals[8:] = 2.0
-    g = DyadicFunction.from_values(4, vals)
-    rep = weak_type_constant(g, P_HALF, np.arange(4, 16))
+    g = DyadicFunction.from_values(4, np.where(np.arange(16) >= 4, vals, 0.0))
+    rep = weak_type_constant(g, P_HALF)
     assert rep.attaining_level == 2.0
     assert rep.value == 2**0.5 * (8 / 16)
 
