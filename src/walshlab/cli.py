@@ -184,18 +184,19 @@ def _cmd_thm1(args) -> int:
 
 
 def _thm2b_from_flags(args) -> ExperimentConfig:
-    p_list = tuple(args.p or ("1/2",))
     m = 12 if args.resolution is None else args.resolution
     rho = args.phi == "rho"
-    return ExperimentConfig(
-        p_list=p_list,
+    cfg = ExperimentConfig(
+        p_list=tuple(args.p or ("1/2",)),
         resolution=m,
         scales=args.scales or (() if args.probes else tuple(range(4, m))),
         probes=args.probes,
-        scheme=scheme_to_json(RhoWeight(PExponent.parse(p_list[0])) if rho else UnitWeight()),
         expectation=args.expectation or ("bounded" if rho else "divergent"),
         seed=0 if args.seed is None else args.seed,
     )
+    # The weight is built once the config has checked the exponent it reads.
+    phi = RhoWeight(PExponent.parse(cfg.p_list[0])) if rho else UnitWeight()
+    return dataclasses.replace(cfg, scheme=scheme_to_json(phi))
 
 
 def _cmd_thm2(args) -> int:

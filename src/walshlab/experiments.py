@@ -90,7 +90,11 @@ class ExperimentContract(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameter carrier; each experiment reads the fields ``EXPERIMENTS`` lists for it."""
+    """Parameter carrier; each experiment reads the fields ``EXPERIMENTS`` lists for it.
+
+    Every way of building a config runs ``_FIELD_CHECKS``, with JSON lists
+    read as tuples; a bad field raises ``ConfigError`` naming it.
+    """
 
     name: str = ""
     p_list: tuple[str, ...] = ()
@@ -109,65 +113,80 @@ class ExperimentConfig:
     slope_fraction: float = 0.8
     jobs: int = 1
 
-    def to_json_dict(self, experiment: str | None = None) -> dict:
-        """Every field, or only those ``experiment`` records in its report."""
-        names = EXPERIMENTS[experiment].fields if experiment else [f.name for f in dataclass_fields(self)]
-        return {name: getattr(self, name) for name in names if not (experiment and name == "jobs")}
-
-    @classmethod
-    def from_json_dict(cls, data: dict, experiment: str | None = None) -> "ExperimentConfig":
-        """Parse a config; with ``experiment`` given, only the fields it reads are allowed."""
-        known = {f.name for f in dataclass_fields(cls)}
-        allowed = EXPERIMENTS[experiment].fields if experiment else known
+    def __post_init__(self) -> None:
         problems: list[str] = []
-        kwargs: dict = {}
-        for key, value in data.items():
-            if key not in allowed:
-                reason = f"is not read by {experiment}" if key in known else "is unknown"
-                problems.append(f"field '{key}' {reason}")
-                continue
-            if key in ("p_list", "support_levels", "scales"):
-                if not isinstance(value, (list, tuple)):
-                    problems.append(f"'{key}' must be a list")
-                    continue
-                if key != "p_list" and not all(_is_int(v) for v in value):
-                    problems.append(f"'{key}' entries must be integers")
-                    continue
-                value = tuple(str(v) if key == "p_list" else v for v in value)
-            elif key == "probes" and value is not None:
-                try:
-                    value = tuple((n, s) for n, s in value)
-                    valid = all(_is_int(n) and _is_int(s) for n, s in value)
-                except (TypeError, ValueError):
-                    valid = False
-                if not valid:
-                    problems.append("'probes' must be a list of [n, s] integer pairs")
-                    continue
-            elif key in ("trials", "seed", "extra_resolution", "jobs") and not _is_int(value):
-                problems.append(f"'{key}' must be an integer")
-                continue
-            elif key == "resolution" and value is not None and not _is_int(value):
-                problems.append("'resolution' must be an integer")
-                continue
-            elif key in ("ratio_cap", "growth_floor", "band_cap", "slope_fraction") and not (
-                _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-            ):
-                problems.append(f"'{key}' must be a finite number")
-                continue
-            kwargs[key] = value
-        for pstr in kwargs.get("p_list", ()):
-            try:
-                PExponent.parse(pstr)
-            except ValueError:
-                problems.append(f"'p_list' entry {pstr!r} is not an exponent in (0, 1]")
+        for field in dataclass_fields(self):
+            value = _tupled(getattr(self, field.name))
+            if field.name == "p_list" and isinstance(value, tuple):
+                value = tuple(map(str, value))
+                for pstr in value:
+                    try:
+                        PExponent.parse(pstr)
+                    except ValueError as exc:
+                        problems.append(f"'p_list' entry {pstr!r} is not an exponent in (0, 1]: {exc}")
+            object.__setattr__(self, field.name, value)
+            ok, message = _FIELD_CHECKS[field.name]
+            if not ok(value):
+                problems.append(f"'{field.name}' {message}")
         if problems:
             raise ConfigError(problems)
-        return cls(**kwargs)
+
+    def to_json_dict(self, experiment: str) -> dict:
+        """The fields ``experiment`` records in its report: all it reads but ``jobs``."""
+        return {name: getattr(self, name) for name in EXPERIMENTS[experiment].fields if name != "jobs"}
+
+    @classmethod
+    def from_json_dict(cls, data: dict, experiment: str) -> "ExperimentConfig":
+        """Parse a config file's object; only the fields ``experiment`` reads are allowed."""
+        allowed, known = EXPERIMENTS[experiment].fields, {f.name for f in dataclass_fields(cls)}
+        problems = [
+            f"field '{key}' " + (f"is not read by {experiment}" if key in known else "is unknown")
+            for key in data
+            if key not in allowed
+        ]
+        try:
+            cfg = cls(**{key: value for key, value in data.items() if key in allowed})
+        except ConfigError as exc:
+            problems += exc.problems
+        if problems:
+            raise ConfigError(problems)
+        return cfg
 
 
 def _is_int(value) -> bool:
     """An integer config value; JSON ``true`` and ``false`` parse as ``bool`` and are refused."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _tupled(value):
+    """``value`` with its lists, at any depth, as tuples."""
+    return tuple(map(_tupled, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _ints(value, distinct: bool = False) -> bool:
+    """A tuple of integers, no two equal if ``distinct``."""
+    ints = isinstance(value, tuple) and all(map(_is_int, value))
+    return ints and not (distinct and len(set(value)) < len(value))
+
+
+#: Each field's type check, run on the value with lists as tuples, and its message.
+_FIELD_CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "name": (lambda v: isinstance(v, str) and "/" not in v and "\\" not in v,
+             "must be a string without a path separator"),
+    "p_list": (lambda v: isinstance(v, tuple), "must be a list"),
+    "support_levels": (partial(_ints, distinct=True), "entries must be distinct integers"),
+    "resolution": (lambda v: v is None or _is_int(v), "must be an integer"),
+    "scales": (partial(_ints, distinct=True), "entries must be distinct integers"),
+    **dict.fromkeys(("trials", "seed", "extra_resolution", "jobs"), (_is_int, "must be an integer")),
+    "scheme": (lambda v: v is None or isinstance(v, dict), "must be an object"),
+    "probes": (lambda v: v is None or isinstance(v, tuple) and all(_ints(q) and len(q) == 2 for q in v),
+               "must be a list of [n, s] integer pairs"),
+    "expectation": (lambda v: v in (None, "divergent", "bounded"), "must be 'divergent', 'bounded', or omitted"),
+    **dict.fromkeys(
+        ("ratio_cap", "growth_floor", "band_cap", "slope_fraction"),
+        (lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)), "must be a finite number"),
+    ),
+}
 
 
 def _exponent_problems(cfg: ExperimentConfig) -> list[str]:
@@ -180,11 +199,16 @@ def _exponent_problems(cfg: ExperimentConfig) -> list[str]:
 
 
 def _provenance(seed: int | None) -> dict:
-    return {
-        "seed": seed,
-        "package_version": _pkg_version,
-        "numpy_version": np.__version__,
-    }
+    return {"seed": seed, "package_version": _pkg_version, "numpy_version": np.__version__}
+
+
+def _config_report(
+    experiment: str, default_name: str, cfg: ExperimentConfig, cases: list, summary: dict, verdict: bool
+) -> ExperimentReport:
+    """The report of an ``EXPERIMENTS`` run, recording the config fields it read."""
+    return ExperimentReport(
+        cfg.name or default_name, cfg.to_json_dict(experiment), cases, summary, verdict, _provenance(cfg.seed)
+    )
 
 
 def _consecutive_ratios(values: Sequence[float]) -> list[float]:
@@ -524,14 +548,7 @@ def theorem1_weak_type(cfg: ExperimentConfig) -> ExperimentReport:
         "sigma0_ok": sigma0_ok,
         "ratio_cap": cfg.ratio_cap,
     }
-    return ExperimentReport(
-        name=cfg.name or "weak-type-on-atoms",
-        config=cfg.to_json_dict("thm1"),
-        cases=cases,
-        summary=summary,
-        verdict=verdict,
-        provenance=_provenance(cfg.seed),
-    )
+    return _config_report("thm1", "weak-type-on-atoms", cfg, cases, summary, verdict)
 
 
 # -- sharpness: growth of the normalized ratio --------------------------------
@@ -543,7 +560,7 @@ def _validate_thm2a(cfg: ExperimentConfig) -> None:
         problems.append("'resolution' must be an integer >= 5")
     elif any(not 1 <= n <= cfg.resolution - 1 for n in cfg.scales):
         problems.append("'scales' must lie within [1, resolution - 1]")
-    if len(set(cfg.scales)) == 1:
+    if len(cfg.scales) == 1:
         problems.append("'scales' needs two distinct scales to fit a slope")
     if problems:
         raise ConfigError(problems)
@@ -635,14 +652,7 @@ def theorem2_growth(cfg: ExperimentConfig) -> ExperimentReport:
         v["strictly_increasing"] and v["slope_ok"] for v in per_p.values()
     )
     summary = {"per_p": per_p, "shell_sums_match_closed_form": shell_ok}
-    return ExperimentReport(
-        name=cfg.name or "sharpness-growth",
-        config=cfg.to_json_dict("thm2a"),
-        cases=cases,
-        summary=summary,
-        verdict=verdict,
-        provenance=_provenance(cfg.seed),
-    )
+    return _config_report("thm2a", "sharpness-growth", cfg, cases, summary, verdict)
 
 
 # -- sharpness: divergence under any weaker weight ----------------------------
@@ -664,8 +674,6 @@ def _validate_thm2b(cfg: ExperimentConfig) -> WeightScheme:
     scales = list(cfg.scales) + [n for n, _ in cfg.probes or ()]
     if cfg.resolution is not None and any(n + 1 > cfg.resolution for n in scales):
         problems.append(f"scales and probe scales need n + 1 <= resolution {cfg.resolution}")
-    if cfg.expectation not in (None, "divergent", "bounded"):
-        problems.append("'expectation' must be 'divergent', 'bounded', or omitted")
     try:
         phi = UnitWeight() if cfg.scheme is None else scheme_from_json(cfg.scheme)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -783,14 +791,7 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
         "pinned_interval_measures_ok": measures_ok,
         "expectation": cfg.expectation,
     }
-    return ExperimentReport(
-        name=cfg.name or "sharpness-weak-divergence",
-        config=cfg.to_json_dict("thm2b"),
-        cases=cases,
-        summary=summary,
-        verdict=verdict,
-        provenance=_provenance(cfg.seed),
-    )
+    return _config_report("thm2b", "sharpness-weak-divergence", cfg, cases, summary, verdict)
 
 
 # -- corollary suite ----------------------------------------------------------
@@ -926,14 +927,7 @@ def corollary_suite(
         "band_cap": _COROLLARY_BAND_CAP,
         "growth_floor": _COROLLARY_GROWTH_FLOOR,
     }
-    return ExperimentReport(
-        name="corollary-suite",
-        config=cfg,
-        cases=cases,
-        summary=summary,
-        verdict=verdict,
-        provenance=_provenance(seed),
-    )
+    return ExperimentReport("corollary-suite", cfg, cases, summary, verdict, _provenance(seed))
 
 
 # -- umbrella -----------------------------------------------------------------

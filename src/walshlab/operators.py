@@ -120,6 +120,8 @@ class TableWeight:
                     f"table weights must be nondecreasing; {v} at n={n} follows {prev_v}"
                 )
             prev_n, prev_v = n, v
+        # Each weight as the Fraction it equals, a float exactly, so equal tables read alike.
+        object.__setattr__(self, "entries", tuple((n, Fraction(v)) for n, v in self.entries))
         object.__setattr__(self, "_by_order", dict(self.entries))
 
     @classmethod

@@ -282,6 +282,13 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
         ({**_THM2B_CFG, "growth_floor": "x"}, ["thm2", "--part", "b"], "'growth_floor' must be"),
         ({**_THM2B_CFG, "band_cap": True}, ["thm2", "--part", "b"], "'band_cap' must be"),
         ({**_THM2B_CFG, "band_cap": float("inf")}, ["thm2", "--part", "b"], "'band_cap' must be"),
+        # Flags pass the config check a file does.
+        (None, ["thm1", "--p", "abc", "--levels", "3", "--trials", "1"], "'p_list' entry 'abc'"),
+        (None, ["thm2", "--part", "b", "--phi", "rho", "--p", "abc"], "'p_list' entry 'abc'"),
+        # A repeated level or scale is an error, never a duplicated case.
+        (None, ["thm1", "--levels", "3,3", "--trials", "1"], "'support_levels' entries must be distinct"),
+        (None, ["thm2", "--part", "a", "--scales", "3,3,4"], "'scales' entries must be distinct"),
+        (None, ["thm2", "--part", "b", "--scales", "4,4,5"], "'scales' entries must be distinct"),
     ],
 )
 def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):
@@ -300,6 +307,20 @@ def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("name", ["sub/../../escape", "a\\b", ["x"], None])
+def test_config_name_cannot_steer_the_output_path(tmp_path, monkeypatch, capsys, name):
+    # Without --output the report goes to walshlab-<name>.json in the working directory.
+    work = tmp_path / "sub" / "work"
+    work.mkdir(parents=True)
+    monkeypatch.chdir(work)
+    (work / "cfg.json").write_text(json.dumps({**_THM1_CFG, "name": name}))
+    assert main(["thm1", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert "'name' must be a string" in err and "Traceback" not in err
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "sub", "sub/work", "sub/work/cfg.json"]
 
 
 def test_thm2_both_checks_part_b_before_running_part_a(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -49,13 +50,16 @@ def test_config_roundtrip():
         probes=((4, 0), (5, 1)),
         expectation="divergent",
     )
-    back = ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
-    assert back == cfg
+    for experiment in EXPERIMENTS:
+        # JSON turns tuples into lists; the config turns them back.
+        blob = json.loads(json.dumps(cfg.to_json_dict(experiment)))
+        back = ExperimentConfig.from_json_dict(blob, experiment)
+        assert back.to_json_dict(experiment) == cfg.to_json_dict(experiment)
 
 
 def test_config_rejects_unknown_and_bad_fields():
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig.from_json_dict({"p_list": ["1/2"], "nonsense": 1, "trials": "many"})
+        ExperimentConfig.from_json_dict({"p_list": ["1/2"], "nonsense": 1, "trials": "many"}, "thm1")
     problems = "; ".join(exc.value.problems)
     assert "nonsense" in problems and "trials" in problems
 
@@ -63,17 +67,46 @@ def test_config_rejects_unknown_and_bad_fields():
 def test_config_rejects_bad_exponent():
     for entry in ("5/4", "1/0"):
         with pytest.raises(ConfigError) as exc:
-            ExperimentConfig.from_json_dict({"p_list": [entry]})
+            ExperimentConfig.from_json_dict({"p_list": [entry]}, "thm1")
         assert entry in "; ".join(exc.value.problems)
 
 
 def test_config_float_gates_take_finite_numbers():
     gates = {"ratio_cap": 2, "growth_floor": 1.25, "band_cap": 3, "slope_fraction": 0.5}
-    cfg = ExperimentConfig.from_json_dict(gates)
+    cfg = ExperimentConfig(**gates)
     assert {key: getattr(cfg, key) for key in gates} == gates
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig.from_json_dict({"ratio_cap": False, "band_cap": float("-inf"), "growth_floor": [1]})
+        ExperimentConfig(ratio_cap=False, band_cap=float("-inf"), growth_floor=[1])
     assert len(exc.value.problems) == 3
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    # A value of no field's type, for every field, so a field added later cannot skip the check.
+    [(f.name, object()) for f in dataclasses.fields(ExperimentConfig)]
+    + [
+        ("trials", "5"),
+        ("resolution", "9"),
+        ("probes", ((5,),)),
+        ("ratio_cap", float("nan")),
+        ("p_list", ("abc",)),
+        ("support_levels", (3, 3)),
+        ("scales", (4, 4, 5)),
+        ("name", "sub/../escape"),
+        ("name", ["x"]),
+        ("expectation", "maybe"),
+    ],
+)
+def test_every_config_field_is_checked_when_built(key, value):
+    # The constructor, dataclasses.replace (behind --jobs) and JSON share one check.
+    for build in (
+        lambda: ExperimentConfig(**{key: value}),
+        lambda: dataclasses.replace(ExperimentConfig(), **{key: value}),
+        lambda: ExperimentConfig.from_json_dict({key: value}, next(e for e, c in EXPERIMENTS.items() if key in c.fields)),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert len(exc.value.problems) == 1 and exc.value.problems[0].startswith(f"'{key}'")
 
 
 _CONTRACT_RUNS = {
@@ -242,8 +275,6 @@ def test_theorem1_zero_shell_guard():
 
 
 def test_theorem1_determinism_and_jobs_equivalence():
-    import dataclasses
-
     cfg = _small_thm1_cfg(trials=8)
     a = theorem1_weak_type(cfg).to_json()
     b = theorem1_weak_type(cfg).to_json()

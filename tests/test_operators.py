@@ -69,6 +69,19 @@ def test_table_weight_validation():
     assert tw == TableWeight(((2, 1.0), (4, 2.0))) and hash(tw) == hash(TableWeight(tw.entries))
 
 
+def test_table_weight_is_decided_by_value():
+    # A float table and the equal int table are one weight in exact mode too,
+    # whichever of them a process reads first.
+    f = DyadicFunction.from_values(1, [1, 0], "exact")
+
+    def run(entries):
+        return restricted_maximal(f, [1, 2], TableWeight(entries)).values.tolist()
+
+    floats, ints = ((1, 3.0), (2, 5.0)), ((1, 3), (2, 5))
+    assert run(floats) == run(ints) == run(floats) == [Fraction(1, 5), Fraction(1, 6)]
+    assert TableWeight(floats).entries == TableWeight(ints).entries
+
+
 def test_scheme_json_roundtrip():
     for scheme in (UnitWeight(), RhoWeight(P_HALF), PolyWeight(PExponent.parse("1/3")),
                    TableWeight(((2, 1.0), (6, 4.0)))):
@@ -254,7 +267,7 @@ def test_weight_errors_are_not_cached():
                 operators._weight_floors.cache_info().currsize) == sizes
 
 
-# -- Paley-block recursion against the definition and the dense engine ------------
+# -- Paley-block recursion against the definition and a listed table -------------
 
 SPREAD_KINDS = ("unit", "1/4", "1/3", "1/2", "3/4", "1")
 
@@ -318,16 +331,16 @@ def test_exact_spread_engine_matches_definition(m, kind, seed):
 @given(m=st.integers(1, 8), kind=st.sampled_from(SPREAD_KINDS),
        seed=st.integers(0, 2**32 - 1), dyadic=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_spread_engine_matches_dense_table(m, kind, seed, dyadic):
+def test_spread_engine_matches_listed_table(m, kind, seed, dyadic):
     scheme, _ = _spread_scheme(kind)
     listed = _ListedWeight(tuple((n, weight(scheme, n)) for n in range(1, (1 << m) + 1)))
     f = DyadicFunction.from_values(m, _spread_input(m, seed, dyadic))
     got = weighted_maximal(f, scheme).values
-    dense = weighted_maximal(f, listed).values
+    pruned = weighted_maximal(f, listed).values
     if dyadic:
-        assert np.array_equal(got, dense)
+        assert np.array_equal(got, pruned)
     else:
-        assert np.allclose(got, dense, rtol=0, atol=1e-12)
+        assert np.allclose(got, pruned, rtol=0, atol=1e-12)
 
 
 @given(m=st.integers(2, 8), kind=st.sampled_from(("unit", "1/4", "1/3", "1/2")),
@@ -439,7 +452,7 @@ def test_float_dense_engine_matches_definition(m, kind):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_dense_engine_reads_the_weights_restricted_reads(monkeypatch):
+def test_pruned_engine_reads_the_weights_restricted_reads(monkeypatch):
     # Both operators must divide by the same float weights, also for a
     # non-integer 1/p - 1; the full sup equals the sup over every order.
     # At m = 6..9 a frontier of 8 pairs, which splits every stage of the
