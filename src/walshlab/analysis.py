@@ -151,6 +151,15 @@ class LevelSet(NamedTuple):
             levels, counts = levels[1:], counts[1:]
         return cls(_from_numerators(levels, unit), counts, size)
 
+    @classmethod
+    def from_pairs(cls, values: np.ndarray, counts: np.ndarray, size: int) -> "LevelSet":
+        """The level set of ``counts[i]`` points at ``|values[i]|``, float64: equal levels merge, zeros drop."""
+        levels, where = np.unique(np.abs(values), return_inverse=True)
+        merged = np.bincount(where, counts, levels.size).astype(np.int64)  # counts below 2^53 add exactly
+        if levels.size and levels[0] == 0:
+            levels, merged = levels[1:], merged[1:]
+        return cls(levels, merged, size)
+
     def scan(self, candidate: Callable, zero) -> tuple:
         """The largest ``candidate(v, c)`` over the levels ``v`` and the level attaining it.
 
@@ -210,12 +219,16 @@ def weak_lp_quasinorm(f: DyadicFunction, p: ExponentLike):
     mode only picks how ``mu^(1/p)`` is formed.
     """
     pv = _exponent_value(p)
-    levels = LevelSet.of(*_numerators(f.values, 0), f.size)
-    if f.mode == "float64":
+    return _weak_lp(LevelSet.of(*_numerators(f.values, 0), f.size), pv, f.mode == "exact")
+
+
+def _weak_lp(levels: LevelSet, pv: Union[Fraction, float], exact: bool):
+    """``weak_lp_quasinorm`` read off a level set, at an exponent checked by ``_exponent_value``."""
+    if not exact:
         root = 1.0 / float(pv)
-        return levels.scan(lambda v, c: v * (c / f.size) ** root, 0.0)[0]
+        return levels.scan(lambda v, c: v * (c / levels.size) ** root, 0.0)[0]
     q = _require_reciprocal_integer(pv)
-    return levels.scan(lambda v, c: v * Fraction(int(c), f.size) ** q, Fraction(0))[0]
+    return levels.scan(lambda v, c: v * Fraction(int(c), levels.size) ** q, Fraction(0))[0]
 
 
 def _maximal_numerators(f: DyadicFunction) -> tuple[np.ndarray, Scalar | None]:

@@ -29,9 +29,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .analysis import AtomSpec, LevelSet, PExponent, hardy_quasinorm, lp_quasinorm, weak_lp_quasinorm
+from .analysis import AtomSpec, LevelSet, PExponent, _weak_lp, hardy_quasinorm, lp_quasinorm
 from .constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, probe_index
-from .functions import DyadicFunction
 from .group import as_resolution, shell_decomposition
 from .operators import (
     PolyWeight,
@@ -40,9 +39,9 @@ from .operators import (
     TableWeight,
     UnitWeight,
     WeightScheme,
+    _atom_maximal,
     _weak_type,
     float_weight,
-    restricted_maximal,
     scheme_from_json,
     scheme_to_json,
     weighted_maximal,
@@ -413,29 +412,33 @@ def _trial_atom(p_str: str, level: int, m: int, seed: int, trial: int) -> tuple[
     return generator, make_atom(recipe, m, "float64")
 
 
-def _off_support(g: DyadicFunction, level: int) -> LevelSet:
-    """The level set of ``g`` off the support ``I_level(0)``: the shells ``s < level``, one slice."""
-    return LevelSet.of(g.values[g.size >> level :], None, g.size)
+def _atom_levels(shells: np.ndarray, m: int, support: np.ndarray | None = None) -> LevelSet:
+    """The level set of an atom's operator at resolution ``m`` from its shell values.
+
+    Shell ``s`` holds ``2^(m-s-1)`` points.  Without ``support`` the atom's
+    support ``I_level(0)`` counts as 0; with it, one point per entry.
+    """
+    counts = 1 << (m - 1 - np.arange(shells.size))
+    if support is not None:
+        shells = np.concatenate([shells, support])
+        counts = np.concatenate([counts, np.ones(support.size, np.int64)])
+    return LevelSet.from_pairs(shells, counts, 1 << m)
 
 
 def _thm1_case(args: tuple) -> dict:
     p_str, level, m, seed, trial = args
     generator, atom = _trial_atom(*args)
     p = atom.p
-    g = weighted_maximal(atom.values, RhoWeight(p))
-    gv = g.values
+    [(shells, support)] = _atom_maximal(atom.values.values[: 1 << (m - level)], level, [(None, RhoWeight(p))])
 
-    off = _off_support(g, level)
+    off = _atom_levels(shells, m)
     wt = _weak_type(off, float(p.p))
-    weak_all = weak_lp_quasinorm(g, p)
+    weak_all = _weak_lp(_atom_levels(shells, m, support), p.p, exact=False)
     hardy = hardy_quasinorm(atom.values, p)
     normalized = weak_all / hardy if hardy > 0 else 0.0
 
     inv_p = float(p.reciprocal)
-    shell_ratios = []
-    for s, shell in shell_decomposition(m).shells()[:level]:
-        smax = float(gv[shell.start : shell.stop].max())
-        shell_ratios.append(smax / 2.0 ** (s * inv_p))
+    shell_ratios = [float(smax) / 2.0 ** (s * inv_p) for s, smax in enumerate(shells)]
     shell_constant = max(shell_ratios) if shell_ratios else 0.0
 
     # Tail bound: above threshold 2^(k/p) (times the trial constant), the
@@ -444,7 +447,7 @@ def _thm1_case(args: tuple) -> dict:
     sigma4_margin = None
     if shell_constant > 0:
         above = np.searchsorted(off.levels, [shell_constant * 2.0 ** (k * inv_p) for k in range(level)])
-        sigma4_margin = max(int(off.counts[i:].sum()) / g.size - 2.0 / (1 << k) for k, i in enumerate(above))
+        sigma4_margin = max(int(off.counts[i:].sum()) / off.size - 2.0 / (1 << k) for k, i in enumerate(above))
     sigma0_ok = bool(
         shell_constant == 0.0
         or float(off.levels[-1]) <= shell_constant * 2.0 ** (level * inv_p)
@@ -832,12 +835,9 @@ def _corollary_case(ops: dict, args: tuple) -> dict:
     generator, atom = _trial_atom(*args)
     pw = float(atom.p.p)
     row: dict = {"p": p_str, "M": level, "trial": trial, "generator": generator}
-    for op_name, (orders, scheme) in ops.items():
-        if orders is None:
-            g = weighted_maximal(atom.values, scheme)
-        else:
-            g = restricted_maximal(atom.values, orders, scheme)
-        row[op_name] = _weak_type(_off_support(g, level), pw).value
+    outputs = _atom_maximal(atom.values.values[: 1 << (m - level)], level, ops.values())
+    for op_name, (shells, _) in zip(ops, outputs):
+        row[op_name] = _weak_type(_atom_levels(shells, m), pw).value
     return row
 
 

@@ -33,7 +33,10 @@ once for float64 and exact:
   beat a point's best.  O(m 2^m) set-up, then a few blocks per point and
   level on typical inputs, and never more than O(4^m);
 * ``restricted_maximal`` assembles each requested partial sum from the
-  same packet table in ``popcount(n)`` vector steps.
+  same packet table in ``popcount(n)`` vector steps;
+* ``_atom_maximal`` gives the same floats for a function on ``I_L(0)``
+  from its ``2^e`` cells, ``e = m - L``: flat shells off the support from
+  a memoized shell table, and the spread recursion on the support.
 
 ``weak_type_constant`` measures an operator's output over the whole group
 through ``analysis.LevelSet``, the distribution of ``|f|`` the norms read.
@@ -45,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from numbers import Rational
+from numbers import Integral, Rational, Real
 from typing import ClassVar, Iterable, NamedTuple, Union
 
 import numpy as np
@@ -107,6 +110,10 @@ class TableWeight:
     def __post_init__(self) -> None:
         prev_n, prev_v = 0, None
         for n, v in self.entries:
+            if not isinstance(n, Integral) or isinstance(n, bool):
+                raise ValueError(f"table order {n!r} is not an integer")
+            if not isinstance(v, Real) or isinstance(v, bool):
+                raise ValueError(f"table weight {v!r} at n={n} is not a real number")
             if n < 1:
                 raise ValueError(f"table order {n} must be >= 1")
             if n <= prev_n:
@@ -121,7 +128,7 @@ class TableWeight:
                 )
             prev_n, prev_v = n, v
         # Each weight as the Fraction it equals, a float exactly, so equal tables read alike.
-        object.__setattr__(self, "entries", tuple((n, Fraction(v)) for n, v in self.entries))
+        object.__setattr__(self, "entries", tuple((int(n), Fraction(v)) for n, v in self.entries))
         object.__setattr__(self, "_by_order", dict(self.entries))
 
     @classmethod
@@ -226,10 +233,6 @@ class Subsequence:
     def powers_of_two(cls, m: int) -> "Subsequence":
         return cls(tuple(1 << k for k in range(m + 1)))
 
-    @property
-    def sup_rho(self) -> int:
-        return max(index_stats(n).rho for n in self.indices)
-
 
 # -- Paley-block recursion (spread-only weights) ------------------------------
 
@@ -286,32 +289,46 @@ def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
     the largest entry, and a weighed entry at most ``max(w)`` times that.
     """
     m = f.m
-    # One order per bit spread r: 1, then 2^r + 1.
-    w = _weights(scheme, tuple((1 << r) | 1 for r in range(m)), f.mode == "exact")
+    w = _spread_weights(scheme, m, f.mode == "exact")
     values, unit = _numerators(f.values, m.bit_length() + int(max(w)).bit_length(), shift=m)
     weigh, w, unit = _divider(w, unit)
-    dtype = values.dtype
-    packets = _packet_table(values, m)
     out = weigh(np.abs(values), w[0])  # n = 2^m, where S_n f = f
-    hi = lo = np.empty((1 << m, 0, 1), dtype)
-    for j in range(m):
-        groups = 1 << (m - j - 1)
-        base = packets[j].reshape(groups, 2, 1 << j)[:, 0, None]
-        hi2 = hi.reshape(groups, 2, j, 1 << j)
-        lo2 = lo.reshape(groups, 2, j, 1 << j)
+    carry = np.empty((1 << m, 0, 1), values.dtype)
+    _spread_levels(_packet_table(values, m), 0, carry, carry, out, weigh, w)
+    return _from_numerators(out, unit)
+
+
+def _spread_weights(scheme: WeightScheme, m: int, exact: bool) -> np.ndarray:
+    """A spread-only weight at resolution ``m``, entry ``r`` at bit spread ``r``: orders 1, then ``2^r + 1``."""
+    return _weights(scheme, tuple((1 << r) | 1 for r in range(m)), exact)
+
+
+def _spread_levels(packets: list[np.ndarray], base_level: int, hi: np.ndarray, lo: np.ndarray,
+                   out: np.ndarray, weigh, w: np.ndarray) -> None:
+    """The Paley-block recursion from ``base_level`` up, raising ``out`` in place.
+
+    ``packets[k]`` is level ``base_level + k``; ``hi`` and ``lo`` carry one
+    class per lowest set bit below ``base_level``.
+    """
+    k = len(packets) - 1
+    for jr in range(k):
+        j = base_level + jr
+        groups = 1 << (k - jr - 1)
+        base = packets[jr].reshape(groups, 2, 1 << jr)[:, 0, None]
+        hi2 = hi.reshape(groups, 2, j, 1 << jr)
+        lo2 = lo.reshape(groups, 2, j, 1 << jr)
         up, down = _child_extrema(base, hi2[:, 1], lo2[:, 1])
         cand = weigh(np.abs(base[0, 0]), w[0]).repeat(2)  # n = 2^j
         if j:
             spread = weigh(np.maximum(up[0], -down[0]), w[j - np.arange(j)][:, None])
             cand = np.maximum(cand, spread.max(axis=0))
         np.maximum(out, cand.repeat(groups), out=out)
-        if j + 1 < m:
-            hi = np.empty((groups, j + 1, 2 << j), dtype)
-            lo = np.empty((groups, j + 1, 2 << j), dtype)
+        if jr + 1 < k:
+            hi = np.empty((groups, j + 1, 2 << jr), base.dtype)
+            lo = np.empty((groups, j + 1, 2 << jr), base.dtype)
             np.maximum(hi2[:, 0].repeat(2, axis=-1), up, out=hi[:, :j])
             np.minimum(lo2[:, 0].repeat(2, axis=-1), down, out=lo[:, :j])
             hi[:, j] = lo[:, j] = base[:, 0].repeat(2, axis=-1)
-    return _from_numerators(out, unit)
 
 
 def _packet_partial_sum(packets: list[np.ndarray], n: int, m: int) -> np.ndarray:
@@ -484,6 +501,102 @@ def restricted_maximal(
         cand = np.abs(part) / w
         out = cand if out is None else np.maximum(out, cand)
     return f.with_values(_from_numerators(out, unit))
+
+
+# -- atoms on I_L(0): the 2^e-cell reduction ----------------------------------
+
+
+@cache
+def _shell_table(scheme: WeightScheme, orders: tuple[int, ...] | None, level: int, m: int):
+    """Per shell ``s < level`` and block ``h``: ``(|c_s(n)| 2^-level, weight(n))`` of the best order.
+
+    For ``n = h 2^level + r`` a function on ``I_level(0)`` has
+    ``|S_n f| = |c_s(n)| |U(h)| 2^-level`` on shell ``s``, with
+    ``c_s(n) = (r mod 2^s) - r_s 2^s``; the best order maximizes
+    ``|c_s(n)| / weight(n)``, exactly (``Fraction``) where float ratios tie.
+    The engines nest one term per set bit of ``r mod 2^(s+1)``, so this
+    rounds as they do only if every best order has at most two: else
+    ``ValueError``.  Memoized and read-only, as ``_weights`` is.
+    """
+    size, blocks = 1 << m, 1 << (m - level)
+    n = np.arange(size)
+    member = n > 0
+    if orders is not None:
+        listed = [k for k in orders if k < size]
+        member = np.zeros(size, bool)
+        member[listed] = True
+        w = np.ones(size)
+        w[listed] = _weights(scheme, orders, False)[: len(listed)]
+    elif scheme.spread_only:
+        spread = np.frexp(n)[1] - np.frexp(n & -n)[1]  # top bit minus lowest bit
+        w = _spread_weights(scheme, m, False)[np.where(member, spread, 0)]
+    else:
+        w = np.concatenate([[1.0], _weights(scheme, range(1, size + 1), False)[:-1]])
+    r = np.arange(1 << level)
+    s = np.arange(level)[:, None]
+    c = np.abs((r & ((1 << s) - 1)) - (((r >> s) & 1) << s))[:, None]  # (level, 1, 2^level)
+    w = w.reshape(blocks, 1 << level)
+    ratio = np.where(member.reshape(blocks, 1 << level), c / w, 0.0)
+    pick = ratio.argmax(axis=2)  # r of the first float maximum, per (s, h)
+    top = np.take_along_axis(ratio, pick[..., None], axis=2)
+    best = (ratio == top) & (top > 0)
+    distinct = (c != c[s, 0, pick][..., None]) | (w != w[range(blocks), pick][..., None])
+    for sh, h in zip(*np.nonzero((best & distinct).any(axis=2))):
+        pick[sh, h] = max(np.flatnonzero(best[sh, h]),
+                          key=lambda i: Fraction(int(c[sh, 0, i])) / Fraction(float(w[h, i])))
+    terms = np.bitwise_count(r & ((2 << s) - 1))[:, None]  # set bits of r mod 2^(s+1)
+    if (best & (terms > 2)).any():
+        sh, h, k = np.argwhere(best & (terms > 2))[0]
+        raise ValueError(f"order {(h << level) + k} reaches shell {sh} in more than two Paley terms, "
+                         "which the shell table does not round as the engines do")
+    scale, w = np.ldexp(c[s, 0, pick].astype(float), -level), w[range(blocks), pick]
+    for table in (scale, w):
+        table.setflags(write=False)
+    return scale, w
+
+
+def _atom_maximal(
+    cells: np.ndarray, level: int, operators: Iterable[tuple[Subsequence | None, WeightScheme]]
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Maximal operators of a float64 function on ``I_level(0)`` from its ``2^e`` cells there.
+
+    ``operators`` lists ``(orders, scheme)``, ``orders`` None for every
+    order.  Per operator: the value on each shell ``s < level``, and for a
+    spread-only weight over every order the values on the support, else
+    None; the floats ``weighted_maximal`` and ``restricted_maximal`` give
+    at ``m = level + e``.
+    """
+    e = cells.size.bit_length() - 1
+    packets = _packet_table(cells, e)
+    spectrum = np.abs(packets[0][:, 0])  # |U(h)| = |U_level[Q_h]| on I, h < 2^e
+    out = []
+    for orders, scheme in operators:
+        scale, w = _shell_table(scheme, None if orders is None else orders.indices, level, level + e)
+        support = _atom_support(packets, level, scheme) if orders is None and scheme.spread_only else None
+        out.append(((scale * spectrum / w).max(axis=1), support))
+    return out
+
+
+def _atom_support(packets: list[np.ndarray], level: int, scheme: WeightScheme) -> np.ndarray:
+    """A spread-only weight's maximal operator on ``I_level(0)``, from the cells' packet table.
+
+    ``_spread_max``'s recursion: below ``level`` each packet at the
+    support is ``U(h) 2^(j - level)``, one row per block ``h``, and
+    ``r_j = +1``; above, the cells' table is the function's on the support.
+    """
+    cells = packets[-1][0]
+    w = _spread_weights(scheme, level + len(packets) - 1, False)
+    out = np.abs(cells) / w[0]  # n = 2^m, where S_n f = f
+    hi = lo = np.empty((cells.size, 0))
+    for j in range(level):
+        base = np.ldexp(packets[0], j - level)  # U_j[Q] at I, one row per block
+        up, down = base + hi, base + lo  # the child at I: r_j = +1
+        if j:  # orders below 2^level with top bit j; order 2^j loses to 2^level, of equal weight
+            np.maximum(out, (np.maximum(up[0], -down[0]) / w[j - np.arange(j)]).max(), out=out)
+        hi = np.concatenate([np.maximum(hi, up), base], axis=1)
+        lo = np.concatenate([np.minimum(lo, down), base], axis=1)
+    _spread_levels(packets, level, hi[..., None], lo[..., None], out, np.divide, w)
+    return out
 
 
 # -- weak-type measurement --------------------------------------------------

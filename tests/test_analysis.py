@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from walshlab.analysis import (
     AtomSpec,
+    LevelSet,
     PExponent,
     atom_sup_bound,
     hardy_quasinorm,
@@ -127,6 +128,28 @@ def test_quasinorm_homogeneity_exact():
 
 
 # -- weak L_p ---------------------------------------------------------------------
+
+
+def test_level_set_from_pairs_equals_the_expanded_array():
+    # (value, count) pairs stand for count points at |value|: equal levels
+    # merge, zeros drop, and the result is the level set of the expansion.
+    rng = np.random.default_rng(7)
+    pairs = [
+        ([3.0, -1.5, 0.0, 3.0, 1.5, -0.0], [2, 1, 5, 4, 3, 1]),
+        ([0.0, 0.0], [3, 1]),
+        (rng.choice([0.0, 0.25, -0.75, 2.0**-40, 3.0], 40), rng.integers(1, 9, 40)),
+        (rng.standard_normal(30), rng.integers(1, 1 << 20, 30)),
+    ]
+    for values, counts in pairs:
+        values, counts = np.asarray(values), np.asarray(counts)
+        size = int(counts.sum()) + 3  # a few points of the group carry nothing
+        want = LevelSet.of(np.repeat(values, counts), None, size)
+        got = LevelSet.from_pairs(values, counts, size)
+        assert got.levels.tolist() == want.levels.tolist()
+        assert got.counts.tolist() == want.counts.tolist()
+        assert (got.levels.dtype, got.counts.dtype, got.size) == (np.float64, np.int64, size)
+    merged = LevelSet.from_pairs(np.array([2.0, -2.0, 0.0, 1.0]), np.array([1, 2, 9, 4]), 16)
+    assert (merged.levels.tolist(), merged.counts.tolist()) == ([1.0, 2.0], [4, 3])
 
 
 def test_weak_lp_single_level_matches_lp():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from walshlab import experiments, operators, spectral
-from walshlab.analysis import PExponent, hardy_quasinorm, lp_quasinorm
+from walshlab.analysis import PExponent, hardy_quasinorm, lp_quasinorm, weak_lp_quasinorm
 from walshlab.constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, partial_sum_probe, probe_index
 from walshlab.experiments import (
     EXPERIMENTS,
@@ -498,33 +498,95 @@ def test_corollary_suite_verdicts():
     assert finding["rho_exponent_stable"]
 
 
-@pytest.mark.parametrize("p_str", ["1/2", "1/3"])
-def test_off_support_constants_equal_weak_type_constant(p_str):
-    # Off the support I_M(0) means outside the level-M interval at 0; thm1 and
-    # every corollary operator must read exactly the public measurement there.
-    p, level, m, seed = PExponent.parse(p_str), 4, 6, 5
+def _support_mask(m, level):
     support = interval(GroupPoint(m, 0), level)
-    on = np.array([support.contains(x) for x in range(1 << m)])
+    return np.array([support.contains(x) for x in range(1 << m)])
 
-    def off_support(g):
-        return g.with_values(np.where(on, 0.0, g.values))
 
-    ops = experiments._corollary_operators(m, p)
-    for trial in range(len(GENERATORS)):
-        args = (p_str, level, m, seed, trial)
-        atom = make_atom(AtomRecipe(level, 0, p, GENERATORS[trial], experiments._trial_seed(seed, trial)), m)
-        case = experiments._thm1_case(args)
-        want = weak_type_constant(off_support(weighted_maximal(atom.values, RhoWeight(p))), p)
-        assert case["generator"] == GENERATORS[trial]
-        assert (case["wt_off_value"], case["wt_off_attaining_level"]) == (want.value, want.attaining_level)
-        row = experiments._corollary_case(ops, args)
-        assert list(row) == ["p", "M", "trial", "generator", *ops]
-        for name, (orders, scheme) in ops.items():
-            if orders is None:
-                g = weighted_maximal(atom.values, scheme)
-            else:
-                g = restricted_maximal(atom.values, orders, scheme)
-            assert row[name] == weak_type_constant(off_support(g), p).value
+def _atom_by_recipe(p_str, level, m, seed, trial):
+    generator = GENERATORS[trial % len(GENERATORS)]
+    recipe = AtomRecipe(level, 0, PExponent.parse(p_str), generator, experiments._trial_seed(seed, trial))
+    return generator, make_atom(recipe, m)
+
+
+def _thm1_case_by_engine(args):
+    # thm1's case read off the general engine's 2^m-point output, field by field.
+    p_str, level, m, seed, trial = args
+    generator, atom = _atom_by_recipe(*args)
+    p = atom.p
+    g = weighted_maximal(atom.values, RhoWeight(p))
+    on = _support_mask(m, level)
+    wt = weak_type_constant(g.with_values(np.where(on, 0.0, g.values)), p)
+    hardy = hardy_quasinorm(atom.values, p)
+    inv_p = float(p.reciprocal)
+    shells = [g.values[shell.start : shell.stop].max() for _, shell in shell_decomposition(m).shells()[:level]]
+    constant = max(float(v) / 2.0 ** (s * inv_p) for s, v in enumerate(shells))
+    off = g.values[~on]
+    margin = None
+    if constant > 0:
+        margin = max(int((off >= constant * 2.0 ** (k * inv_p)).sum()) / g.size - 2.0 / (1 << k)
+                     for k in range(level))
+    return {
+        "p": p_str,
+        "M": level,
+        "trial": trial,
+        "generator": generator,
+        "wt_off_value": wt.value,
+        "wt_off_attaining_level": wt.attaining_level,
+        "normalized_ratio": weak_lp_quasinorm(g, p) / hardy if hardy > 0 else 0.0,
+        "shell_constant": constant,
+        "sigma4_margin": margin,
+        "sigma0_ok": bool(constant == 0.0 or off.max() <= constant * 2.0 ** (level * inv_p)),
+    }
+
+
+def _corollary_case_by_engine(ops, args):
+    p_str, level, m, seed, trial = args
+    generator, atom = _atom_by_recipe(*args)
+    on = _support_mask(m, level)
+    row = {"p": p_str, "M": level, "trial": trial, "generator": generator}
+    for name, (orders, scheme) in ops.items():
+        if orders is None:
+            g = weighted_maximal(atom.values, scheme)
+        else:
+            g = restricted_maximal(atom.values, orders, scheme)
+        row[name] = weak_type_constant(g.with_values(np.where(on, 0.0, g.values)), atom.p).value
+    return row
+
+
+@pytest.mark.parametrize("p_str", ["1/2", "1/3", "1/4", "2/3", "3/4"])
+def test_off_support_constants_equal_weak_type_constant(p_str):
+    # Off the support I_M(0) means outside the level-M interval at 0.  thm1
+    # and the corollaries read each atom through its 2^e cells; every field
+    # of their cases must be the one the general engines' 2^m-point output
+    # gives through the public measurements, bit for bit.
+    p, seed = PExponent.parse(p_str), 5
+    for level, e in [(4, 1), (4, 2), (3, 3), (5, 3), (4, 4)]:
+        for trial in range(len(GENERATORS)):
+            args = (p_str, level, level + e, seed, trial)
+            case = experiments._thm1_case(args)
+            assert case["generator"] == GENERATORS[trial]
+            assert json.dumps(case) == json.dumps(_thm1_case_by_engine(args))
+    for m in (7, 8, 10, 12):
+        ops = experiments._corollary_operators(m, p)
+        for level in (2, m // 2, m - 2):
+            for trial in range(len(GENERATORS)):
+                args = (p_str, level, m, seed, trial)
+                row = experiments._corollary_case(ops, args)
+                assert list(row) == ["p", "M", "trial", "generator", *ops]
+                assert json.dumps(row) == json.dumps(_corollary_case_by_engine(ops, args))
+
+
+def test_atom_experiments_run_no_grid_engine(monkeypatch):
+    # thm1 and the corollaries read atoms through operators._atom_maximal alone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2^m-point engine ran")
+
+    for name in ("weighted_maximal", "restricted_maximal", "_spread_max", "_pruned_max"):
+        monkeypatch.setattr(operators, name, refuse)
+    monkeypatch.setattr(experiments, "weighted_maximal", refuse)
+    assert theorem1_weak_type(_small_thm1_cfg(trials=3)).verdict
+    assert len(corollary_suite(7, "1/2", trials=2, seed=1).cases) == 8
 
 
 def test_corollary_suite_builds_its_operators_once(monkeypatch):

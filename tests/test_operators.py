@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walshlab import operators
+from walshlab import experiments, operators
 from walshlab.analysis import PExponent, hardy_quasinorm, lp_quasinorm, maximal_function
 from walshlab.constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom
 from walshlab.functions import DyadicFunction
@@ -61,6 +61,14 @@ def test_table_weight_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="at n=5 is not finite"):
             TableWeight(((1, 1.0), (5, bad)))
+    # Every entry is an integer order and a real weight; a bool is neither.
+    for order in (1.5, 2.0, "2", None, True):
+        with pytest.raises(ValueError, match="is not an integer"):
+            TableWeight(((order, 2),))
+    for bad in ("2", None, True, 2j):
+        with pytest.raises(ValueError, match="at n=1 is not a real number"):
+            TableWeight(((1, bad),))
+    assert TableWeight(((np.int64(3), np.float64(2.0)),)).entries == ((3, Fraction(2)),)
     tw = TableWeight.from_dict({"4": 2.0, "2": 1.0})
     assert tw.at(4) == 2.0
     with pytest.raises(ValueError):
@@ -97,7 +105,6 @@ def test_subsequence_validation():
         Subsequence((3, 3))
     with pytest.raises(ValueError):
         Subsequence((0, 1))
-    assert Subsequence((5, 9)).sup_rho == max(index_stats(5).rho, index_stats(9).rho)
     assert Subsequence.powers_of_two(3).indices == (1, 2, 4, 8)
 
 
@@ -546,6 +553,82 @@ def test_restricted_clamps_above_resolution():
     f = DyadicFunction.from_values(3, np.arange(8, dtype=float))
     got = restricted_maximal(f, [32], UnitWeight())
     assert np.array_equal(got.values, np.abs(f.values))
+
+
+# -- functions on I_L(0) through their 2^e cells ------------------------------------
+
+
+def _on_the_grid(cells, level, orders, scheme):
+    m = level + cells.size.bit_length() - 1
+    vals = np.zeros(1 << m)
+    vals[: cells.size] = cells
+    f = DyadicFunction.from_values(m, vals)
+    g = (weighted_maximal(f, scheme) if orders is None else restricted_maximal(f, orders, scheme)).values
+    return [g[1 << (m - s - 1) : 1 << (m - s)] for s in range(level)], g[: cells.size]
+
+
+@dataclass(frozen=True)
+class _SpreadTable:
+    """A spread-only weight read off a table by bit spread, its last entry past the end."""
+
+    spread_only = True
+    table: tuple[float, ...]
+
+    def at(self, n):
+        return self.table[min(index_stats(n).rho, len(self.table) - 1)]
+
+
+# Falling with the spread, orders with low bits win on the support; a notch
+# at spread 2 lets the orders below 2^L win at some points.
+_SHRINKING = _SpreadTable(tuple(1.5**-k for k in range(20)))
+_NOTCHED = _SpreadTable((2.0**20, 2.0**20, 1.0, 2.0**20))
+
+
+@pytest.mark.parametrize("p_str", ["1/4", "1/2", "2/3", "1"])
+def test_atom_maximal_matches_the_engines(p_str):
+    # Any function on I_L(0), atom or not: each shell is flat, and the reduced
+    # path returns the engines' floats there and, for a spread weight over
+    # every order, on the support.  Gaussian cells give full-mantissa packets.
+    p = PExponent.parse(p_str)
+    rng = np.random.default_rng(len(p_str))
+    for m in (5, 8, 10):
+        ops = [(None, RhoWeight(p)), (None, UnitWeight()), (None, PolyWeight(p))]
+        if p.p < 1:
+            ops += experiments._corollary_operators(m, p).values()
+        for level in range(1, m):
+            cells = rng.standard_normal(1 << (m - level)) + rng.choice([0.0, 1.0])
+            for (orders, scheme), (shells, support) in zip(ops, operators._atom_maximal(cells, level, ops)):
+                grid, on = _on_the_grid(cells, level, orders, scheme)
+                assert all((shell == v).all() for shell, v in zip(grid, shells))
+                if orders is None and scheme.spread_only:
+                    assert support.tolist() == on.tolist()
+                else:
+                    assert support is None
+            # The support replays the recursion for any spread-only weight.
+            # The shell table refuses the shrinking weight's best orders,
+            # which reach a shell in more Paley terms than it rounds alike.
+            packets = operators._packet_table(cells, m - level)
+            for scheme in (_SHRINKING, _NOTCHED):
+                got = operators._atom_support(packets, level, scheme)
+                assert got.tolist() == _on_the_grid(cells, level, None, scheme)[1].tolist()
+            if level > 3:
+                with pytest.raises(ValueError, match="Paley terms"):
+                    operators._atom_maximal(cells, level, [(None, _SHRINKING)])
+
+
+def test_atom_maximal_settles_float_ties_exactly():
+    # At shell 2 orders 1 and 2 have |c| = 1 and 2.  With weights x and
+    # y just below 2x the two ratios round to one float, but order 2's is
+    # larger, and so is its value whenever |c| |U| / w rounds apart.
+    x = next(x for x in (1 + k / 7 for k in range(1, 99)) if 1 / x == 2 / np.nextafter(2 * x, 0))
+    seq, table = Subsequence((1, 2)), TableWeight(((1, x), (2, float(np.nextafter(2 * x, 0)))))
+    assert operators._shell_table(table, seq.indices, 3, 5)[1][2, 0] == table.at(2)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        cells = rng.standard_normal(4) + 1
+        [(shells, _)] = operators._atom_maximal(cells, 3, [(seq, table)])
+        grid, _ = _on_the_grid(cells, 3, seq, table)
+        assert shells.tolist() == [v.max() for v in grid]
 
 
 # -- weak-type measurement ------------------------------------------------------------
