@@ -40,6 +40,8 @@ from .operators import (
     UnitWeight,
     WeightScheme,
     _atom_maximal,
+    _atom_support,
+    _packet_table,
     _weak_type,
     float_weight,
     scheme_from_json,
@@ -428,8 +430,10 @@ def _atom_levels(shells: np.ndarray, m: int, support: np.ndarray | None = None) 
 def _thm1_case(args: tuple) -> dict:
     p_str, level, m, seed, trial = args
     generator, atom = _trial_atom(*args)
-    p = atom.p
-    [(shells, support)] = _atom_maximal(atom.values.values[: 1 << (m - level)], level, [(None, RhoWeight(p))])
+    p, scheme = atom.p, RhoWeight(atom.p)
+    packets = _packet_table(atom.values.values[: 1 << (m - level)], m - level)
+    [shells] = _atom_maximal(packets, level, [(None, scheme)])
+    support = _atom_support(packets, level, scheme)
 
     off = _atom_levels(shells, m)
     wt = _weak_type(off, float(p.p))
@@ -835,8 +839,8 @@ def _corollary_case(ops: dict, args: tuple) -> dict:
     generator, atom = _trial_atom(*args)
     pw = float(atom.p.p)
     row: dict = {"p": p_str, "M": level, "trial": trial, "generator": generator}
-    outputs = _atom_maximal(atom.values.values[: 1 << (m - level)], level, ops.values())
-    for op_name, (shells, _) in zip(ops, outputs):
+    packets = _packet_table(atom.values.values[: 1 << (m - level)], m - level)
+    for op_name, shells in zip(ops, _atom_maximal(packets, level, ops.values())):
         row[op_name] = _weak_type(_atom_levels(shells, m), pw).value
     return row
 

@@ -35,8 +35,9 @@ once for float64 and exact:
 * ``restricted_maximal`` assembles each requested partial sum from the
   same packet table in ``popcount(n)`` vector steps;
 * ``_atom_maximal`` gives the same floats for a function on ``I_L(0)``
-  from its ``2^e`` cells, ``e = m - L``: flat shells off the support from
-  a memoized shell table, and the spread recursion on the support.
+  from the packets of its ``2^e`` cells, ``e = m - L``, on the flat shells
+  off the support, through a memoized shell table; ``_atom_support`` runs
+  the spread recursion on the support.
 
 ``weak_type_constant`` measures an operator's output over the whole group
 through ``analysis.LevelSet``, the distribution of ``|f|`` the norms read.
@@ -505,18 +506,38 @@ def restricted_maximal(
 
 # -- atoms on I_L(0): the 2^e-cell reduction ----------------------------------
 
+#: Orders whose ratio ``|c_s(n)| / weight(n)`` lies within this relative band
+#: of a block's best all enter the shell table.  The engines' floats of
+#: ``|S_n f|`` stray from ``|c_s(n)| |U|`` by far less (about ``2^(level-53)``
+#: relative where the Paley terms cancel), so no order outside it can win.
+_SHELL_BAND = 2.0**-20
+
+
+class _ShellTable(NamedTuple):
+    """Per slot ``k``, shell ``s`` and block ``h``: one order near the block's best ratio.
+
+    ``scale`` is its ``|c_s(n)| 2^-level`` and ``weight`` its weight (``inf``
+    in unused slots).  ``orders`` holds its bits that reach the shell,
+    ``n mod 2^(s+1)``, where some entry has more than two, else None: those
+    sums round term by term in the engine's order, ``top_down`` for the
+    bound-and-prune search.
+    """
+
+    scale: np.ndarray
+    weight: np.ndarray
+    orders: np.ndarray | None
+    top_down: bool
+
 
 @cache
-def _shell_table(scheme: WeightScheme, orders: tuple[int, ...] | None, level: int, m: int):
-    """Per shell ``s < level`` and block ``h``: ``(|c_s(n)| 2^-level, weight(n))`` of the best order.
+def _shell_table(scheme: WeightScheme, orders: tuple[int, ...] | None, level: int, m: int) -> _ShellTable:
+    """The shell table of one operator at resolution ``m``, memoized and read-only, as ``_weights`` is.
 
     For ``n = h 2^level + r`` a function on ``I_level(0)`` has
     ``|S_n f| = |c_s(n)| |U(h)| 2^-level`` on shell ``s``, with
-    ``c_s(n) = (r mod 2^s) - r_s 2^s``; the best order maximizes
-    ``|c_s(n)| / weight(n)``, exactly (``Fraction``) where float ratios tie.
-    The engines nest one term per set bit of ``r mod 2^(s+1)``, so this
-    rounds as they do only if every best order has at most two: else
-    ``ValueError``.  Memoized and read-only, as ``_weights`` is.
+    ``c_s(n) = (r mod 2^s) - r_s 2^s``.  Each block keeps every order whose
+    ratio ``|c_s(n)| / weight(n)`` is within ``_SHELL_BAND`` of its best, one
+    per float it can round to; the caller takes the largest.
     """
     size, blocks = 1 << m, 1 << (m - level)
     n = np.arange(size)
@@ -534,46 +555,68 @@ def _shell_table(scheme: WeightScheme, orders: tuple[int, ...] | None, level: in
         w = np.concatenate([[1.0], _weights(scheme, range(1, size + 1), False)[:-1]])
     r = np.arange(1 << level)
     s = np.arange(level)[:, None]
-    c = np.abs((r & ((1 << s) - 1)) - (((r >> s) & 1) << s))[:, None]  # (level, 1, 2^level)
-    w = w.reshape(blocks, 1 << level)
+    low = r & ((2 << s) - 1)  # the bits of r that reach shell s
+    c = np.abs((low & ((1 << s) - 1)) - (low & (1 << s)))
+    # Entries round alike when they share the weight and, with at most two
+    # Paley terms, |c|; with more, the bits themselves.
+    key = np.where(np.bitwise_count(low) > 2, -1 - low, c)
+    c, low, key = (np.broadcast_to(a[:, None], (level, blocks, 1 << level)) for a in (c, low, key))
+    w = np.broadcast_to(w.reshape(blocks, 1 << level), c.shape)
     ratio = np.where(member.reshape(blocks, 1 << level), c / w, 0.0)
-    pick = ratio.argmax(axis=2)  # r of the first float maximum, per (s, h)
-    top = np.take_along_axis(ratio, pick[..., None], axis=2)
-    best = (ratio == top) & (top > 0)
-    distinct = (c != c[s, 0, pick][..., None]) | (w != w[range(blocks), pick][..., None])
-    for sh, h in zip(*np.nonzero((best & distinct).any(axis=2))):
-        pick[sh, h] = max(np.flatnonzero(best[sh, h]),
-                          key=lambda i: Fraction(int(c[sh, 0, i])) / Fraction(float(w[h, i])))
-    terms = np.bitwise_count(r & ((2 << s) - 1))[:, None]  # set bits of r mod 2^(s+1)
-    if (best & (terms > 2)).any():
-        sh, h, k = np.argwhere(best & (terms > 2))[0]
-        raise ValueError(f"order {(h << level) + k} reaches shell {sh} in more than two Paley terms, "
-                         "which the shell table does not round as the engines do")
-    scale, w = np.ldexp(c[s, 0, pick].astype(float), -level), w[range(blocks), pick]
-    for table in (scale, w):
+    live = (ratio > 0) & (ratio >= ratio.max(axis=2, keepdims=True) * (1 - _SHELL_BAND))
+    slots = []
+    while not slots or live.any():
+        k = live.argmax(axis=2)[..., None]  # the first live order per (s, h)
+        on = np.take_along_axis(live, k, 2)
+        picked = [np.take_along_axis(a, k, 2) for a in (low, c, w, key)]
+        slots.append([np.where(on, v, z)[..., 0] for v, z in zip(picked, (0, 0, np.inf))])
+        live &= (key != picked[3]) | (w != picked[2])
+    low, c, w = (np.stack(a) for a in zip(*slots))
+    scale = np.ldexp(c.astype(float), -level)
+    for table in (low, scale, w):
         table.setflags(write=False)
-    return scale, w
+    return _ShellTable(scale, w, low if (np.bitwise_count(low) > 2).any() else None,
+                       orders is None and not scheme.spread_only)
+
+
+def _paley_sums(a: np.ndarray, table: _ShellTable) -> np.ndarray:
+    """``|S_n f|`` per entry of ``table``, summed from its Paley terms ``2^j a(h)`` as the engine does.
+
+    On shell ``s`` every term below ``s`` enters with sign +1 and the term
+    at ``s`` with -1.  The Paley-block recursion and ``_nest_partial_sum``
+    nest from the lowest bit up; the bound-and-prune search adds from the top.
+    """
+    level = table.orders.shape[1]
+    s = np.arange(level)[:, None]
+    out = np.zeros(table.orders.shape)
+    for j in range(level - 1, -1, -1) if table.top_down else range(level):
+        term = np.where((table.orders >> j) & 1 & (s >= j), np.ldexp(a, j), 0.0)  # 0 above the shell
+        if table.top_down:
+            out = np.where(s == j, out - term, out + term)
+        else:
+            out = np.where(s == j, term - out, term + out)
+    return np.abs(out)
 
 
 def _atom_maximal(
-    cells: np.ndarray, level: int, operators: Iterable[tuple[Subsequence | None, WeightScheme]]
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Maximal operators of a float64 function on ``I_level(0)`` from its ``2^e`` cells there.
+    packets: list[np.ndarray], level: int, operators: Iterable[tuple[Subsequence | None, WeightScheme]]
+) -> list[np.ndarray]:
+    """Maximal operators of a float64 function on ``I_level(0)``, on the shells ``s < level``.
 
+    ``packets`` is the ``_packet_table`` of its ``2^e`` cells there, and
     ``operators`` lists ``(orders, scheme)``, ``orders`` None for every
-    order.  Per operator: the value on each shell ``s < level``, and for a
-    spread-only weight over every order the values on the support, else
-    None; the floats ``weighted_maximal`` and ``restricted_maximal`` give
-    at ``m = level + e``.
+    order.  Per operator: the value on each shell, the float
+    ``weighted_maximal`` and ``restricted_maximal`` give at ``m = level + e``.
     """
-    e = cells.size.bit_length() - 1
-    packets = _packet_table(cells, e)
     spectrum = np.abs(packets[0][:, 0])  # |U(h)| = |U_level[Q_h]| on I, h < 2^e
     out = []
     for orders, scheme in operators:
-        scale, w = _shell_table(scheme, None if orders is None else orders.indices, level, level + e)
-        support = _atom_support(packets, level, scheme) if orders is None and scheme.spread_only else None
-        out.append(((scale * spectrum / w).max(axis=1), support))
+        table = _shell_table(scheme, None if orders is None else orders.indices, level, level + len(packets) - 1)
+        if table.orders is None:  # one rounding, as fl(|c| |U| 2^-level)
+            sums = table.scale * spectrum
+        else:
+            sums = _paley_sums(np.ldexp(spectrum, -level), table)
+        out.append((sums / table.weight).max(axis=(0, 2)))
     return out
 
 

@@ -165,6 +165,16 @@ def test_corollaries_cli(tmp_path):
                  "--trials", "5", "--seed", "1", "--output", str(out)]) == 0
 
 
+@pytest.mark.parametrize("p", ["1/5", "1/8"])
+def test_corollaries_cli_below_a_quarter(tmp_path, p):
+    # The polynomial weight's best orders reach the shells in three or more
+    # Paley terms here; the run writes its report like any other.
+    out = tmp_path / "cor.json"
+    assert main(["corollaries", "--resolution", "8", "--p", p,
+                 "--trials", "6", "--seed", "3", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["verdict"]
+
+
 def test_corollaries_too_few_levels_is_usage_error(tmp_path, capsys):
     assert main(["corollaries", "--resolution", "6", "--trials", "1",
                  "--output", str(tmp_path / "c.json")]) == 2

@@ -554,7 +554,7 @@ def _corollary_case_by_engine(ops, args):
     return row
 
 
-@pytest.mark.parametrize("p_str", ["1/2", "1/3", "1/4", "2/3", "3/4"])
+@pytest.mark.parametrize("p_str", ["1/2", "1/3", "1/4", "2/3", "3/4", "1/5", "1/8"])
 def test_off_support_constants_equal_weak_type_constant(p_str):
     # Off the support I_M(0) means outside the level-M interval at 0.  thm1
     # and the corollaries read each atom through its 2^e cells; every field
@@ -578,7 +578,7 @@ def test_off_support_constants_equal_weak_type_constant(p_str):
 
 
 def test_atom_experiments_run_no_grid_engine(monkeypatch):
-    # thm1 and the corollaries read atoms through operators._atom_maximal alone.
+    # thm1 and the corollaries read atoms through their cells' packets alone.
     def refuse(*args, **kwargs):
         raise AssertionError("a 2^m-point engine ran")
 

@@ -578,57 +578,68 @@ class _SpreadTable:
         return self.table[min(index_stats(n).rho, len(self.table) - 1)]
 
 
-# Falling with the spread, orders with low bits win on the support; a notch
-# at spread 2 lets the orders below 2^L win at some points.
+# Falling with the spread, orders with low bits win, on the support and on
+# shells they reach in many Paley terms; a notch at spread 2 lets the orders
+# below 2^L win at some points.
 _SHRINKING = _SpreadTable(tuple(1.5**-k for k in range(20)))
 _NOTCHED = _SpreadTable((2.0**20, 2.0**20, 1.0, 2.0**20))
 
 
-@pytest.mark.parametrize("p_str", ["1/4", "1/2", "2/3", "1"])
+@dataclass(frozen=True)
+class _Scrambled:
+    """Weights between 1 and 11 in no order: the bound-and-prune search's, summed from the top bit."""
+
+    spread_only = False
+
+    def at(self, n):
+        return 1.0 + (n * 2654435761 % 1009) / 100
+
+
+@pytest.mark.parametrize("p_str", ["1/8", "1/5", "1/4", "1/2", "2/3", "1"])
 def test_atom_maximal_matches_the_engines(p_str):
     # Any function on I_L(0), atom or not: each shell is flat, and the reduced
     # path returns the engines' floats there and, for a spread weight over
     # every order, on the support.  Gaussian cells give full-mantissa packets.
+    # Below p = 1/4 the polynomial weight's best orders reach a shell in
+    # three or more Paley terms, which round as the engine sums them.
     p = PExponent.parse(p_str)
     rng = np.random.default_rng(len(p_str))
     for m in (5, 8, 10):
-        ops = [(None, RhoWeight(p)), (None, UnitWeight()), (None, PolyWeight(p))]
+        ops = [(None, RhoWeight(p)), (None, UnitWeight()), (None, PolyWeight(p)),
+               (None, _SHRINKING), (None, _NOTCHED), (None, _Scrambled())]
         if p.p < 1:
             ops += experiments._corollary_operators(m, p).values()
         for level in range(1, m):
             cells = rng.standard_normal(1 << (m - level)) + rng.choice([0.0, 1.0])
-            for (orders, scheme), (shells, support) in zip(ops, operators._atom_maximal(cells, level, ops)):
+            packets = operators._packet_table(cells, m - level)
+            for (orders, scheme), shells in zip(ops, operators._atom_maximal(packets, level, ops)):
                 grid, on = _on_the_grid(cells, level, orders, scheme)
                 assert all((shell == v).all() for shell, v in zip(grid, shells))
                 if orders is None and scheme.spread_only:
-                    assert support.tolist() == on.tolist()
-                else:
-                    assert support is None
-            # The support replays the recursion for any spread-only weight.
-            # The shell table refuses the shrinking weight's best orders,
-            # which reach a shell in more Paley terms than it rounds alike.
-            packets = operators._packet_table(cells, m - level)
-            for scheme in (_SHRINKING, _NOTCHED):
-                got = operators._atom_support(packets, level, scheme)
-                assert got.tolist() == _on_the_grid(cells, level, None, scheme)[1].tolist()
-            if level > 3:
-                with pytest.raises(ValueError, match="Paley terms"):
-                    operators._atom_maximal(cells, level, [(None, _SHRINKING)])
+                    assert operators._atom_support(packets, level, scheme).tolist() == on.tolist()
 
 
-def test_atom_maximal_settles_float_ties_exactly():
+def test_atom_maximal_keeps_every_order_near_the_best():
     # At shell 2 orders 1 and 2 have |c| = 1 and 2.  With weights x and
-    # y just below 2x the two ratios round to one float, but order 2's is
-    # larger, and so is its value whenever |c| |U| / w rounds apart.
+    # y just below 2x the two ratios round to one float, so the shell table
+    # keeps both, and the larger of their floats is the engine's.
     x = next(x for x in (1 + k / 7 for k in range(1, 99)) if 1 / x == 2 / np.nextafter(2 * x, 0))
     seq, table = Subsequence((1, 2)), TableWeight(((1, x), (2, float(np.nextafter(2 * x, 0)))))
-    assert operators._shell_table(table, seq.indices, 3, 5)[1][2, 0] == table.at(2)
+    assert sorted(operators._shell_table(table, seq.indices, 3, 5).weight[:, 2, 0]) == [table.at(1), table.at(2)]
     rng = np.random.default_rng(9)
     for _ in range(20):
         cells = rng.standard_normal(4) + 1
-        [(shells, _)] = operators._atom_maximal(cells, 3, [(seq, table)])
+        [shells] = operators._atom_maximal(operators._packet_table(cells, 2), 3, [(seq, table)])
         grid, _ = _on_the_grid(cells, 3, seq, table)
         assert shells.tolist() == [v.max() for v in grid]
+    # Order 3 has |c| = 3 there, in two terms that round: its ratio is a
+    # float below order 1's, but at this spectrum its rounded sum wins.
+    x, y, a = (float.fromhex(v) for v in ("0x1.78cda461018aep+0", "0x1.1a9a3b48c1283p+2", "0x1.573f3339bae72p+0"))
+    seq, table = Subsequence((1, 3)), TableWeight(((1, x), (3, y)))
+    assert 3 / y < 1 / x and (3 * a) / y > a / x
+    cells = np.full(4, 8 * a)  # |U(0)| 2^-3 = a
+    [shells] = operators._atom_maximal(operators._packet_table(cells, 2), 3, [(seq, table)])
+    assert shells[2] == (3 * a) / y == _on_the_grid(cells, 3, seq, table)[0][2].max()
 
 
 # -- weak-type measurement ------------------------------------------------------------
