@@ -22,7 +22,6 @@ from .constructions import (
     ProbeIndex,
     counterexample_fn,
     make_atom,
-    partial_sum_probe,
     probe_index,
 )
 from .functions import (
@@ -42,7 +41,6 @@ from .group import (
     ShellDecomposition,
     interval,
     measure,
-    point_e,
     shell_decomposition,
 )
 from .operators import (
@@ -54,7 +52,6 @@ from .operators import (
     WeakTypeReport,
     restricted_maximal,
     weak_type_constant,
-    weight,
     weighted_maximal,
 )
 from .spectral import (
@@ -105,8 +102,6 @@ __all__ = [
     "maximal_function",
     "measure",
     "partial_sum",
-    "partial_sum_probe",
-    "point_e",
     "probe_index",
     "rademacher",
     "restricted_maximal",
@@ -119,6 +114,5 @@ __all__ = [
     "walsh",
     "weak_lp_quasinorm",
     "weak_type_constant",
-    "weight",
     "weighted_maximal",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import AtomSpec, PExponent, atom_sup_bound, validate_atom
 from .functions import DyadicFunction, Mode
 from .group import GroupPoint, ResolutionLike, as_resolution, interval
-from .spectral import _to_mode, index_stats, partial_sum
+from .spectral import _to_mode, index_stats
 
 Generator = Literal["haar-pair", "random-signs", "random-bounded"]
 
@@ -49,25 +49,6 @@ class AtomRecipe:
             raise ValueError(f"support level {self.support_level} must be >= 0")
         if self.base < 0:
             raise ValueError(f"base index {self.base} must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.support_level,
-            "base": self.base,
-            "p": str(self.p),
-            "generator": self.generator,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AtomRecipe":
-        return cls(
-            support_level=int(data["M"]),
-            base=int(data["base"]),
-            p=PExponent.parse(data["p"]),
-            generator=data["generator"],
-            seed=int(data["seed"]),
-        )
 
 
 def _rng_for(recipe: AtomRecipe, m: int) -> np.random.Generator:
@@ -180,15 +161,3 @@ def probe_index(n: int, s: int) -> ProbeIndex:
     if not 0 <= s < n:
         raise ValueError(f"probe bit s={s} must satisfy 0 <= s < n={n}")
     return ProbeIndex(n=n, s=s, q=(1 << n) + (1 << s))
-
-
-def partial_sum_probe(n: int, s: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:
-    """The probe-order partial sum of the scale-``n`` sharpness function.
-
-    Its absolute value equals the dyadic kernel of order ``2^s`` pointwise.
-    """
-    r = as_resolution(m)
-    if n + 1 > r.m:
-        raise ValueError(f"scale {n} needs resolution >= {n + 1}, got {r.m}")
-    f = counterexample_fn(n, r.m, mode)
-    return partial_sum(f, probe_index(n, s).q)

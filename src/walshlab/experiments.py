@@ -40,8 +40,9 @@ from .operators import (
     UnitWeight,
     WeightScheme,
     _atom_maximal,
-    _atom_support,
     _packet_table,
+    _spread_recursion,
+    _spread_weights,
     _weak_type,
     float_weight,
     scheme_from_json,
@@ -407,11 +408,13 @@ def _trial_seed(seed: int, trial: int) -> int:
     return (seed ^ ((trial + 1) * _GOLDEN)) & _MASK64
 
 
-def _trial_atom(p_str: str, level: int, m: int, seed: int, trial: int) -> tuple[str, AtomSpec]:
-    """A trial's generator and its float64 atom on ``I_level(0)`` at resolution ``m``."""
+def _trial_atom(p_str: str, level: int, m: int, seed: int, trial: int) -> tuple[str, AtomSpec, list[np.ndarray]]:
+    """A trial's generator, its float64 atom on ``I_level(0)`` at resolution ``m``,
+    and the packet table of the atom's ``2^(m - level)`` cells on the support."""
     generator = GENERATORS[trial % len(GENERATORS)]
     recipe = AtomRecipe(level, 0, PExponent.parse(p_str), generator, _trial_seed(seed, trial))
-    return generator, make_atom(recipe, m, "float64")
+    atom = make_atom(recipe, m, "float64")
+    return generator, atom, _packet_table(atom.values.values[: 1 << (m - level)], m - level)
 
 
 def _atom_levels(shells: np.ndarray, m: int, support: np.ndarray | None = None) -> LevelSet:
@@ -429,11 +432,10 @@ def _atom_levels(shells: np.ndarray, m: int, support: np.ndarray | None = None) 
 
 def _thm1_case(args: tuple) -> dict:
     p_str, level, m, seed, trial = args
-    generator, atom = _trial_atom(*args)
+    generator, atom, packets = _trial_atom(*args)
     p, scheme = atom.p, RhoWeight(atom.p)
-    packets = _packet_table(atom.values.values[: 1 << (m - level)], m - level)
     [shells] = _atom_maximal(packets, level, [(None, scheme)])
-    support = _atom_support(packets, level, scheme)
+    support = _spread_recursion(packets, level, np.divide, _spread_weights(scheme, m, False))
 
     off = _atom_levels(shells, m)
     wt = _weak_type(off, float(p.p))
@@ -836,10 +838,9 @@ def _corollary_operators(m: int, p: PExponent) -> dict[str, tuple[Subsequence | 
 
 def _corollary_case(ops: dict, args: tuple) -> dict:
     p_str, level, m, seed, trial = args
-    generator, atom = _trial_atom(*args)
+    generator, atom, packets = _trial_atom(*args)
     pw = float(atom.p.p)
     row: dict = {"p": p_str, "M": level, "trial": trial, "generator": generator}
-    packets = _packet_table(atom.values.values[: 1 << (m - level)], m - level)
     for op_name, shells in zip(ops, _atom_maximal(packets, level, ops.values())):
         row[op_name] = _weak_type(_atom_levels(shells, m), pw).value
     return row
@@ -877,6 +878,9 @@ def corollary_suite(
     p = PExponent.parse(p)
     if not p.p < 1:
         raise ValueError(f"corollary suite needs p in (0, 1), got {p}")
+    for name, value in (("trials", trials), ("seed", seed), ("jobs", jobs)):
+        if not _is_int(value):
+            raise ValueError(f"corollary suite needs an integer {name}, got {value!r}")
     if trials < 1:
         raise ValueError(f"corollary suite needs trials >= 1, got {trials}")
     levels = tuple(range(2, r.m - 1))

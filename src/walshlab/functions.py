@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from pathlib import Path
@@ -173,9 +173,6 @@ class DyadicFunction:
     m: int
     values: np.ndarray
     mode: Mode = "float64"
-    # Set when a spectral truncation exceeded the resolution and the
-    # function was returned unchanged; carries no numeric content.
-    tail_clamped: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         _seal(self.values, self.m, self.mode, "values")
@@ -223,11 +220,6 @@ class DyadicFunction:
     def integral(self) -> Scalar:
         """Mean of the values: the integral against normalized measure."""
         return _exact_sum(self.values) / self.size
-
-    def as_float_array(self) -> np.ndarray:
-        if self.mode == "float64":
-            return self.values
-        return np.array([float(v) for v in self.values], dtype=np.float64)
 
     def with_values(self, values: np.ndarray) -> "DyadicFunction":
         return DyadicFunction(self.m, values, self.mode)

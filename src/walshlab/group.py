@@ -71,28 +71,10 @@ class GroupPoint:
     def coordinates(self) -> tuple[int, ...]:
         return tuple(self.coordinate(j) for j in range(self.m))
 
-    @classmethod
-    def from_coordinates(cls, bits: Iterable[int]) -> "GroupPoint":
-        bits = list(bits)
-        idx = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"coordinates must be bits, got {b!r}")
-            idx = (idx << 1) | b
-        return cls(len(bits), idx)
-
     def __xor__(self, other: "GroupPoint") -> "GroupPoint":
         if self.m != other.m:
             raise ValueError("group addition needs matching resolutions")
         return GroupPoint(self.m, self.idx ^ other.idx)
-
-
-def point_e(k: int, m: ResolutionLike) -> GroupPoint:
-    """The point with coordinate ``x_k = 1`` and all others 0."""
-    r = as_resolution(m)
-    if not 0 <= k < r.m:
-        raise ValueError(f"coordinate {k} outside [0, {r.m})")
-    return GroupPoint(r.m, 1 << (r.m - 1 - k))
 
 
 @dataclass(frozen=True)
@@ -135,10 +117,6 @@ class DyadicInterval:
     def indices(self) -> range:
         return range(self.start, self.stop)
 
-    def contains(self, x: Union[int, GroupPoint]) -> bool:
-        idx = x.idx if isinstance(x, GroupPoint) else x
-        return self.start <= idx < self.stop
-
     def __str__(self) -> str:
         return f"I_{self.level}({self.start})@m={self.m}"
 
@@ -174,17 +152,6 @@ class ShellDecomposition:
 
     def shells(self) -> list[tuple[int, range]]:
         return [(s, self.shell(s)) for s in range(self.m)]
-
-    def shell_of(self, idx: int) -> int | None:
-        """Shell containing ``idx``, or None for the central cell at 0."""
-        if not 0 <= idx < (1 << self.m):
-            raise ValueError(f"index {idx} outside [0, 2^{self.m})")
-        if idx == 0:
-            return None
-        return self.m - idx.bit_length()
-
-    def shell_measure(self, s: int) -> Fraction:
-        return Fraction(1, 1 << (s + 1))
 
 
 def shell_decomposition(m: ResolutionLike) -> ShellDecomposition:

@@ -36,8 +36,8 @@ once for float64 and exact:
   same packet table in ``popcount(n)`` vector steps;
 * ``_atom_maximal`` gives the same floats for a function on ``I_L(0)``
   from the packets of its ``2^e`` cells, ``e = m - L``, on the flat shells
-  off the support, through a memoized shell table; ``_atom_support`` runs
-  the spread recursion on the support.
+  off the support, through a memoized shell table; on the support the
+  Paley-block recursion runs from level ``L`` on those cells' packets.
 
 ``weak_type_constant`` measures an operator's output over the whole group
 through ``analysis.LevelSet``, the distribution of ``|f|`` the norms read.
@@ -150,11 +150,6 @@ WeightScheme = Union[UnitWeight, RhoWeight, PolyWeight, TableWeight]
 def _check_order(n: int) -> None:
     if n < 1:
         raise ValueError(f"weights are undefined at order {n}; the bit spread needs n >= 1")
-
-
-def weight(scheme: WeightScheme, n: int):
-    """The scheme's value at order ``n``; errors below 1."""
-    return scheme.at(n)
 
 
 def float_weight(scheme: WeightScheme, n: int) -> float:
@@ -279,13 +274,6 @@ def _child_extrema(base: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> tuple[np
 def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
     """Sup over ``n in [1, 2^m]`` of ``|S_n f| / weight(n)`` for a spread-only weight.
 
-    Level ``j`` carries, per packet ``Q`` and lowest set bit ``l``, the max
-    ``hi`` and min ``lo`` of ``S_i U_j[Q]`` over ``1 <= i < 2^j``, shape
-    ``(2^(m-j), j, 2^j)``.  Orders ``2^j + i`` give
-    ``U_j[Q] + r_j S_i(U_j[Q + {j}])``; with ``Q`` empty these are the
-    partial sums of ``f`` whose highest bit is ``j``, and their weight is
-    fixed by ``j - l``.  O(m^2 2^m) work in O(m) array stages.
-
     Exact mode runs on numerators: every ``S_i`` is at most ``m`` times
     the largest entry, and a weighed entry at most ``max(w)`` times that.
     """
@@ -293,10 +281,7 @@ def _spread_max(f: DyadicFunction, scheme: WeightScheme) -> np.ndarray:
     w = _spread_weights(scheme, m, f.mode == "exact")
     values, unit = _numerators(f.values, m.bit_length() + int(max(w)).bit_length(), shift=m)
     weigh, w, unit = _divider(w, unit)
-    out = weigh(np.abs(values), w[0])  # n = 2^m, where S_n f = f
-    carry = np.empty((1 << m, 0, 1), values.dtype)
-    _spread_levels(_packet_table(values, m), 0, carry, carry, out, weigh, w)
-    return _from_numerators(out, unit)
+    return _from_numerators(_spread_recursion(_packet_table(values, m), 0, weigh, w), unit)
 
 
 def _spread_weights(scheme: WeightScheme, m: int, exact: bool) -> np.ndarray:
@@ -304,16 +289,36 @@ def _spread_weights(scheme: WeightScheme, m: int, exact: bool) -> np.ndarray:
     return _weights(scheme, tuple((1 << r) | 1 for r in range(m)), exact)
 
 
-def _spread_levels(packets: list[np.ndarray], base_level: int, hi: np.ndarray, lo: np.ndarray,
-                   out: np.ndarray, weigh, w: np.ndarray) -> None:
-    """The Paley-block recursion from ``base_level`` up, raising ``out`` in place.
+def _spread_recursion(packets: list[np.ndarray], level: int, weigh, w: np.ndarray) -> np.ndarray:
+    """The Paley-block recursion: sup over ``n in [1, 2^m]`` of ``|S_n f| / w``, one value per cell of ``packets[-1]``.
 
-    ``packets[k]`` is level ``base_level + k``; ``hi`` and ``lo`` carry one
-    class per lowest set bit below ``base_level``.
+    Level ``j`` carries, per packet ``Q`` and lowest set bit ``l``, the max
+    ``hi`` and min ``lo`` of ``S_i U_j[Q]`` over ``1 <= i < 2^j``, shape
+    ``(2^(m-j), j, 2^j)``.  Orders ``2^j + i`` give
+    ``U_j[Q] + r_j S_i(U_j[Q + {j}])``; with ``Q`` empty these are the
+    partial sums of ``f`` whose highest bit is ``j``, and their weight
+    ``w[j - l]`` is fixed by the spread.  ``weigh(x, w[r])`` divides ``x``
+    by that weight.  O(m^2 2^m) work in O(m) array stages.
+
+    At ``level`` 0 ``packets`` is the whole group's table.  At ``level > 0``
+    (float64 only) it is the table of a function's ``2^e`` cells on
+    ``I_level(0)``, entry ``k`` at level ``level + k``: below ``level``
+    each packet at the support is ``U(h) 2^(j - level)``, one row per
+    block ``h``, and ``r_j = +1``.
     """
     k = len(packets) - 1
+    out = weigh(np.abs(packets[k][0]), w[0])  # n = 2^m, where S_n f = f
+    hi = lo = packets[0][:, :0]
+    for j in range(level):
+        base = np.ldexp(packets[0], j - level)  # U_j[Q] at I, one row per block
+        up, down = base + hi, base + lo  # the child at I: r_j = +1
+        if j:  # orders below 2^level with top bit j; order 2^j loses to 2^level, of equal weight
+            np.maximum(out, weigh(np.maximum(up[0], -down[0]), w[j - np.arange(j)]).max(), out=out)
+        hi = np.concatenate([np.maximum(hi, up), base], axis=1)
+        lo = np.concatenate([np.minimum(lo, down), base], axis=1)
+    hi, lo = hi[..., None], lo[..., None]
     for jr in range(k):
-        j = base_level + jr
+        j = level + jr
         groups = 1 << (k - jr - 1)
         base = packets[jr].reshape(groups, 2, 1 << jr)[:, 0, None]
         hi2 = hi.reshape(groups, 2, j, 1 << jr)
@@ -330,6 +335,7 @@ def _spread_levels(packets: list[np.ndarray], base_level: int, hi: np.ndarray, l
             np.maximum(hi2[:, 0].repeat(2, axis=-1), up, out=hi[:, :j])
             np.minimum(lo2[:, 0].repeat(2, axis=-1), down, out=lo[:, :j])
             hi[:, j] = lo[:, j] = base[:, 0].repeat(2, axis=-1)
+    return out
 
 
 def _packet_partial_sum(packets: list[np.ndarray], n: int, m: int) -> np.ndarray:
@@ -617,28 +623,6 @@ def _atom_maximal(
         else:
             sums = _paley_sums(np.ldexp(spectrum, -level), table)
         out.append((sums / table.weight).max(axis=(0, 2)))
-    return out
-
-
-def _atom_support(packets: list[np.ndarray], level: int, scheme: WeightScheme) -> np.ndarray:
-    """A spread-only weight's maximal operator on ``I_level(0)``, from the cells' packet table.
-
-    ``_spread_max``'s recursion: below ``level`` each packet at the
-    support is ``U(h) 2^(j - level)``, one row per block ``h``, and
-    ``r_j = +1``; above, the cells' table is the function's on the support.
-    """
-    cells = packets[-1][0]
-    w = _spread_weights(scheme, level + len(packets) - 1, False)
-    out = np.abs(cells) / w[0]  # n = 2^m, where S_n f = f
-    hi = lo = np.empty((cells.size, 0))
-    for j in range(level):
-        base = np.ldexp(packets[0], j - level)  # U_j[Q] at I, one row per block
-        up, down = base + hi, base + lo  # the child at I: r_j = +1
-        if j:  # orders below 2^level with top bit j; order 2^j loses to 2^level, of equal weight
-            np.maximum(out, (np.maximum(up[0], -down[0]) / w[j - np.arange(j)]).max(), out=out)
-        hi = np.concatenate([np.maximum(hi, up), base], axis=1)
-        lo = np.concatenate([np.minimum(lo, down), base], axis=1)
-    _spread_levels(packets, level, hi[..., None], lo[..., None], out, np.divide, w)
     return out
 
 

@@ -35,7 +35,7 @@ with the same helper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -343,12 +343,12 @@ def partial_sum(f: DyadicFunction, n: int) -> DyadicFunction:
     assembles them; O(2^m) in float64 and exact mode, the exact nested sum
     on numerators at most ``popcount(n) <= m`` times the largest entry.
     For ``n >= 2^m`` the whole spectrum is kept, so the input comes back
-    unchanged with ``tail_clamped`` set.
+    unchanged.
     """
     if n < 1:
         raise ValueError(f"partial-sum order must be >= 1, got {n}")
     if n >= f.size:
-        return replace(f, tail_clamped=True)
+        return f
     values, unit = _numerators(f.values, f.m.bit_length(), shift=f.m)
     terms = _partial_sum_terms(values, n, f.m)
     return DyadicFunction(f.m, _from_numerators(_nest_partial_sum(terms, f.m), unit), f.mode)

@@ -19,7 +19,7 @@ from walshlab.analysis import (
 )
 from walshlab.constructions import counterexample_fn
 from walshlab.functions import DyadicFunction
-from walshlab.group import GroupPoint, interval, point_e
+from walshlab.group import GroupPoint, interval
 from walshlab.spectral import dirichlet_direct, dirichlet_dyadic, walsh
 
 from oracles import interval_average_maximal, weak_lp_by_definition
@@ -346,7 +346,7 @@ def test_validate_rejects_off_support_mass():
 
 def test_validate_zero_atom_passes():
     p = PExponent.parse("1/4")
-    iv = interval(point_e(0, 4), 1)
+    iv = interval(GroupPoint(4, 1 << 3), 1)  # x_0 = 1, all others 0
     rep = validate_atom(AtomSpec(iv, DyadicFunction.zeros(4, "exact"), p))
     assert rep.passed
 

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,6 @@ from walshlab.constructions import (
     AtomRecipe,
     counterexample_fn,
     make_atom,
-    partial_sum_probe,
     probe_index,
 )
 from walshlab.functions import values_equal
@@ -80,14 +78,6 @@ def test_single_cell_support_errors():
 def test_exact_atom_requires_integral_reciprocal():
     with pytest.raises(ValueError):
         make_atom(AtomRecipe(2, 0, PExponent.parse("3/4"), "haar-pair", 0), 4, "exact")
-
-
-def test_recipe_json_roundtrip():
-    rec = AtomRecipe(3, 8, PExponent.parse("1/3"), "random-bounded", 99)
-    blob = json.dumps(rec.to_json_dict(), sort_keys=True)
-    back = AtomRecipe.from_json_dict(json.loads(blob))
-    assert back == rec
-    assert set(rec.to_json_dict()) == {"M", "base", "p", "generator", "seed"}
 
 
 # -- sharpness sequence -----------------------------------------------------------
@@ -160,7 +150,7 @@ def test_probe_partial_sum_is_dyadic_kernel_in_magnitude():
     for m in (5, 8):
         for n in range(1, m):
             for s in range(n):
-                sp = partial_sum_probe(n, s, m)
+                sp = partial_sum(counterexample_fn(n, m), probe_index(n, s).q)
                 dk = dirichlet_dyadic(s, m)
                 assert np.all(np.abs(sp.values) == dk.values), (m, n, s)
 
@@ -171,7 +161,7 @@ def test_probe_partial_sum_lower_bound_on_pinned_interval():
     m = 7
     for n in range(2, m):
         for s in range(n):
-            sp = partial_sum_probe(n, s, m)
+            sp = partial_sum(counterexample_fn(n, m), probe_index(n, s).q)
             block = [abs(v) for v in sp.values[1 << (m - s - 1) : 1 << (m - s)]]
             assert min(block) == 1 << s
             assert 4 * min(block) >= 1 << s

@@ -25,7 +25,6 @@ from walshlab.operators import (
     TableWeight,
     UnitWeight,
     restricted_maximal,
-    weight,
     weighted_maximal,
 )
 
@@ -129,7 +128,7 @@ def test_inverse_of_int_valued_fractions_stays_fraction():
 def test_weighted_maximal_numerators(name, scheme, widths):
     values, dtype = INPUTS[name]
     got = weighted_maximal(_function(values), scheme).values
-    want = weighted_maximal_by_definition(values, M, lambda n: Fraction(weight(scheme, n)))
+    want = weighted_maximal_by_definition(values, M, lambda n: Fraction(scheme.at(n)))
     assert got.tolist() == want
     assert _types(got) == {Fraction}
     assert widths == [np.dtype(dtype)]
@@ -144,7 +143,7 @@ def test_restricted_maximal_numerators(name, scheme, widths):
     got = restricted_maximal(_function(values), orders, scheme).values
     sums = partial_sum_by_definition(values, M)
     want = [
-        max(abs(sums[min(n, SIZE) - 1][x]) / Fraction(weight(scheme, n)) for n in orders)
+        max(abs(sums[min(n, SIZE) - 1][x]) / Fraction(scheme.at(n)) for n in orders)
         for x in range(SIZE)
     ]
     assert got.tolist() == want

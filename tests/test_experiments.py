@@ -8,7 +8,7 @@ import pytest
 
 from walshlab import experiments, operators, spectral
 from walshlab.analysis import PExponent, hardy_quasinorm, lp_quasinorm, weak_lp_quasinorm
-from walshlab.constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, partial_sum_probe, probe_index
+from walshlab.constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, probe_index
 from walshlab.experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -411,7 +411,7 @@ def test_theorem2_runs_without_the_transform(monkeypatch):
                                expectation=expectation, scheme=scheme)
         assert theorem2_weak_divergence(cfg).verdict
     for mode in ("exact", "float64"):
-        probe = partial_sum_probe(5, 2, 8, mode)
+        probe = partial_sum(counterexample_fn(5, 8, mode), probe_index(5, 2).q)
         assert np.abs(probe.values).tolist() == dirichlet_dyadic(2, 8, mode).values.tolist()
 
 
@@ -500,7 +500,7 @@ def test_corollary_suite_verdicts():
 
 def _support_mask(m, level):
     support = interval(GroupPoint(m, 0), level)
-    return np.array([support.contains(x) for x in range(1 << m)])
+    return np.array([x in support.indices() for x in range(1 << m)])
 
 
 def _atom_by_recipe(p_str, level, m, seed, trial):
@@ -611,6 +611,12 @@ def test_corollary_suite_validation():
         corollary_suite(6, "1/2")
     with pytest.raises(ValueError, match="jobs"):
         corollary_suite(8, "1/2", trials=1, jobs=0)
+    # Non-integer counts are input errors, not a TypeError deep in the run;
+    # a bool is no count, so True does not run one trial.
+    for kwargs in ({"trials": "5"}, {"trials": 2.0}, {"trials": True}, {"seed": 1.5}, {"jobs": "2"}):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"integer {name}"):
+            corollary_suite(8, "1/2", **{"trials": 1, **kwargs})
 
 
 def test_thm1_rejects_jobs_below_one():

@@ -149,10 +149,3 @@ def test_binary_rejects_exact_and_corrupt(tmp_path):
         bad.write_bytes(struct.pack("<Q", 2) + np.array([1.0, value]).astype("<f8").tobytes())
         with pytest.raises(ValueError, match="not finite"):
             load_binary(bad)
-
-
-def test_tail_clamp_flag_not_part_of_equality():
-    f = DyadicFunction.from_values(2, [1.0, 2.0, 3.0, 4.0])
-    clamped = partial_sum(f, 10)
-    assert clamped.tail_clamped
-    assert values_equal(f, clamped)

@@ -9,7 +9,6 @@ from walshlab.group import (
     Resolution,
     interval,
     measure,
-    point_e,
     shell_decomposition,
 )
 
@@ -24,17 +23,10 @@ def test_resolution_bounds():
             Resolution(bad)
 
 
-def test_point_e_examples():
-    assert point_e(0, 3).idx == 4  # binary 100, coordinate 0 is the MSB
-    assert point_e(2, 3).idx == 1
-    with pytest.raises(ValueError):
-        point_e(3, 3)
-
-
 def test_coordinates_roundtrip():
     for idx in range(16):
         p = GroupPoint(4, idx)
-        assert GroupPoint.from_coordinates(p.coordinates()) == p
+        assert int("".join(map(str, p.coordinates())), 2) == idx  # coordinate 0 is the MSB
 
 
 def test_group_addition_is_xor():
@@ -50,7 +42,7 @@ def test_interval_whole_group():
 
 
 def test_interval_upper_half():
-    iv = interval(point_e(0, 3), 1)
+    iv = interval(GroupPoint(3, 1 << 2), 1)  # x_0 = 1, all others 0
     assert iv.indices() == range(4, 8)
 
 
@@ -82,7 +74,7 @@ def test_interval_nesting_and_measures(m, data):
     prev = None
     for level in range(m + 1):
         iv = interval(x, level)
-        assert iv.contains(x)
+        assert x.idx in iv.indices()
         assert iv.measure == Fraction(1, 1 << level)
         if prev is not None:
             assert prev.start <= iv.start and iv.stop <= prev.stop
@@ -102,8 +94,8 @@ def test_shell_decomposition_m2():
     sd = shell_decomposition(2)
     assert list(sd.shell(0)) == [2, 3]
     assert list(sd.shell(1)) == [1]
-    assert sd.shell_measure(0) == Fraction(1, 2)
-    assert sd.shell_measure(1) == Fraction(1, 4)
+    assert measure(sd.shell(0), 2) == Fraction(1, 2)
+    assert measure(sd.shell(1), 2) == Fraction(1, 4)
 
 
 def test_shell_decomposition_m1():
@@ -117,14 +109,12 @@ def test_shell_partition_exhaustive():
         seen = sorted(i for _, rng in sd.shells() for i in rng)
         assert seen == list(range(1, 1 << m))  # everything except the cell at 0
         for idx in range(1, 1 << m):
-            s = sd.shell_of(idx)
-            assert idx in sd.shell(s)
-        assert sd.shell_of(0) is None
+            assert idx in sd.shell(m - idx.bit_length())
 
 
 def test_shell_total_measure():
     sd = shell_decomposition(4)
-    total = sum(sd.shell_measure(s) for s in range(4))
+    total = sum(measure(sd.shell(s), 4) for s in range(4))
     assert total == Fraction(15, 16)
 
 

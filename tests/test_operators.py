@@ -20,7 +20,6 @@ from walshlab.operators import (
     scheme_from_json,
     scheme_to_json,
     weak_type_constant,
-    weight,
     weighted_maximal,
 )
 from walshlab.spectral import dirichlet_dyadic, index_stats, partial_sum, walsh
@@ -34,19 +33,19 @@ P_HALF = PExponent.parse("1/2")
 
 
 def test_weight_examples():
-    assert weight(RhoWeight(P_HALF), 5) == 4  # spread 2, exponent 1
+    assert RhoWeight(P_HALF).at(5) == 4  # spread 2, exponent 1
     for k in range(1, 8):
-        assert weight(RhoWeight(P_HALF), 1 << k) == 1
-    assert weight(PolyWeight(P_HALF), 7) == 8
-    assert weight(UnitWeight(), 123) == 1
+        assert RhoWeight(P_HALF).at(1 << k) == 1
+    assert PolyWeight(P_HALF).at(7) == 8
+    assert UnitWeight().at(123) == 1
     with pytest.raises(ValueError):
-        weight(RhoWeight(P_HALF), 0)
+        RhoWeight(P_HALF).at(0)
 
 
 def test_rho_weight_exact_powers():
-    w = weight(RhoWeight(PExponent.parse("1/3")), 5)  # spread 2, exponent 2
+    w = RhoWeight(PExponent.parse("1/3")).at(5)  # spread 2, exponent 2
     assert w == 16 and isinstance(w, int)
-    w = weight(RhoWeight(PExponent.parse("3/4")), 5)  # exponent 1/3: float
+    w = RhoWeight(PExponent.parse("3/4")).at(5)  # exponent 1/3: float
     assert isinstance(w, float)
 
 
@@ -118,7 +117,7 @@ def test_weighted_maximal_walsh5_enumerated():
     by_hand = None
     for n in range(1, 9):
         sn = partial_sum(f, n).values
-        w = weight(RhoWeight(P_HALF), n)
+        w = RhoWeight(P_HALF).at(n)
         cand = np.abs(sn) * (Fraction(1) / w)
         by_hand = cand if by_hand is None else np.maximum(by_hand, cand)
     assert by_hand.tolist() == [1] * 8
@@ -154,7 +153,7 @@ def test_weighted_maximal_exact_matches_float():
     ints = [int(v) for v in rng.integers(-8, 9, 64)]
     fe = DyadicFunction.from_values(6, ints, "exact")
     ff = DyadicFunction.from_values(6, [float(v) for v in ints])
-    ge = weighted_maximal(fe, RhoWeight(P_HALF)).as_float_array()
+    ge = weighted_maximal(fe, RhoWeight(P_HALF)).values.astype(float)
     gf = weighted_maximal(ff, RhoWeight(P_HALF)).values
     assert np.allclose(ge, gf, atol=1e-11)
 
@@ -169,8 +168,8 @@ def test_tail_sufficiency():
                 base = weighted_maximal(f, scheme).values
                 for n in range((1 << m) + 1, (1 << (m + 2)) + 1):
                     tail = partial_sum(f, n)
-                    assert tail.tail_clamped and np.array_equal(tail.values, f.values)
-                    extended = np.maximum(base, np.abs(f.values) / weight(scheme, n))
+                    assert np.array_equal(tail.values, f.values)
+                    extended = np.maximum(base, np.abs(f.values) / scheme.at(n))
                     assert np.array_equal(base, extended)
 
 
@@ -340,7 +339,7 @@ def test_exact_spread_engine_matches_definition(m, kind, seed):
 @settings(max_examples=40, deadline=None)
 def test_spread_engine_matches_listed_table(m, kind, seed, dyadic):
     scheme, _ = _spread_scheme(kind)
-    listed = _ListedWeight(tuple((n, weight(scheme, n)) for n in range(1, (1 << m) + 1)))
+    listed = _ListedWeight(tuple((n, scheme.at(n)) for n in range(1, (1 << m) + 1)))
     f = DyadicFunction.from_values(m, _spread_input(m, seed, dyadic))
     got = weighted_maximal(f, scheme).values
     pruned = weighted_maximal(f, listed).values
@@ -616,7 +615,8 @@ def test_atom_maximal_matches_the_engines(p_str):
                 grid, on = _on_the_grid(cells, level, orders, scheme)
                 assert all((shell == v).all() for shell, v in zip(grid, shells))
                 if orders is None and scheme.spread_only:
-                    assert operators._atom_support(packets, level, scheme).tolist() == on.tolist()
+                    w = operators._spread_weights(scheme, m, False)
+                    assert operators._spread_recursion(packets, level, np.divide, w).tolist() == on.tolist()
 
 
 def test_atom_maximal_keeps_every_order_near_the_best():
