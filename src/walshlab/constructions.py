@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import AtomSpec, PExponent, atom_sup_bound, validate_atom
 from .functions import DyadicFunction, Mode
-from .group import GroupPoint, ResolutionLike, as_resolution, interval
+from .group import GroupPoint, ResolutionLike, _as_int, as_resolution, interval
 from .spectral import _to_mode, index_stats
 
 Generator = Literal["haar-pair", "random-signs", "random-bounded"]
@@ -131,6 +131,7 @@ def counterexample_fn(n: int, m: ResolutionLike, mode: Mode = "exact") -> Dyadic
     ``2^n``; its spectrum is the indicator of ``[2^n, 2^(n+1))``.
     """
     r = as_resolution(m)
+    n = _as_int(n, "sharpness scale")
     if n < 1:
         raise ValueError(f"sharpness scale must be >= 1, got {n}")
     if n + 1 > r.m:
@@ -158,6 +159,7 @@ class ProbeIndex:
 
 def probe_index(n: int, s: int) -> ProbeIndex:
     """The canonical probe ``q = 2^n + 2^s`` with lowest set bit ``s``."""
+    n, s = _as_int(n, "probe scale"), _as_int(s, "probe bit")
     if not 0 <= s < n:
         raise ValueError(f"probe bit s={s} must satisfy 0 <= s < n={n}")
     return ProbeIndex(n=n, s=s, q=(1 << n) + (1 << s))

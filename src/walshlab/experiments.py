@@ -51,12 +51,12 @@ from .operators import (
 )
 from .reporting import ExperimentReport
 from .spectral import (
+    _binary_variation,
     _dirichlet_direct_int64,
     _dirichlet_dyadic_int64,
     _dirichlet_fast_int64,
     _kernel_pair_stream,
     _kernel_rows_stream,
-    index_stats,
     partial_sum,
     walsh_rows,
 )
@@ -284,6 +284,136 @@ def _sweep_report(name: str, m: int, cases: list, summary: dict, verdict: bool) 
     return ExperimentReport(name, {"resolution": m}, cases, summary, verdict, _provenance(None))
 
 
+@dataclass
+class _KernelTally:
+    """What one pass over the kernels ``D_1 .. D_{2^m}`` found; each verifier reads its own part."""
+
+    m: int
+    direct_fast: int = 0  # orders whose definition sum and binary-expansion assembly differ
+    closed_form: int = 0  # orders 2^k whose kernel differs from the closed form
+    shift_checked: int = 0
+    shift: int = 0
+    lemma_checked: int = 0
+    equality: int = 0
+    bound: int = 0
+    lemma_min: int | None = None  # least min |D_n| on a pinned interval of level l, times 2^(m - l)
+    abs_sums: np.ndarray | None = None  # 2^m ||D_n||_1 at index n - 1
+
+
+def _kernel_sweep(m: int, identities: bool = False, lemma1: bool = False, sandwich: bool = False) -> _KernelTally:
+    """One pass over the kernels ``D_1 .. D_{2^m}``, tallying only the parts asked for.
+
+    The shift identity and Lemma 1 pair each block above a power of two
+    with the kernels below it, so they read ``_kernel_pair_stream``; its
+    ``D_1`` and high rows give every order once, and feed the per-order
+    checks and the L1 sums as well.  The sandwich alone reads one running
+    sum and skips the low-order replay.
+    """
+    tally = _KernelTally(m, abs_sums=np.empty(1 << m, dtype=np.int64) if sandwich else None)
+
+    def per_order(lo: int, rows: np.ndarray) -> None:  # rows[i] is D_{lo+i+1}
+        hi = lo + rows.shape[0]
+        if identities:
+            fast = _dirichlet_fast_int64(lo + 1, hi + 1, m)
+            tally.direct_fast += int((rows != fast).any(axis=1).sum())
+            for k in range(lo.bit_length(), hi.bit_length()):  # the orders 2^k in lo+1 .. hi
+                tally.closed_form += not np.array_equal(rows[(1 << k) - lo - 1], _dirichlet_dyadic_int64(k, m))
+        if sandwich:
+            tally.abs_sums[lo:hi] = np.abs(rows).sum(axis=1, dtype=np.int64)
+
+    if not (identities or lemma1):
+        for lo, rows in _kernel_rows_stream(m):
+            per_order(lo, rows)
+        return tally
+    shells = shell_decomposition(m)
+    for k, lo, low, high, base in _kernel_pair_stream(m):
+        if k == 0:
+            per_order(0, low)  # D_1, by its definition
+        per_order((1 << k) + lo, high)
+        if identities:
+            if lo == 0:
+                twist = walsh_rows(1 << k, (1 << k) + 1, m)[0]
+            tally.shift_checked += low.shape[0]
+            tally.shift += int((high - base != low * twist).any(axis=1).sum())
+        if not lemma1:
+            continue
+        # Order 2^k + j has top bit k and the lowest bit of j; the rows
+        # with lowest bit l < k are every 2^(l+1)-th from j = 2^l.
+        for low_bit in range(k):
+            pinned = shells.shell(low_bit)
+            first = ((1 << low_bit) - 1 - lo) % (2 << low_bit)
+            dn = np.abs(high[first :: 2 << low_bit, pinned.start : pinned.stop])
+            dref = np.abs(low[first :: 2 << low_bit, pinned.start : pinned.stop])
+            tally.equality += int((dn != dref).any(axis=1).sum())
+            mins = dn.min(axis=1).astype(np.int64)  # 4 * 2^14 overflows int16
+            tally.bound += int((4 * mins < (1 << low_bit)).sum())
+            tally.lemma_checked += mins.size
+            if mins.size:
+                # Ratios min/2^l compared as integers over the common denominator 2^m.
+                scaled = int(mins.min()) << (m - low_bit)
+                tally.lemma_min = scaled if tally.lemma_min is None else min(tally.lemma_min, scaled)
+    return tally
+
+
+def _kernels_report(tally: _KernelTally) -> ExperimentReport:
+    size = 1 << tally.m
+    spot = [int(v) for v in _dirichlet_direct_int64(3, 2)]
+    cases = [
+        {"check": "direct_vs_fast", "count": size, "mismatches": tally.direct_fast},
+        {"check": "closed_form_powers", "count": tally.m + 1, "mismatches": tally.closed_form},
+        {"check": "shift_identity", "count": tally.shift_checked, "mismatches": tally.shift},
+    ]
+    total = tally.direct_fast + tally.closed_form + tally.shift
+    summary = {
+        "resolution": tally.m,
+        "kernels_checked": size,
+        "mismatches": total,
+        "spot_order3_at_m2": spot,
+    }
+    return _sweep_report("kernel-identities", tally.m, cases, summary, total == 0 and spot == [3, 1, 1, -1])
+
+
+def _lemma1_report(tally: _KernelTally) -> ExperimentReport:
+    checked = tally.lemma_checked
+    min_ratio = None if tally.lemma_min is None else Fraction(tally.lemma_min, 1 << tally.m)
+    cases = [
+        {"check": "absolute_value_equality", "count": checked, "mismatches": tally.equality},
+        {"check": "quarter_lower_bound", "count": checked, "mismatches": tally.bound},
+    ]
+    summary = {
+        "resolution": tally.m,
+        "orders_checked": checked,
+        "min_ratio": float(min_ratio) if min_ratio is not None else None,
+        "min_ratio_exact": str(min_ratio) if min_ratio is not None else None,
+        "bound_ever_tight": bool(min_ratio == Fraction(1, 4)) if min_ratio is not None else False,
+    }
+    verdict = tally.equality == 0 and tally.bound == 0
+    return _sweep_report("kernel-lower-bound", tally.m, cases, summary, verdict)
+
+
+def _sandwich_report(tally: _KernelTally) -> ExperimentReport:
+    size = 1 << tally.m
+    abs_sums = tally.abs_sums
+    variation = _binary_variation(np.arange(1, size + 1, dtype=np.int64))
+    lower_ok = variation * size <= 8 * abs_sums
+    upper_ok = abs_sums <= variation * size
+    ratios = abs_sums / (variation.astype(np.float64) * size)  # ||D_n||_1 / V(n)
+    i_min, i_max = int(np.argmin(ratios)), int(np.argmax(ratios))
+    cases = [
+        {"check": "lower_eighth", "count": size, "mismatches": int((~lower_ok).sum())},
+        {"check": "upper_variation", "count": size, "mismatches": int((~upper_ok).sum())},
+    ]
+    summary = {
+        "resolution": tally.m,
+        "min_norm_over_variation": float(ratios[i_min]),
+        "min_at_order": i_min + 1,
+        "max_norm_over_variation": float(ratios[i_max]),
+        "max_at_order": i_max + 1,
+        "max_variation_over_norm": float(1.0 / ratios[i_min]),
+    }
+    return _sweep_report("kernel-l1-sandwich", tally.m, cases, summary, bool(lower_ok.all() and upper_ok.all()))
+
+
 def verify_kernels(m: int) -> ExperimentReport:
     """Exhaustive bit-exact agreement of the three kernel constructions.
 
@@ -292,37 +422,7 @@ def verify_kernels(m: int) -> ExperimentReport:
     a kernel block beyond a power of two is the twisted low-order kernel.
     """
     r = _sweep_resolution(m, KERNEL_SWEEP_MAX, "kernel sweep")
-    direct_fast_mismatches = 0
-    closed_form_mismatches = 0
-    for lo, rows in _kernel_rows_stream(r.m):
-        hi = lo + rows.shape[0]
-        fast = _dirichlet_fast_int64(lo + 1, hi + 1, r.m)
-        direct_fast_mismatches += int((rows != fast).any(axis=1).sum())
-        for k in range(lo.bit_length(), hi.bit_length()):  # the orders 2^k in lo+1 .. hi
-            if not np.array_equal(rows[(1 << k) - lo - 1], _dirichlet_dyadic_int64(k, r.m)):
-                closed_form_mismatches += 1
-
-    shift_mismatches = 0
-    shift_checked = 0
-    for k, _, low, high, base in _kernel_pair_stream(r.m):
-        twist = walsh_rows(1 << k, (1 << k) + 1, r.m)[0]
-        shift_checked += low.shape[0]
-        shift_mismatches += int((high - base != low * twist).any(axis=1).sum())
-
-    spot = [int(v) for v in _dirichlet_direct_int64(3, 2)]
-    cases = [
-        {"check": "direct_vs_fast", "count": r.size, "mismatches": direct_fast_mismatches},
-        {"check": "closed_form_powers", "count": r.m + 1, "mismatches": closed_form_mismatches},
-        {"check": "shift_identity", "count": shift_checked, "mismatches": shift_mismatches},
-    ]
-    total = direct_fast_mismatches + closed_form_mismatches + shift_mismatches
-    summary = {
-        "resolution": r.m,
-        "kernels_checked": r.size,
-        "mismatches": total,
-        "spot_order3_at_m2": spot,
-    }
-    return _sweep_report("kernel-identities", r.m, cases, summary, total == 0 and spot == [3, 1, 1, -1])
+    return _kernels_report(_kernel_sweep(r.m, identities=True))
 
 
 def verify_lemma1(m: int) -> ExperimentReport:
@@ -334,37 +434,7 @@ def verify_lemma1(m: int) -> ExperimentReport:
     ratio is recorded; at finite resolution it turns out to be exactly 1.
     """
     r = _sweep_resolution(m, KERNEL_SWEEP_MAX, "lower-bound sweep")
-    shells = shell_decomposition(r.m)
-    equality_failures = 0
-    bound_failures = 0
-    ratios = []  # one Fraction per order checked
-    for k, lo, low, high, _ in _kernel_pair_stream(r.m):
-        # Order 2^k + j has top bit k and the lowest bit of j; the rows
-        # with lowest bit l < k are every 2^(l+1)-th from j = 2^l.
-        for low_bit in range(k):
-            pinned = shells.shell(low_bit)
-            first = ((1 << low_bit) - 1 - lo) % (2 << low_bit)
-            dn = np.abs(high[first :: 2 << low_bit, pinned.start : pinned.stop])
-            dref = np.abs(low[first :: 2 << low_bit, pinned.start : pinned.stop])
-            equality_failures += int((dn != dref).any(axis=1).sum())
-            low_mins = dn.min(axis=1)
-            bound_failures += int((4 * low_mins < (1 << low_bit)).sum())
-            ratios += [Fraction(v, 1 << low_bit) for v in low_mins.tolist()]
-    checked = len(ratios)
-    min_ratio = min(ratios, default=None)
-    cases = [
-        {"check": "absolute_value_equality", "count": checked, "mismatches": equality_failures},
-        {"check": "quarter_lower_bound", "count": checked, "mismatches": bound_failures},
-    ]
-    summary = {
-        "resolution": r.m,
-        "orders_checked": checked,
-        "min_ratio": float(min_ratio) if min_ratio is not None else None,
-        "min_ratio_exact": str(min_ratio) if min_ratio is not None else None,
-        "bound_ever_tight": bool(min_ratio == Fraction(1, 4)) if min_ratio is not None else False,
-    }
-    verdict = equality_failures == 0 and bound_failures == 0
-    return _sweep_report("kernel-lower-bound", r.m, cases, summary, verdict)
+    return _lemma1_report(_kernel_sweep(r.m, lemma1=True))
 
 
 def verify_kernel_l1_sandwich(m: int) -> ExperimentReport:
@@ -375,30 +445,7 @@ def verify_kernel_l1_sandwich(m: int) -> ExperimentReport:
     no tolerance anywhere.
     """
     r = _sweep_resolution(m, SANDWICH_SWEEP_MAX, "sandwich sweep")
-    size = r.size
-    variation = np.array([index_stats(n).variation for n in range(1, size + 1)], dtype=np.int64)
-
-    abs_sums = np.empty(size, dtype=np.int64)
-    for lo, rows in _kernel_rows_stream(r.m):
-        abs_sums[lo : lo + rows.shape[0]] = np.abs(rows).sum(axis=1)
-
-    lower_ok = variation * size <= 8 * abs_sums
-    upper_ok = abs_sums <= variation * size
-    ratios = abs_sums / (variation.astype(np.float64) * size)  # ||D_n||_1 / V(n)
-    i_min, i_max = int(np.argmin(ratios)), int(np.argmax(ratios))
-    cases = [
-        {"check": "lower_eighth", "count": size, "mismatches": int((~lower_ok).sum())},
-        {"check": "upper_variation", "count": size, "mismatches": int((~upper_ok).sum())},
-    ]
-    summary = {
-        "resolution": r.m,
-        "min_norm_over_variation": float(ratios[i_min]),
-        "min_at_order": i_min + 1,
-        "max_norm_over_variation": float(ratios[i_max]),
-        "max_at_order": i_max + 1,
-        "max_variation_over_norm": float(1.0 / ratios[i_min]),
-    }
-    return _sweep_report("kernel-l1-sandwich", r.m, cases, summary, bool(lower_ok.all() and upper_ok.all()))
+    return _sandwich_report(_kernel_sweep(r.m, sandwich=True))
 
 
 # -- weak-type boundedness on atoms ------------------------------------------
@@ -942,11 +989,13 @@ def corollary_suite(
 
 
 def verify_all(m: int) -> ExperimentReport:
-    """Kernel identities, the lower-bound sweep, and the L1 sandwich in one verdict."""
-    parts = [verify_kernels(m), verify_lemma1(m), verify_kernel_l1_sandwich(m)]
+    """Kernel identities, the lower-bound sweep, and the L1 sandwich in one verdict, from one kernel pass."""
+    r = _sweep_resolution(m, KERNEL_SWEEP_MAX, "kernel sweep")
+    tally = _kernel_sweep(r.m, identities=True, lemma1=True, sandwich=True)
+    parts = [_kernels_report(tally), _lemma1_report(tally), _sandwich_report(tally)]
     return _sweep_report(
         "verify-all",
-        as_resolution(m).m,
+        r.m,
         [{"experiment": part.name, "verdict": part.verdict, "summary": part.summary} for part in parts],
         {"parts": [part.name for part in parts]},
         all(part.verdict for part in parts),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, Union
 
 import numpy as np
@@ -45,6 +46,13 @@ ResolutionLike = Union[int, Resolution]
 
 def as_resolution(m: ResolutionLike) -> Resolution:
     return m if isinstance(m, Resolution) else Resolution(m)
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer, which a ``bool`` is not."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ import numpy as np
 
 from .analysis import ExponentLike, LevelSet, PExponent, _exponent_value
 from .functions import DyadicFunction, _divider, _from_numerators, _halve, _numerators
+from .group import _as_int
 from .spectral import _nest_partial_sum, index_stats
 
 
@@ -66,7 +67,7 @@ class UnitWeight:
     spread_only: ClassVar[bool] = True
 
     def at(self, n: int):
-        _check_order(n)
+        n = _check_order(n)
         return 1
 
 
@@ -78,7 +79,7 @@ class RhoWeight:
     p: PExponent
 
     def at(self, n: int):
-        _check_order(n)
+        n = _check_order(n)
         e = self.p.weight_exponent
         rho = index_stats(n).rho
         if e.denominator == 1:
@@ -94,7 +95,7 @@ class PolyWeight:
     p: PExponent
 
     def at(self, n: int):
-        _check_order(n)
+        n = _check_order(n)
         e = self.p.weight_exponent
         if e.denominator == 1:
             return (n + 1) ** int(e)
@@ -138,7 +139,7 @@ class TableWeight:
         return cls(tuple(items))
 
     def at(self, n: int):
-        _check_order(n)
+        n = _check_order(n)
         if n not in self._by_order:
             raise ValueError(f"table weight has no entry for order {n}")
         return self._by_order[n]
@@ -147,9 +148,11 @@ class TableWeight:
 WeightScheme = Union[UnitWeight, RhoWeight, PolyWeight, TableWeight]
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int) -> int:
+    n = _as_int(n, "weight order")
     if n < 1:
         raise ValueError(f"weights are undefined at order {n}; the bit spread needs n >= 1")
+    return n
 
 
 def float_weight(scheme: WeightScheme, n: int) -> float:
@@ -217,6 +220,7 @@ class Subsequence:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "indices", tuple(_as_int(n, "subsequence order") for n in self.indices))
         if not self.indices:
             raise ValueError("subsequence must be nonempty")
         prev = 0

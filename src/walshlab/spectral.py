@@ -20,7 +20,14 @@ power-of-two blocks in O(2^m) per order, built a block of orders at once.
 ``_kernel_rows_stream`` is the defining sum run as a running sum, row by
 row within a chunk of orders; it is the one definition sum the exhaustive
 kernel sweeps read, and ``_kernel_pair_stream`` pairs its rows across
-each power of two for the shift identity and the lower-bound lemma.
+each power of two for the shift identity and the lower-bound lemma.  Its
+``D_1`` and high rows give every order once, so one pair stream feeds
+every kernel check.  The streams and the three integer constructions hold
+entries in ``_kernel_dtype(m)``, the narrowest of int16, int32 and int64
+that fits ``|D_n| <= 2^m`` and a shift difference: int16 up to ``m = 14``,
+which covers both sweep caps (the ``_int64`` suffix of the constructions'
+private names is older than that choice).  Sums over a row are taken in
+int64.
 
 Partial sums use the same binary expansion and no transform.  With
 ``Q_j = {k > j : n_k = 1}``, ``S_n f`` is the sum over the set bits ``j``
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import DyadicFunction, Mode, SpectralVector, _from_numerators, _halve, _mode_dtype, _numerators
-from .group import ResolutionLike, as_resolution
+from .group import ResolutionLike, _as_int, as_resolution
 
 #: Walsh sign matrices are memoized up to this resolution (16 MiB at 12).
 _WALSH_CACHE_MAX = 12
@@ -98,6 +105,7 @@ def rademacher(k: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunctio
 def walsh(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:
     """The Walsh function ``w_n`` in Paley order; ``w_0`` is constant 1."""
     r = as_resolution(m)
+    n = _as_int(n, "frequency")
     if not 0 <= n < r.size:
         raise ValueError(f"frequency {n} outside [0, 2^{r.m})")
     return _to_mode(walsh_rows(n, n + 1, r.m)[0].astype(np.int64), r.m, mode)
@@ -170,6 +178,7 @@ def index_stats(n: int) -> IndexStats:
     The variation is ``n_0 + sum_k |n_k - n_{k-1}|`` over the bit expansion,
     which counts twice the number of maximal blocks of ones.
     """
+    n = _as_int(n, "index")
     if n < 1:
         raise ValueError(f"index characteristics undefined for n = {n}")
     low = (n & -n).bit_length() - 1
@@ -179,26 +188,47 @@ def index_stats(n: int) -> IndexStats:
     return IndexStats(n, low, high, high - low, variation)
 
 
+def _binary_variation(orders: np.ndarray) -> np.ndarray:
+    """``index_stats(n).variation`` of every entry of an int64 array of orders, as int64.
+
+    Bit ``j`` of ``n ^ (n << 1)`` is ``|n_j - n_{j-1}|``, with ``n_{-1} = 0``,
+    so its popcount is the variation.
+    """
+    return np.bitwise_count(orders ^ (orders << 1)).astype(np.int64)
+
+
 # -- Dirichlet kernels ----------------------------------------------------
 
 
-def _check_kernel_order(n: int, m: int) -> None:
+def _check_kernel_order(n: int, m: int) -> int:
+    n = _as_int(n, "kernel order")
     if not 1 <= n <= (1 << m):
         raise ValueError(f"kernel order {n} outside [1, 2^{m}]")
+    return n
+
+
+def _kernel_dtype(m: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds every kernel entry at resolution ``m``.
+
+    ``|D_n| <= n <= 2^m``, and a shift-identity difference ``D_{2^k+j} - D_{2^k}``
+    (``k < m``) is at most ``2^m + 2^(m-1)``; int16 holds both up to ``m = 14``.
+    """
+    bound = 3 << (m - 1)
+    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
 def _dirichlet_direct_int64(n: int, m: int) -> np.ndarray:
     size = 1 << m
-    acc = np.zeros(size, dtype=np.int64)
+    acc = np.zeros(size, dtype=_kernel_dtype(m))
     chunk = 1 << min(m, 9)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        acc += walsh_rows(lo, hi, m).sum(axis=0, dtype=np.int64)
+        acc += walsh_rows(lo, hi, m).sum(axis=0, dtype=acc.dtype)
     return acc
 
 
 def _dirichlet_dyadic_int64(k: int, m: int) -> np.ndarray:
-    values = np.zeros(1 << m, dtype=np.int64)
+    values = np.zeros(1 << m, dtype=_kernel_dtype(m))
     values[: 1 << (m - k)] = 1 << k
     return values
 
@@ -207,8 +237,9 @@ def _dirichlet_fast_int64(lo: int, hi: int, m: int) -> np.ndarray:
     """Kernels of the orders ``lo .. hi-1``, one row each, from their binary expansions alone."""
     size = 1 << m
     top = min(hi, size)
-    orders = np.arange(lo, top, dtype=np.int64)
-    acc = np.zeros((top - lo, size), dtype=np.int64)
+    dtype = _kernel_dtype(m)
+    orders = np.arange(lo, top, dtype=dtype)
+    acc = np.zeros((top - lo, size), dtype=dtype)
     for k in range(m):
         half = 1 << (m - k - 1)
         block = ((orders >> k) & 1)[:, None] << k
@@ -227,14 +258,15 @@ _KERNEL_CHUNK = 256
 
 
 def _kernel_rows_stream(m: int, start: int = 0, stop: int | None = None, carry=0):
-    """Yield (lo, rows) where rows[i] is ``carry`` plus Walsh rows ``start .. lo+i``, int64.
+    """Yield (lo, rows) where rows[i] is ``carry`` plus Walsh rows ``start .. lo+i``, in ``_kernel_dtype(m)``.
 
     With the defaults, rows[i] is the order-(lo+i+1) kernel.
     """
     stop = 1 << m if stop is None else stop
+    dtype = _kernel_dtype(m)
     for lo in range(start, stop, _KERNEL_CHUNK):
         hi = min(lo + _KERNEL_CHUNK, stop)
-        rows = walsh_rows(lo, hi, m).astype(np.int64)
+        rows = walsh_rows(lo, hi, m).astype(dtype)
         rows[0] += carry
         # Row by row: one cumulative sum along the order axis is about four times slower.
         for i in range(1, hi - lo):
@@ -248,9 +280,11 @@ def _kernel_pair_stream(m: int):
 
     ``low[i]`` is ``D_j`` and ``high[i]`` is ``D_{2^k + j}`` for
     ``j = lo + i + 1`` in ``1 .. 2^k``; ``base`` is ``D_{2^k}``.  The high
-    stream is carried from ``base``, the previous stage's last high row.
+    stream is carried from ``base``, the previous stage's last high row, so
+    ``D_1`` (the ``k = 0`` low row) and the high rows give every order
+    ``1 .. 2^m`` once.
     """
-    base = np.ones(1 << m, dtype=np.int64)  # D_1 = w_0
+    base = np.ones(1 << m, dtype=_kernel_dtype(m))  # D_1 = w_0
     for k in range(m):
         low = _kernel_rows_stream(m, 0, 1 << k)
         high = _kernel_rows_stream(m, 1 << k, 2 << k, carry=base)
@@ -262,7 +296,7 @@ def _kernel_pair_stream(m: int):
 def dirichlet_direct(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:
     """Kernel of order ``n`` by its definition: sum of the first n Walsh functions."""
     r = as_resolution(m)
-    _check_kernel_order(n, r.m)
+    n = _check_kernel_order(n, r.m)
     _fill_walsh_cache(r.m)  # the sum below slices the memo per chunk
     return _to_mode(_dirichlet_direct_int64(n, r.m), r.m, mode)
 
@@ -270,6 +304,7 @@ def dirichlet_direct(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicF
 def dirichlet_dyadic(k: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:
     """Closed form at order 2^k: the value 2^k on the level-k interval at 0."""
     r = as_resolution(m)
+    k = _as_int(k, "dyadic order exponent")
     if not 0 <= k <= r.m:
         raise ValueError(f"dyadic order exponent {k} outside [0, {r.m}]")
     return _to_mode(_dirichlet_dyadic_int64(k, r.m), r.m, mode)
@@ -282,7 +317,7 @@ def dirichlet_fast(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFun
     bit, then one global Walsh twist; O(2^m).
     """
     r = as_resolution(m)
-    _check_kernel_order(n, r.m)
+    n = _check_kernel_order(n, r.m)
     return _to_mode(_dirichlet_fast_int64(n, n + 1, r.m)[0], r.m, mode)
 
 
@@ -345,6 +380,7 @@ def partial_sum(f: DyadicFunction, n: int) -> DyadicFunction:
     For ``n >= 2^m`` the whole spectrum is kept, so the input comes back
     unchanged.
     """
+    n = _as_int(n, "partial-sum order")
     if n < 1:
         raise ValueError(f"partial-sum order must be >= 1, got {n}")
     if n >= f.size:

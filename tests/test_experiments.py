@@ -247,6 +247,22 @@ def test_verify_all_aggregates():
     ]
 
 
+def test_verify_all_reads_each_kernel_once(monkeypatch):
+    # One pair stream feeds all three parts: its high and low rows, the
+    # binary-expansion twists and one shift twist per stage, no more.
+    rows = spectral.walsh_rows
+    read = []
+
+    def counted(lo, hi, m):
+        read.append(hi - lo)
+        return rows(lo, hi, m)
+
+    monkeypatch.setattr(spectral, "walsh_rows", counted)
+    monkeypatch.setattr(experiments, "walsh_rows", counted)
+    assert verify_all(8).verdict
+    assert sum(read) <= 3 * 2**8 + 8
+
+
 # -- weak type on atoms ---------------------------------------------------------------
 
 

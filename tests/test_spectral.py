@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walshlab import spectral
+from walshlab import experiments, spectral
 from walshlab.functions import DyadicFunction, SpectralVector, values_equal
 from walshlab.spectral import (
     dirichlet_direct,
@@ -195,6 +195,13 @@ def test_index_stats_invariants(n):
     assert s.variation == variation_by_runs(n) >= 2
 
 
+def test_binary_variation_matches_index_stats():
+    orders = np.arange(1, (1 << 14) + 1, dtype=np.int64)
+    want = [index_stats(n).variation for n in range(1, (1 << 14) + 1)]
+    got = spectral._binary_variation(orders)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 # -- Dirichlet kernels ---------------------------------------------------------
 
 
@@ -268,11 +275,50 @@ def test_kernel_rows_stream_matches_cumsum_reference(chunk, monkeypatch):
                 want = np.cumsum(walsh_rows(start, stop, m).astype(np.int64), axis=0) + carry
                 got = list(spectral._kernel_rows_stream(m, start, stop, carry=carry))
                 assert [lo for lo, _ in got] == list(range(start, stop, chunk)), (m, start, stop)
-                assert all(rows.dtype == np.int64 for _, rows in got)
+                assert all(rows.dtype == spectral._kernel_dtype(m) for _, rows in got)
                 assert np.array_equal(np.vstack([rows for _, rows in got]), want), (m, start, stop)
                 assert np.array_equal(carry, before)  # the caller's carry is read, not written
         kernels = np.vstack([rows for _, rows in spectral._kernel_rows_stream(m)])
         assert np.array_equal(kernels, np.cumsum(walsh_rows(0, size, m).astype(np.int64), axis=0))
+
+
+def _int64_running_sum(m, start, stop, carry):
+    """Chunks of ``carry`` plus the int64 cumulative sum of Walsh rows ``start .. stop-1``."""
+    for lo in range(start, stop, spectral._KERNEL_CHUNK):
+        rows = np.cumsum(walsh_rows(lo, min(lo + spectral._KERNEL_CHUNK, stop), m).astype(np.int64), axis=0) + carry
+        carry = rows[-1]
+        yield rows
+
+
+def test_kernel_streams_stay_exact_in_their_narrow_dtype():
+    # |D_n| <= 2^m and |D_{2^k+j} - D_{2^k}| <= 3 * 2^(m-1) fit the stream dtype at both sweep caps.
+    for cap in (experiments.KERNEL_SWEEP_MAX, experiments.SANDWICH_SWEEP_MAX):
+        dtype = spectral._kernel_dtype(cap)
+        assert dtype == np.int16 and np.iinfo(dtype).max >= 3 << (cap - 1)
+    # Both streams at the kernel cap against an int64 cumsum, chunk by chunk.
+    m = experiments.KERNEL_SWEEP_MAX
+    size = 1 << m
+    for got, want in zip(spectral._kernel_rows_stream(m), _int64_running_sum(m, 0, size, 0), strict=True):
+        assert got[1].dtype == np.int16 and np.array_equal(got[1], want)
+    pairs = spectral._kernel_pair_stream(m)
+    base = np.ones(size, dtype=np.int64)
+    for k in range(m):
+        for want_low, want_high in zip(_int64_running_sum(m, 0, 1 << k, 0), _int64_running_sum(m, 1 << k, 2 << k, base)):
+            got_k, _, low, high, got_base = next(pairs)
+            assert got_k == k and np.array_equal(got_base, base)
+            assert np.array_equal(low, want_low) and np.array_equal(high, want_high)
+        base = want_high[-1]
+    assert next(pairs, None) is None
+    # The sandwich cap's last chunk, which ends at the largest entry, D_{2^m}(0) = 2^m.
+    m = experiments.SANDWICH_SWEEP_MAX
+    size = 1 << m
+    top = dirichlet_dyadic(m, m).values.astype(np.int64)
+    start = size - spectral._KERNEL_CHUNK
+    carry = top - walsh_rows(start, size, m).sum(axis=0, dtype=np.int64)
+    ((lo, rows),) = spectral._kernel_rows_stream(m, start, size, carry=carry)
+    (want,) = _int64_running_sum(m, start, size, carry)
+    assert lo == start and rows.dtype == np.int16 and np.array_equal(rows, want)
+    assert np.array_equal(rows[-1], top) and rows[-1, 0] == size
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 256])
