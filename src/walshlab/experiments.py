@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from functools import partial
+from numbers import Integral
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -95,7 +96,8 @@ class ExperimentConfig:
     """Parameter carrier; each experiment reads the fields ``EXPERIMENTS`` lists for it.
 
     Every way of building a config runs ``_FIELD_CHECKS``, with JSON lists
-    read as tuples; a bad field raises ``ConfigError`` naming it.
+    read as tuples and numpy integers as ``int``; a bad field raises
+    ``ConfigError`` naming it.
     """
 
     name: str = ""
@@ -118,7 +120,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         problems: list[str] = []
         for field in dataclass_fields(self):
-            value = _tupled(getattr(self, field.name))
+            value = _plain(getattr(self, field.name))
             if field.name == "p_list" and isinstance(value, tuple):
                 value = tuple(map(str, value))
                 for pstr in value:
@@ -160,9 +162,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _tupled(value):
-    """``value`` with its lists, at any depth, as tuples."""
-    return tuple(map(_tupled, value)) if isinstance(value, (list, tuple)) else value
+def _plain(value):
+    """``value`` with its lists, at any depth, as tuples and its integers but ``bool`` as ``int``."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_plain, value))
+    return int(value) if isinstance(value, Integral) and not isinstance(value, bool) else value
 
 
 def _ints(value, distinct: bool = False) -> bool:
@@ -171,7 +175,7 @@ def _ints(value, distinct: bool = False) -> bool:
     return ints and not (distinct and len(set(value)) < len(value))
 
 
-#: Each field's type check, run on the value with lists as tuples, and its message.
+#: Each field's type check, run on the value as ``_plain`` gives it, and its message.
 _FIELD_CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
     "name": (lambda v: isinstance(v, str) and "/" not in v and "\\" not in v,
              "must be a string without a path separator"),

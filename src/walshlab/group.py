@@ -29,8 +29,7 @@ class Resolution:
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
-            raise ValueError(f"resolution must be an integer, got {self.m!r}")
+        object.__setattr__(self, "m", _as_int(self.m, "resolution"))  # a numpy integer is stored as int
         if not 1 <= self.m <= MAX_RESOLUTION:
             raise ValueError(
                 f"resolution m={self.m} outside [1, {MAX_RESOLUTION}]"

@@ -11,12 +11,18 @@ and divides once at the output.
 ``walsh_rows`` is the one accessor for Walsh sign rows: it slices a memo
 of the full sign matrix when the memo holds the resolution and computes
 the rows otherwise.  Only ``dirichlet_direct`` fills the memo, up to
-resolution ``_WALSH_CACHE_MAX``.
+resolution ``_WALSH_CACHE_MAX``.  Computed rows come from the popcount
+definition at or below resolution 8 and, above it, from a Kronecker
+product: the low 8 bits of the order act on the first 8 coordinates and
+the rest on the others, so a row is a row of a 256 x 256 sign table, each
+entry repeated, times one row at resolution ``m - 8``, tiled.
 
 Dirichlet kernels get three independent constructions: the defining sum
 over Walsh functions, the closed form at powers of two, and the
 binary-expansion formula that assembles a general kernel from
-power-of-two blocks in O(2^m) per order, built a block of orders at once.
+power-of-two blocks in O(2^m) per order, built a block of orders at once:
+before its Walsh twist, the kernel of order ``n`` takes ``m + 1`` values,
+``n`` at index 0 and ``(n mod 2^j) - n_j 2^j`` on shell ``j``.
 ``_kernel_rows_stream`` is the defining sum run as a running sum, row by
 row within a chunk of orders; it is the one definition sum the exhaustive
 kernel sweeps read, and ``_kernel_pair_stream`` pairs its rows across
@@ -43,6 +49,7 @@ with the same helper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,21 +71,63 @@ def bit_reverse(n: np.ndarray, m: int) -> np.ndarray:
     return r
 
 
+def _popcount_rows(lo: int, hi: int, m: int) -> np.ndarray:
+    """Walsh rows ``lo .. hi-1`` at resolution ``m`` by their definition, int8."""
+    x = np.arange(1 << m, dtype=np.uint32)
+    rev = bit_reverse(np.arange(lo, hi, dtype=np.uint32), m)
+    parity = (np.bitwise_count(rev[:, None] & x[None, :]) & 1).astype(np.int8)
+    return 1 - 2 * parity
+
+
+#: Bits of the order per block of the Kronecker product; above this resolution rows are built from it.
+_PRODUCT_BITS = 8
+
+
+@cache
+def _product_table() -> np.ndarray:
+    """``w_b`` at resolution ``_PRODUCT_BITS`` for every ``b``: 64 KiB, read-only, built on first use."""
+    table = _popcount_rows(0, 1 << _PRODUCT_BITS, _PRODUCT_BITS)
+    table.setflags(write=False)
+    return table
+
+
+def _sign_rows(lo: int, hi: int, m: int) -> np.ndarray:
+    """Walsh rows ``lo .. hi-1`` at resolution ``m``, int8, computed without the memo.
+
+    Up to resolution ``_PRODUCT_BITS`` by the popcount definition.  Above
+    it, write ``n = a 2^8 + b`` and ``x = u 2^(m-8) + v``: the low bits of
+    ``n`` act on the first coordinates (``u``) and the high bits on the
+    rest (``v``), so ``w_n(x) = w^(8)_b(u) w^(m-8)_a(v)``.  The rows of one
+    block of orders sharing ``a`` are the table's rows, each entry
+    repeated ``2^(m-8)`` times, times one row at resolution ``m - 8`` tiled
+    ``2^8`` times.
+    """
+    if m <= _PRODUCT_BITS or lo == hi:
+        return _popcount_rows(lo, hi, m)
+    blocks = []
+    for a in range(lo >> _PRODUCT_BITS, ((hi - 1) >> _PRODUCT_BITS) + 1):
+        start, stop = max(lo, a << _PRODUCT_BITS), min(hi, (a + 1) << _PRODUCT_BITS)
+        b = start - (a << _PRODUCT_BITS)
+        rows = np.repeat(_product_table()[b : b + stop - start], 1 << (m - _PRODUCT_BITS), axis=1)
+        rows *= np.tile(_sign_rows(a, a + 1, m - _PRODUCT_BITS)[0], 1 << _PRODUCT_BITS)
+        blocks.append(rows)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def walsh_rows(lo: int, hi: int, m: ResolutionLike) -> np.ndarray:
     """Sign matrix with row ``n - lo`` holding ``w_n`` over all indices, int8.
 
     Rows are sliced from the memo when it holds resolution ``m`` (a
-    read-only view) and computed otherwise; this never fills the memo.
+    read-only view) and computed otherwise, by ``_sign_rows``: the popcount
+    definition up to resolution 8 and a Kronecker product of two smaller
+    rows above it.  This never fills the memo.
     """
     r = as_resolution(m)
     if not 0 <= lo <= hi <= r.size:
         raise ValueError(f"row range [{lo}, {hi}) outside [0, 2^{r.m}]")
     if r.m in _walsh_cache:
         return _walsh_cache[r.m][lo:hi]
-    x = np.arange(r.size, dtype=np.uint32)
-    rev = bit_reverse(np.arange(lo, hi, dtype=np.uint32), r.m)
-    parity = (np.bitwise_count(rev[:, None] & x[None, :]) & 1).astype(np.int8)
-    return 1 - 2 * parity
+    return _sign_rows(lo, hi, r.m)
 
 
 def _fill_walsh_cache(m: int) -> None:
@@ -220,7 +269,7 @@ def _kernel_dtype(m: int) -> type:
 def _dirichlet_direct_int64(n: int, m: int) -> np.ndarray:
     size = 1 << m
     acc = np.zeros(size, dtype=_kernel_dtype(m))
-    chunk = 1 << min(m, 9)
+    chunk = 1 << min(m, _PRODUCT_BITS)  # one block of the Kronecker product
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         acc += walsh_rows(lo, hi, m).sum(axis=0, dtype=acc.dtype)
@@ -238,13 +287,13 @@ def _dirichlet_fast_int64(lo: int, hi: int, m: int) -> np.ndarray:
     size = 1 << m
     top = min(hi, size)
     dtype = _kernel_dtype(m)
-    orders = np.arange(lo, top, dtype=dtype)
-    acc = np.zeros((top - lo, size), dtype=dtype)
-    for k in range(m):
-        half = 1 << (m - k - 1)
-        block = ((orders >> k) & 1)[:, None] << k
-        acc[:, :half] += block
-        acc[:, half : 2 * half] -= block
+    orders = np.arange(lo, top, dtype=dtype)[:, None]
+    # Before the twist the block sum of order n < 2^m is n at index 0 and
+    # c_j(n) = (n mod 2^j) - n_j 2^j on shell j, the 2^(m-j-1) indices from
+    # 2^(m-j-1): m + 1 values, the shells in index order j = m-1 .. 0.
+    j = np.arange(m - 1, -1, -1, dtype=dtype)
+    values = np.hstack((orders, (orders & ((1 << j) - 1)) - (orders & (1 << j))))
+    acc = np.repeat(values, np.r_[1, 1 << (m - 1 - j)], axis=1)
     acc *= walsh_rows(lo, top, m)
     if hi > size:
         # The top-bit block of order 2^m sits above the resolution; the
@@ -253,8 +302,8 @@ def _dirichlet_fast_int64(lo: int, hi: int, m: int) -> np.ndarray:
     return acc
 
 
-#: Orders per chunk of the kernel streams.
-_KERNEL_CHUNK = 256
+#: Orders per chunk of the kernel streams; a chunk from a multiple of it stays in one block of ``_sign_rows``.
+_KERNEL_CHUNK = 128
 
 
 def _kernel_rows_stream(m: int, start: int = 0, stop: int | None = None, carry=0):

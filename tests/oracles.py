@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
+
 def coordinate(idx: int, j: int, m: int) -> int:
     """Coordinate j of a point, bit (m-1-j) of the index."""
     return (idx >> (m - 1 - j)) & 1
@@ -30,6 +33,18 @@ def walsh_value(n: int, x: int, m: int) -> int:
         if (n >> k) & 1 and coordinate(x, k, m) == 1:
             sign = -sign
     return sign
+
+
+def walsh_rows_by_product(lo: int, hi: int, m: int) -> np.ndarray:
+    """Rows w_lo .. w_{hi-1} over every index, each the literal product of Rademacher rows over set bits."""
+    x = np.arange(1 << m)
+    rademacher = [1 - 2 * ((x >> (m - 1 - k)) & 1) for k in range(m)]
+    rows = np.ones((hi - lo, 1 << m), dtype=np.int64)
+    for i, n in enumerate(range(lo, hi)):
+        for k in range(m):
+            if (n >> k) & 1:
+                rows[i] *= rademacher[k]
+    return rows
 
 
 def naive_forward(values, m: int):

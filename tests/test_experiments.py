@@ -57,6 +57,15 @@ def test_config_roundtrip():
         assert back.to_json_dict(experiment) == cfg.to_json_dict(experiment)
 
 
+def test_config_stores_numpy_integers_as_int():
+    cfg = ExperimentConfig(resolution=np.int64(12), seed=np.uint8(3), scales=[np.int32(4), 5])
+    assert type(cfg.resolution) is int and type(cfg.seed) is int
+    assert all(type(n) is int for n in cfg.scales)
+    assert json.dumps(cfg.to_json_dict("thm2a")) == json.dumps(ExperimentConfig(resolution=12, seed=3, scales=(4, 5)).to_json_dict("thm2a"))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(resolution=np.bool_(True))
+
+
 def test_config_rejects_unknown_and_bad_fields():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_json_dict({"p_list": ["1/2"], "nonsense": 1, "trials": "many"}, "thm1")
@@ -220,6 +229,18 @@ def test_verify_lemma1_holds_no_kernel_family():
     assert peak < 4**12 * 4  # the int32 family of every order's kernel
 
 
+def test_verify_all_traced_peak_stays_small():
+    # One 128-order int16 chunk is 1 MiB at m = 12; the popcount rows took 11 MiB.
+    tracemalloc.start()
+    try:
+        rep = verify_all(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict
+    assert peak < 6 << 20
+
+
 def test_verify_lemma1_passes_with_unit_ratio():
     rep = verify_lemma1(8)
     assert rep.verdict
@@ -259,8 +280,11 @@ def test_verify_all_reads_each_kernel_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "walsh_rows", counted)
     monkeypatch.setattr(experiments, "walsh_rows", counted)
-    assert verify_all(8).verdict
-    assert sum(read) <= 3 * 2**8 + 8
+    # At m = 10 the rows are Kronecker products, whose factors must not read the public name.
+    for m in (8, 10):
+        read.clear()
+        assert verify_all(m).verdict
+        assert sum(read) <= 3 * 2**m + m, m
 
 
 # -- weak type on atoms ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,15 @@ def test_resolution_bounds():
     assert Resolution(1).size == 2
     assert Resolution(24).size == 1 << 24
     for bad in (0, 25, -3):
+        with pytest.raises(ValueError):
+            Resolution(bad)
+
+
+def test_resolution_takes_any_integer_but_bool():
+    for m in (np.int64(5), np.int32(5), np.uint8(5)):
+        r = Resolution(m)
+        assert r == Resolution(5) and type(r.m) is int
+    for bad in (True, False, 5.0, np.float64(5), np.bool_(True), "5"):
         with pytest.raises(ValueError):
             Resolution(bad)
 

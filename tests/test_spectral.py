@@ -27,6 +27,7 @@ from oracles import (
     naive_forward,
     partial_sum_by_definition,
     variation_by_runs,
+    walsh_rows_by_product,
     walsh_value,
 )
 
@@ -66,7 +67,10 @@ def _sample_row_ranges(m: int, rng) -> list[tuple[int, int]]:
     if m <= 6:
         return [(0, size)]
     starts = rng.integers(0, size - 2, 3).tolist()
-    return [(lo, lo + 2) for lo in starts] + [(0, 1), (size - 1, size)]
+    ranges = [(lo, lo + 2) for lo in starts] + [(0, 1), (size - 1, size)]
+    if m >= 9:  # above resolution 8 rows are a Kronecker product in blocks of 256 orders
+        ranges += [(250, 262), (size - 300, size), (200, min(600, size)), (0, 0)]
+    return ranges
 
 
 @pytest.mark.parametrize("m", range(1, 14))
@@ -77,15 +81,32 @@ def test_walsh_rows_match_product_oracle_before_and_after_memo(m, monkeypatch):
     def check():
         for lo, hi in ranges:
             rows = walsh_rows(lo, hi, m)
-            assert rows.shape == (hi - lo, 1 << m)
-            for n in range(lo, hi):
-                expected = [walsh_value(n, x, m) for x in range(1 << m)]
-                assert rows[n - lo].tolist() == expected, (m, n)
+            assert rows.shape == (hi - lo, 1 << m) and rows.dtype == np.int8
+            assert np.array_equal(rows, walsh_rows_by_product(lo, hi, m)), (m, lo, hi)
+            if hi > lo:
+                assert rows[0].tolist() == [walsh_value(lo, x, m) for x in range(1 << m)], (m, lo)
 
     check()
     spectral._fill_walsh_cache(m)
     assert (m in spectral._walsh_cache) == (m <= spectral._WALSH_CACHE_MAX)
     check()
+
+
+def test_walsh_row_at_resolution_20_matches_product_oracle():
+    # Two levels of the Kronecker product: resolution 20 splits as 8 + 12, and 12 as 8 + 4.
+    rng = np.random.default_rng(20)
+    n = int(rng.integers(1 << 19, 1 << 20))
+    row = walsh(n, 20, "float64").values
+    for x in rng.integers(0, 1 << 20, 200).tolist() + [0, (1 << 20) - 1]:
+        assert row[x] == walsh_value(n, x, 20), (n, x)
+
+
+def test_numpy_integer_resolution_gives_the_same_result():
+    m = np.int64(9)
+    assert np.array_equal(walsh(300, m).values, walsh(300, 9).values)
+    assert np.array_equal(walsh_rows(250, 262, m), walsh_rows(250, 262, 9))
+    assert np.array_equal(dirichlet_fast(300, m).values, dirichlet_fast(300, 9).values)
+    assert type(walsh(3, np.int32(4)).m) is int
 
 
 def test_walsh_rows_never_fill_the_memo(monkeypatch):
@@ -237,6 +258,22 @@ def test_dirichlet_fast_equals_direct_exhaustive():
     for m in range(1, 9):
         for n in range(1, (1 << m) + 1):
             assert values_equal(dirichlet_fast(n, m), dirichlet_direct(n, m)), (m, n)
+
+
+def test_dirichlet_fast_block_matches_definition_oracle():
+    # The binary-expansion kernels of a block of orders, against the definition at every order.
+    for m in range(1, 8):
+        block = spectral._dirichlet_fast_int64(1, (1 << m) + 1, m)
+        assert block.dtype == spectral._kernel_dtype(m)
+        for n in range(1, (1 << m) + 1):
+            assert block[n - 1].tolist() == dirichlet_by_definition(n, m), (m, n)
+    # Across the 256-order boundary of the Walsh rows' Kronecker product at m = 10.
+    m, lo, hi = 10, 250, 262
+    want = np.array(dirichlet_by_definition(lo, m))
+    block = spectral._dirichlet_fast_int64(lo, hi, m)
+    for n in range(lo, hi):
+        assert block[n - lo].tolist() == want.tolist(), n
+        want += [walsh_value(n, x, m) for x in range(1 << m)]
 
 
 def test_dirichlet_l1_norms():
