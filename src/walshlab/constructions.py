@@ -45,6 +45,9 @@ class AtomRecipe:
     def __post_init__(self) -> None:
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown atom generator {self.generator!r}")
+        object.__setattr__(self, "support_level", _as_int(self.support_level, "support level"))
+        object.__setattr__(self, "base", _as_int(self.base, "base index"))
+        object.__setattr__(self, "seed", _as_int(self.seed, "atom seed"))
         if self.support_level < 0:
             raise ValueError(f"support level {self.support_level} must be >= 0")
         if self.base < 0:

@@ -67,6 +67,8 @@ class GroupPoint:
 
     def __post_init__(self) -> None:
         r = as_resolution(self.m)
+        object.__setattr__(self, "m", r.m)
+        object.__setattr__(self, "idx", _as_int(self.idx, "index"))
         if not 0 <= self.idx < r.size:
             raise ValueError(f"index {self.idx} outside [0, 2^{self.m})")
 
@@ -98,6 +100,9 @@ class DyadicInterval:
 
     def __post_init__(self) -> None:
         r = as_resolution(self.m)
+        object.__setattr__(self, "m", r.m)
+        object.__setattr__(self, "level", _as_int(self.level, "interval level"))
+        object.__setattr__(self, "start", _as_int(self.start, "interval start"))
         if not 0 <= self.level <= r.m:
             raise ValueError(f"interval level {self.level} outside [0, {r.m}]")
         if not 0 <= self.start < r.size:

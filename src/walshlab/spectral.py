@@ -8,14 +8,14 @@ coefficients come out in Paley order natively, with no bit-reversal pass.
 In exact mode it runs on integer numerators (``functions._numerators``)
 and divides once at the output.
 
-``walsh_rows`` is the one accessor for Walsh sign rows: it slices a memo
-of the full sign matrix when the memo holds the resolution and computes
-the rows otherwise.  Only ``dirichlet_direct`` fills the memo, up to
-resolution ``_WALSH_CACHE_MAX``.  Computed rows come from the popcount
-definition at or below resolution 8 and, above it, from a Kronecker
-product: the low 8 bits of the order act on the first 8 coordinates and
-the rest on the others, so a row is a row of a 256 x 256 sign table, each
-entry repeated, times one row at resolution ``m - 8``, tiled.
+``walsh_rows`` is the one accessor for Walsh sign rows and ``_sign_rows``
+the one construction behind it.  No rows are kept between calls but one
+read-only 256 x 256 table, the rows at resolution 8, built one coordinate
+at a time.  At or below resolution 8 a row is a strided slice of the
+table.  Above it a row is a Kronecker product: the low 8 bits of the
+order act on the first 8 coordinates and the rest on the others, so a row
+is a row of the table, each entry repeated, times one row at resolution
+``m - 8``, tiled.
 
 Dirichlet kernels get three independent constructions: the defining sum
 over Walsh functions, the closed form at powers of two, and the
@@ -56,54 +56,42 @@ import numpy as np
 from .functions import DyadicFunction, Mode, SpectralVector, _from_numerators, _halve, _mode_dtype, _numerators
 from .group import ResolutionLike, _as_int, as_resolution
 
-#: Walsh sign matrices are memoized up to this resolution (16 MiB at 12).
-_WALSH_CACHE_MAX = 12
-_walsh_cache: dict[int, np.ndarray] = {}
-
-
-def bit_reverse(n: np.ndarray, m: int) -> np.ndarray:
-    """Reverse the low ``m`` bits of each entry of an integer array."""
-    x = n.astype(np.uint32)
-    r = np.zeros_like(x)
-    for _ in range(m):
-        r = (r << 1) | (x & 1)
-        x >>= 1
-    return r
-
-
-def _popcount_rows(lo: int, hi: int, m: int) -> np.ndarray:
-    """Walsh rows ``lo .. hi-1`` at resolution ``m`` by their definition, int8."""
-    x = np.arange(1 << m, dtype=np.uint32)
-    rev = bit_reverse(np.arange(lo, hi, dtype=np.uint32), m)
-    parity = (np.bitwise_count(rev[:, None] & x[None, :]) & 1).astype(np.int8)
-    return 1 - 2 * parity
-
-
 #: Bits of the order per block of the Kronecker product; above this resolution rows are built from it.
 _PRODUCT_BITS = 8
 
 
 @cache
 def _product_table() -> np.ndarray:
-    """``w_b`` at resolution ``_PRODUCT_BITS`` for every ``b``: 64 KiB, read-only, built on first use."""
-    table = _popcount_rows(0, 1 << _PRODUCT_BITS, _PRODUCT_BITS)
+    """``w_n`` at resolution ``_PRODUCT_BITS`` for every ``n``: 64 KiB, read-only, built on first use.
+
+    One coordinate at a time: with ``n = 2a + c`` and ``x = u 2^k + v``,
+    bit ``c`` of the order acts on the first coordinate ``u`` and the rest
+    on ``v``, so ``w_{2a+c}(u 2^k + v) = (-1)^(c u) w_a(v)``.
+    """
+    sign = np.array([[1, 1], [1, -1]], dtype=np.int8)
+    table = np.ones((1, 1), dtype=np.int8)
+    for _ in range(_PRODUCT_BITS):
+        table = (table[:, None, None, :] * sign[None, :, :, None]).reshape(2 * len(table), -1)
     table.setflags(write=False)
     return table
 
 
 def _sign_rows(lo: int, hi: int, m: int) -> np.ndarray:
-    """Walsh rows ``lo .. hi-1`` at resolution ``m``, int8, computed without the memo.
+    """Walsh rows ``lo .. hi-1`` at resolution ``m``, int8, in a fresh array.
 
-    Up to resolution ``_PRODUCT_BITS`` by the popcount definition.  Above
-    it, write ``n = a 2^8 + b`` and ``x = u 2^(m-8) + v``: the low bits of
-    ``n`` act on the first coordinates (``u``) and the high bits on the
-    rest (``v``), so ``w_n(x) = w^(8)_b(u) w^(m-8)_a(v)``.  The rows of one
+    Up to resolution ``_PRODUCT_BITS`` a strided slice of the table:
+    ``w_n(x) = w^(8)_n(x 2^(8-m))`` for ``n < 2^m``.  Above it, write
+    ``n = a 2^8 + b`` and ``x = u 2^(m-8) + v``: the low bits of ``n`` act
+    on the first coordinates (``u``) and the high bits on the rest
+    (``v``), so ``w_n(x) = w^(8)_b(u) w^(m-8)_a(v)``.  The rows of one
     block of orders sharing ``a`` are the table's rows, each entry
     repeated ``2^(m-8)`` times, times one row at resolution ``m - 8`` tiled
     ``2^8`` times.
     """
-    if m <= _PRODUCT_BITS or lo == hi:
-        return _popcount_rows(lo, hi, m)
+    if m <= _PRODUCT_BITS:
+        return _product_table()[lo:hi, :: 1 << (_PRODUCT_BITS - m)].copy()
+    if lo == hi:
+        return np.empty((0, 1 << m), dtype=np.int8)
     blocks = []
     for a in range(lo >> _PRODUCT_BITS, ((hi - 1) >> _PRODUCT_BITS) + 1):
         start, stop = max(lo, a << _PRODUCT_BITS), min(hi, (a + 1) << _PRODUCT_BITS)
@@ -117,25 +105,14 @@ def _sign_rows(lo: int, hi: int, m: int) -> np.ndarray:
 def walsh_rows(lo: int, hi: int, m: ResolutionLike) -> np.ndarray:
     """Sign matrix with row ``n - lo`` holding ``w_n`` over all indices, int8.
 
-    Rows are sliced from the memo when it holds resolution ``m`` (a
-    read-only view) and computed otherwise, by ``_sign_rows``: the popcount
-    definition up to resolution 8 and a Kronecker product of two smaller
-    rows above it.  This never fills the memo.
+    Every call builds its rows afresh by ``_sign_rows`` and returns a
+    writable array that nothing else holds.
     """
     r = as_resolution(m)
+    lo, hi = _as_int(lo, "row bound"), _as_int(hi, "row bound")
     if not 0 <= lo <= hi <= r.size:
         raise ValueError(f"row range [{lo}, {hi}) outside [0, 2^{r.m}]")
-    if r.m in _walsh_cache:
-        return _walsh_cache[r.m][lo:hi]
     return _sign_rows(lo, hi, r.m)
-
-
-def _fill_walsh_cache(m: int) -> None:
-    """Memoize the full sign matrix at resolution ``m``; nothing above ``_WALSH_CACHE_MAX``."""
-    if m <= _WALSH_CACHE_MAX and m not in _walsh_cache:
-        mat = walsh_rows(0, 1 << m, m)
-        mat.setflags(write=False)
-        _walsh_cache[m] = mat
 
 
 def _to_mode(ints: np.ndarray, m: int, mode: Mode) -> DyadicFunction:
@@ -143,12 +120,12 @@ def _to_mode(ints: np.ndarray, m: int, mode: Mode) -> DyadicFunction:
 
 
 def rademacher(k: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:
-    """The coordinate sign ``(-1)^{x_k}``."""
+    """The coordinate sign ``(-1)^{x_k}``, which is ``w_{2^k}``."""
     r = as_resolution(m)
+    k = _as_int(k, "coordinate")
     if not 0 <= k < r.m:
         raise ValueError(f"coordinate {k} outside [0, {r.m})")
-    bits = (np.arange(r.size, dtype=np.int64) >> (r.m - 1 - k)) & 1
-    return _to_mode(1 - 2 * bits, r.m, mode)
+    return walsh(1 << k, r.m, mode)
 
 
 def walsh(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:
@@ -346,7 +323,6 @@ def dirichlet_direct(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicF
     """Kernel of order ``n`` by its definition: sum of the first n Walsh functions."""
     r = as_resolution(m)
     n = _check_kernel_order(n, r.m)
-    _fill_walsh_cache(r.m)  # the sum below slices the memo per chunk
     return _to_mode(_dirichlet_direct_int64(n, r.m), r.m, mode)
 
 

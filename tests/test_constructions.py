@@ -68,6 +68,15 @@ def test_atom_off_zero_base():
     assert all(v == 0 for v in atom.values.values[:8])
 
 
+def test_recipe_fields_take_any_integer_but_bool():
+    recipe = AtomRecipe(np.int64(2), np.uint8(8), P_HALF, "haar-pair", np.uint64(1 << 63))
+    assert recipe == AtomRecipe(2, 8, P_HALF, "haar-pair", 1 << 63)
+    assert all(type(v) is int for v in (recipe.support_level, recipe.base, recipe.seed))
+    for level, base, seed in ((2.5, 0, 1), (True, 0, 1), (2, 8.0, 1), (2, 0, 1.0), (2, 0, False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            AtomRecipe(level, base, P_HALF, "haar-pair", seed)
+
+
 def test_single_cell_support_errors():
     with pytest.raises(ValueError):
         make_atom(AtomRecipe(4, 0, P_HALF, "haar-pair", 0), 4)

@@ -33,6 +33,23 @@ def test_resolution_takes_any_integer_but_bool():
             Resolution(bad)
 
 
+def test_point_and_interval_fields_take_any_integer_but_bool():
+    p = GroupPoint(np.int64(4), np.int32(3))
+    assert p == GroupPoint(4, 3) and type(p.m) is int and type(p.idx) is int
+    assert p.coordinates() == (0, 0, 1, 1)
+    iv = DyadicInterval(np.int8(4), np.int64(2), np.uint16(4))
+    assert iv == DyadicInterval(4, 2, 4) and iv.size == 4
+    assert all(type(v) is int for v in (iv.m, iv.level, iv.start))
+    for bad in (3.0, True, np.float64(3)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GroupPoint(4, bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            GroupPoint(bad, 0)
+    for fields in ((2.0, 4), (True, 4), (2, 4.0), (0, False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DyadicInterval(4, *fields)
+
+
 def test_coordinates_roundtrip():
     for idx in range(16):
         p = GroupPoint(4, idx)

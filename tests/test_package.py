@@ -20,6 +20,8 @@ def test_public_names_resolve():
 _F = walshlab.DyadicFunction.from_values(3, np.arange(8.0))
 _ORDER_CALLS = {
     "walsh": lambda n: walshlab.walsh(n, 3),
+    "walsh_rows": lambda n: walshlab.spectral.walsh_rows(0, n, 3),
+    "rademacher": lambda k: walshlab.rademacher(k, 3),
     "index_stats": walshlab.index_stats,
     "dirichlet_direct": lambda n: walshlab.dirichlet_direct(n, 3),
     "dirichlet_dyadic": lambda n: walshlab.dirichlet_dyadic(n, 3),

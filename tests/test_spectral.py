@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -69,14 +70,18 @@ def _sample_row_ranges(m: int, rng) -> list[tuple[int, int]]:
     starts = rng.integers(0, size - 2, 3).tolist()
     ranges = [(lo, lo + 2) for lo in starts] + [(0, 1), (size - 1, size)]
     if m >= 9:  # above resolution 8 rows are a Kronecker product in blocks of 256 orders
-        ranges += [(250, 262), (size - 300, size), (200, min(600, size)), (0, 0)]
+        ranges += [(250, 262), (size - 300, size), (200, min(600, size)), (0, 0), (size, size)]
     return ranges
 
 
 @pytest.mark.parametrize("m", range(1, 14))
-def test_walsh_rows_match_product_oracle_before_and_after_memo(m, monkeypatch):
-    monkeypatch.setattr(spectral, "_walsh_cache", {})
+def test_walsh_rows_match_product_oracle_before_and_after_memo(m):
+    # Rows do not depend on call history: the same ranges read alike before
+    # and after a definition sum at the same resolution.  Up to resolution 8
+    # the full range covers every row the 256 x 256 table gives.
     ranges = _sample_row_ranges(m, np.random.default_rng(m))
+    if m <= spectral._PRODUCT_BITS:
+        ranges.append((0, 1 << m))
 
     def check():
         for lo, hi in ranges:
@@ -87,9 +92,19 @@ def test_walsh_rows_match_product_oracle_before_and_after_memo(m, monkeypatch):
                 assert rows[0].tolist() == [walsh_value(lo, x, m) for x in range(1 << m)], (m, lo)
 
     check()
-    spectral._fill_walsh_cache(m)
-    assert (m in spectral._walsh_cache) == (m <= spectral._WALSH_CACHE_MAX)
+    dirichlet_direct(1 << m, m)
     check()
+
+
+@pytest.mark.parametrize("m", [16, 24])
+def test_empty_row_range_at_the_top_order(m):
+    # The Kronecker block of order 2^m would read table row 2^(m-8), past the end at m = 16.
+    size = 1 << m
+    rows = walsh_rows(size, size, m)
+    assert rows.shape == (0, size) and rows.dtype == np.int8
+    if m == 16:
+        kernel = dirichlet_fast(size, m).values
+        assert kernel[0] == size and not kernel[1:].any()
 
 
 def test_walsh_row_at_resolution_20_matches_product_oracle():
@@ -109,15 +124,47 @@ def test_numpy_integer_resolution_gives_the_same_result():
     assert type(walsh(3, np.int32(4)).m) is int
 
 
-def test_walsh_rows_never_fill_the_memo(monkeypatch):
-    monkeypatch.setattr(spectral, "_walsh_cache", {})
-    walsh_rows(0, 8, 3)
-    walsh_rows(0, 1 << 10, 10)
-    walsh(5, 6)
-    dirichlet_fast(5, 6)
-    assert spectral._walsh_cache == {}
-    dirichlet_direct(5, 6)
-    assert list(spectral._walsh_cache) == [6]
+def test_walsh_rows_never_fill_the_memo():
+    # Each call returns rows of its own: writing into one block leaves the next call's rows as they were.
+    for m in (3, 10):
+        expected = walsh_rows_by_product(0, 8, m)
+        rows = walsh_rows(0, 8, m)
+        rows[:] = 0
+        assert np.array_equal(walsh_rows(0, 8, m), expected), m
+
+
+def test_walsh_rows_lower_bound_must_be_an_integer():
+    # The upper bound is one of the order calls in test_package.
+    for lo in (0.5, True, np.float64(0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            walsh_rows(lo, 2, 10)
+    assert np.array_equal(walsh_rows(np.int64(1), 3, 10), walsh_rows(1, 3, 10))
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_dirichlet_direct_reads_only_its_own_rows(monkeypatch, n):
+    rows = spectral.walsh_rows
+    read = []
+
+    def counted(lo, hi, m):
+        read.append(hi - lo)
+        return rows(lo, hi, m)
+
+    monkeypatch.setattr(spectral, "walsh_rows", counted)
+    dirichlet_direct(n, 12)
+    assert sum(read) == n
+
+
+def test_dirichlet_direct_traced_peak_stays_small():
+    # The full sign matrix at m = 12 alone is 16 MiB.
+    tracemalloc.start()
+    try:
+        kernel = dirichlet_direct(3, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.values[0] == 3
+    assert peak < 1 << 20
 
 
 def test_walsh_orthonormality_exact():
