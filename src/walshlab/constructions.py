@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .analysis import AtomSpec, PExponent, atom_sup_bound, validate_atom
+from .analysis import AtomSpec, PExponent, _validate_cells, atom_sup_bound
 from .functions import DyadicFunction, Mode
 from .group import GroupPoint, ResolutionLike, _as_int, as_resolution, interval
 from .spectral import _to_mode, index_stats
@@ -82,49 +82,60 @@ def make_atom(
     m: ResolutionLike,
     mode: Mode = "float64",
 ) -> AtomSpec:
-    """Emit a valid atom per the recipe; all recipes guarantee exact zero mean.
+    """Emit a valid atom per the recipe: its support cells (``_atom_cells``) placed on the grid."""
+    r = as_resolution(m)
+    [cells] = _atom_cells([recipe], r.m, mode)
+    iv = interval(GroupPoint(r.m, recipe.base), recipe.support_level)
+    # Cells off the support stay integer zeros in exact mode.
+    values = np.zeros(r.size, dtype=object if mode == "exact" else np.float64)
+    values[iv.start : iv.stop] = cells
+    return AtomSpec(iv, DyadicFunction(r.m, values, mode), recipe.p)
 
-    Every recipe builds integer units on the support times one scale: the
-    sup bound for the two sign recipes, and a power of two for the bounded
-    generator, which draws integers and removes their mean in integer
-    arithmetic.  So even float64 atoms sum to exactly zero.
+
+def _atom_cells(recipes: Sequence[AtomRecipe], m: ResolutionLike, mode: Mode = "float64") -> np.ndarray:
+    """The recipes' atoms at resolution ``m`` on their ``2^(m - level)`` support cells, one checked row each.
+
+    The recipes share one support level and exponent; each draws from its
+    own generator, so a row does not depend on the others.  Every recipe
+    builds integer units on the support times one scale: the sup bound for
+    the two sign recipes, and a power of two for the bounded generator,
+    which draws integers and removes their mean in integer arithmetic.  So
+    even float64 atoms sum to exactly zero.
     """
     r = as_resolution(m)
-    M = recipe.support_level
+    M, p = recipes[0].support_level, recipes[0].p
+    if any(rc.support_level != M or rc.p != p for rc in recipes):
+        raise ValueError("atoms built together share one support level and exponent")
     if M > r.m:
         raise ValueError(f"support level {M} exceeds resolution {r.m}")
-    if mode == "exact" and not recipe.p.is_exact:
-        raise ValueError(f"exact atoms need 1/p integral, got p = {recipe.p}")
-    iv = interval(GroupPoint(r.m, recipe.base), M)
-    ncells = iv.size
+    if mode == "exact" and not p.is_exact:
+        raise ValueError(f"exact atoms need 1/p integral, got p = {p}")
+    ncells = 1 << (r.m - M)
     if ncells < 2:
         raise ValueError("atom support has a single cell; only the zero atom fits")
-    bound = atom_sup_bound(M, recipe.p, mode)
+    bound = atom_sup_bound(M, p, mode)
 
-    if recipe.generator == "random-bounded":
-        rng = _rng_for(recipe, r.m)
-        draws = rng.integers(-_RAW_MAGNITUDE, _RAW_MAGNITUDE + 1, ncells).astype(np.int64)
-        units = ncells * draws - draws.sum()
-        max_mag = int(np.abs(units).max())
-        scale = Fraction(2) ** _power_of_two_fit(max_mag, bound) if max_mag else 1
-    else:
-        units = np.repeat(np.array([1, -1], dtype=np.int64), ncells // 2)
-        if recipe.generator == "random-signs":
-            units = _rng_for(recipe, r.m).permutation(units)
-        scale = bound
+    pair = np.repeat(np.array([1, -1], dtype=np.int64), ncells // 2)
+    units = np.empty((len(recipes), ncells), dtype=np.int64)
+    scales = []
+    for row, recipe in zip(units, recipes):
+        if recipe.generator == "random-bounded":
+            draws = _rng_for(recipe, r.m).integers(-_RAW_MAGNITUDE, _RAW_MAGNITUDE + 1, ncells)
+            row[:] = ncells * draws - draws.sum()
+            max_mag = int(np.abs(row).max())
+            scales.append(Fraction(2) ** _power_of_two_fit(max_mag, bound) if max_mag else 1)
+        else:
+            row[:] = _rng_for(recipe, r.m).permutation(pair) if recipe.generator == "random-signs" else pair
+            scales.append(bound)
 
-    # Cells off the support stay integer zeros in exact mode.
     if mode == "exact":
-        values = np.zeros(r.size, dtype=object)
-        values[iv.start : iv.stop] = units.astype(object) * scale
+        values = units.astype(object) * np.array(scales, dtype=object)[:, None]
     else:
-        values = np.zeros(r.size)
-        values[iv.start : iv.stop] = units * float(scale)
-    atom = AtomSpec(iv, DyadicFunction(r.m, values, mode), recipe.p)
-    report = validate_atom(atom)
-    if not report.passed:
-        raise RuntimeError(f"generated atom violates its own contract: {report.to_json_dict()}")
-    return atom
+        values = units * np.array([float(scale) for scale in scales])[:, None]
+    for report in _validate_cells(values, M, p, mode, r.size):
+        if not report.passed:
+            raise RuntimeError(f"generated atom violates its own contract: {report.to_json_dict()}")
+    return values
 
 
 def counterexample_fn(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:

@@ -25,13 +25,13 @@ from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from functools import partial
 from numbers import Integral
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .analysis import AtomSpec, LevelSet, PExponent, _weak_lp, hardy_quasinorm, lp_quasinorm
-from .constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, probe_index
+from .analysis import LevelSet, PExponent, _atom_hardy, _weak_lp, hardy_quasinorm, lp_quasinorm
+from .constructions import GENERATORS, AtomRecipe, _atom_cells, counterexample_fn, probe_index
 from .group import as_resolution, shell_decomposition
 from .operators import (
     PolyWeight,
@@ -459,13 +459,25 @@ def _trial_seed(seed: int, trial: int) -> int:
     return (seed ^ ((trial + 1) * _GOLDEN)) & _MASK64
 
 
-def _trial_atom(p_str: str, level: int, m: int, seed: int, trial: int) -> tuple[str, AtomSpec, list[np.ndarray]]:
-    """A trial's generator, its float64 atom on ``I_level(0)`` at resolution ``m``,
-    and the packet table of the atom's ``2^(m - level)`` cells on the support."""
-    generator = GENERATORS[trial % len(GENERATORS)]
-    recipe = AtomRecipe(level, 0, PExponent.parse(p_str), generator, _trial_seed(seed, trial))
-    atom = make_atom(recipe, m, "float64")
-    return generator, atom, _packet_table(atom.values.values[: 1 << (m - level)], m - level)
+#: Most elements, ``m 2^e`` per trial, that one chunk of a cell's trials
+#: holds in an array stage: a chunk's arrays stay a few MiB at any ``e``.
+_CELL_BUDGET = 1 << 16
+
+
+def _trial_atoms(p_str: str, level: int, m: int, seed: int, trials: range) -> Iterator[tuple]:
+    """``trials`` in order, a chunk of at most ``_CELL_BUDGET`` elements (one trial at least) at a time.
+
+    Per chunk: its trials, their generators, their float64 atoms on the
+    ``2^(m - level)`` cells of ``I_level(0)`` at resolution ``m``, one row
+    each, and those rows' packet table.
+    """
+    p = PExponent.parse(p_str)
+    per = max(1, _CELL_BUDGET // (m << (m - level)))
+    for start in range(0, len(trials), per):
+        chunk = trials[start : start + per]
+        recipes = [AtomRecipe(level, 0, p, GENERATORS[t % len(GENERATORS)], _trial_seed(seed, t)) for t in chunk]
+        cells = _atom_cells(recipes, m)
+        yield chunk, [r.generator for r in recipes], cells, _packet_table(cells, m - level)
 
 
 def _atom_levels(shells: np.ndarray, m: int, support: np.ndarray | None = None) -> LevelSet:
@@ -481,17 +493,33 @@ def _atom_levels(shells: np.ndarray, m: int, support: np.ndarray | None = None) 
     return LevelSet.from_pairs(shells, counts, 1 << m)
 
 
-def _thm1_case(args: tuple) -> dict:
-    p_str, level, m, seed, trial = args
-    generator, atom, packets = _trial_atom(*args)
-    p, scheme = atom.p, RhoWeight(atom.p)
-    [shells] = _atom_maximal(packets, level, [(None, scheme)])
-    support = _spread_recursion(packets, level, np.divide, _spread_weights(scheme, m, False))
+def _thm1_cell(args: tuple) -> list[dict]:
+    """thm1's cases of one (exponent, level) cell, in trial order.
 
+    Each chunk of trials runs its atoms' cells through every array stage
+    at once; the level sets, scans and case dicts stay per trial.
+    """
+    p_str, level, m, seed, trials = args
+    p = PExponent.parse(p_str)
+    scheme = RhoWeight(p)
+    weights = _spread_weights(scheme, m, False)
+    cases = []
+    for chunk, generators, cells, packets in _trial_atoms(p_str, level, m, seed, trials):
+        [shells] = _atom_maximal(packets, level, [(None, scheme)])
+        support = _spread_recursion(packets, level, np.divide, weights)
+        hardy = _atom_hardy(cells, level, m, p)
+        for row, (trial, generator) in enumerate(zip(chunk, generators)):
+            case = {"p": p_str, "M": level, "trial": trial, "generator": generator}
+            case.update(_thm1_measures(p, level, m, shells[row], support[row], hardy[row]))
+            cases.append(case)
+    return cases
+
+
+def _thm1_measures(p: PExponent, level: int, m: int, shells: np.ndarray, support: np.ndarray, hardy: float) -> dict:
+    """One thm1 case's measured fields from its operator's shell and support values and its Hardy norm."""
     off = _atom_levels(shells, m)
     wt = _weak_type(off, float(p.p))
     weak_all = _weak_lp(_atom_levels(shells, m, support), p.p, exact=False)
-    hardy = hardy_quasinorm(atom.values, p)
     normalized = weak_all / hardy if hardy > 0 else 0.0
 
     inv_p = float(p.reciprocal)
@@ -511,10 +539,6 @@ def _thm1_case(args: tuple) -> dict:
     )
 
     return {
-        "p": p_str,
-        "M": level,
-        "trial": trial,
-        "generator": generator,
         "wt_off_value": wt.value,
         "wt_off_attaining_level": wt.attaining_level,
         "normalized_ratio": normalized,
@@ -555,12 +579,11 @@ def theorem1_weak_type(cfg: ExperimentConfig) -> ExperimentReport:
     _validate_thm1(cfg)
     levels = tuple(sorted(cfg.support_levels))
     tasks = [
-        (p_str, level, level + cfg.extra_resolution, cfg.seed, trial)
+        (p_str, level, level + cfg.extra_resolution, cfg.seed, range(cfg.trials))
         for p_str in cfg.p_list
         for level in levels
-        for trial in range(cfg.trials)
     ]
-    cases = _map_tasks(_thm1_case, tasks, cfg.jobs)
+    cases = [case for cell in _map_tasks(_thm1_cell, tasks, cfg.jobs) for case in cell]
 
     cells = []
     per_p: dict[str, dict] = {}
@@ -887,14 +910,19 @@ def _corollary_operators(m: int, p: PExponent) -> dict[str, tuple[Subsequence | 
     return ops
 
 
-def _corollary_case(ops: dict, args: tuple) -> dict:
-    p_str, level, m, seed, trial = args
-    generator, atom, packets = _trial_atom(*args)
-    pw = float(atom.p.p)
-    row: dict = {"p": p_str, "M": level, "trial": trial, "generator": generator}
-    for op_name, shells in zip(ops, _atom_maximal(packets, level, ops.values())):
-        row[op_name] = _weak_type(_atom_levels(shells, m), pw).value
-    return row
+def _corollary_cell(ops: dict, args: tuple) -> list[dict]:
+    """The corollary suite's rows of one level, in trial order, a chunk of trials per array stage."""
+    p_str, level, m, seed, trials = args
+    pw = float(PExponent.parse(p_str).p)
+    rows = []
+    for chunk, generators, _, packets in _trial_atoms(p_str, level, m, seed, trials):
+        shells = _atom_maximal(packets, level, ops.values())
+        for i, (trial, generator) in enumerate(zip(chunk, generators)):
+            row: dict = {"p": p_str, "M": level, "trial": trial, "generator": generator}
+            for op_name, op_shells in zip(ops, shells):
+                row[op_name] = _weak_type(_atom_levels(op_shells[i], m), pw).value
+            rows.append(row)
+    return rows
 
 
 _COROLLARY_EXPECT_STABLE = (
@@ -943,8 +971,8 @@ def corollary_suite(
         )
 
     ops = _corollary_operators(r.m, p)
-    tasks = [(str(p), lv, r.m, seed, t) for lv in levels for t in range(trials)]
-    cases = _map_tasks(partial(_corollary_case, ops), tasks, jobs)
+    tasks = [(str(p), lv, r.m, seed, range(trials)) for lv in levels]
+    cases = [row for cell in _map_tasks(partial(_corollary_cell, ops), tasks, jobs) for row in cell]
 
     trends: dict[str, dict] = {}
     for op_name in ops:

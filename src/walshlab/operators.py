@@ -245,16 +245,19 @@ def _packet_table(values: np.ndarray, m: int) -> list[np.ndarray]:
     comes from the one above by halved pair sums (``j`` not in ``Q``) and
     halved pair differences (``j`` in ``Q``).  ``values`` are float64, or
     integer numerators pre-scaled by ``2^m``, which keeps every halving exact.
+    They hold the ``2^m`` cells on their last axis; leading axes, such as
+    one per trial, lead every entry too.
     """
-    table = [values.reshape(1, -1)]
+    lead = values.shape[:-1]
+    table = [values.reshape(*lead, 1, -1)]
     for j in range(m - 1, -1, -1):
         fine = table[-1]
-        a, b = fine[:, 0::2], fine[:, 1::2]
-        coarse = np.empty((1 << (m - j - 1), 2, 1 << j), values.dtype)
-        np.add(a, b, out=coarse[:, 0])
-        np.subtract(a, b, out=coarse[:, 1])
+        a, b = fine[..., 0::2], fine[..., 1::2]
+        coarse = np.empty((*lead, 1 << (m - j - 1), 2, 1 << j), values.dtype)
+        np.add(a, b, out=coarse[..., 0, :])
+        np.subtract(a, b, out=coarse[..., 1, :])
         _halve(coarse)
-        table.append(coarse.reshape(1 << (m - j), 1 << j))
+        table.append(coarse.reshape(*lead, 1 << (m - j), 1 << j))
     return table[::-1]
 
 
@@ -308,37 +311,40 @@ def _spread_recursion(packets: list[np.ndarray], level: int, weigh, w: np.ndarra
     (float64 only) it is the table of a function's ``2^e`` cells on
     ``I_level(0)``, entry ``k`` at level ``level + k``: below ``level``
     each packet at the support is ``U(h) 2^(j - level)``, one row per
-    block ``h``, and ``r_j = +1``.
+    block ``h``, and ``r_j = +1``.  Leading axes of the table, such as one
+    per trial, lead every stage and the output.
     """
     k = len(packets) - 1
-    out = weigh(np.abs(packets[k][0]), w[0])  # n = 2^m, where S_n f = f
-    hi = lo = packets[0][:, :0]
+    lead = packets[0].shape[:-2]
+    out = weigh(np.abs(packets[k][..., 0, :]), w[0])  # n = 2^m, where S_n f = f
+    hi = lo = packets[0][..., :0]
     for j in range(level):
         base = np.ldexp(packets[0], j - level)  # U_j[Q] at I, one row per block
         up, down = base + hi, base + lo  # the child at I: r_j = +1
         if j:  # orders below 2^level with top bit j; order 2^j loses to 2^level, of equal weight
-            np.maximum(out, weigh(np.maximum(up[0], -down[0]), w[j - np.arange(j)]).max(), out=out)
-        hi = np.concatenate([np.maximum(hi, up), base], axis=1)
-        lo = np.concatenate([np.minimum(lo, down), base], axis=1)
+            best = weigh(np.maximum(up[..., 0, :], -down[..., 0, :]), w[j - np.arange(j)])
+            np.maximum(out, best.max(axis=-1, keepdims=True), out=out)
+        hi = np.concatenate([np.maximum(hi, up), base], axis=-1)
+        lo = np.concatenate([np.minimum(lo, down), base], axis=-1)
     hi, lo = hi[..., None], lo[..., None]
     for jr in range(k):
         j = level + jr
         groups = 1 << (k - jr - 1)
-        base = packets[jr].reshape(groups, 2, 1 << jr)[:, 0, None]
-        hi2 = hi.reshape(groups, 2, j, 1 << jr)
-        lo2 = lo.reshape(groups, 2, j, 1 << jr)
-        up, down = _child_extrema(base, hi2[:, 1], lo2[:, 1])
-        cand = weigh(np.abs(base[0, 0]), w[0]).repeat(2)  # n = 2^j
+        base = packets[jr].reshape(*lead, groups, 2, 1 << jr)[..., 0, None, :]
+        hi2 = hi.reshape(*lead, groups, 2, j, 1 << jr)
+        lo2 = lo.reshape(*lead, groups, 2, j, 1 << jr)
+        up, down = _child_extrema(base, hi2[..., 1, :, :], lo2[..., 1, :, :])
+        cand = weigh(np.abs(base[..., 0, 0, :]), w[0]).repeat(2, axis=-1)  # n = 2^j
         if j:
-            spread = weigh(np.maximum(up[0], -down[0]), w[j - np.arange(j)][:, None])
-            cand = np.maximum(cand, spread.max(axis=0))
-        np.maximum(out, cand.repeat(groups), out=out)
+            spread = weigh(np.maximum(up[..., 0, :, :], -down[..., 0, :, :]), w[j - np.arange(j)][:, None])
+            cand = np.maximum(cand, spread.max(axis=-2))
+        np.maximum(out, cand.repeat(groups, axis=-1), out=out)
         if jr + 1 < k:
-            hi = np.empty((groups, j + 1, 2 << jr), base.dtype)
-            lo = np.empty((groups, j + 1, 2 << jr), base.dtype)
-            np.maximum(hi2[:, 0].repeat(2, axis=-1), up, out=hi[:, :j])
-            np.minimum(lo2[:, 0].repeat(2, axis=-1), down, out=lo[:, :j])
-            hi[:, j] = lo[:, j] = base[:, 0].repeat(2, axis=-1)
+            hi = np.empty((*lead, groups, j + 1, 2 << jr), base.dtype)
+            lo = np.empty((*lead, groups, j + 1, 2 << jr), base.dtype)
+            np.maximum(hi2[..., 0, :, :].repeat(2, axis=-1), up, out=hi[..., :j, :])
+            np.minimum(lo2[..., 0, :, :].repeat(2, axis=-1), down, out=lo[..., :j, :])
+            hi[..., j, :] = lo[..., j, :] = base[..., 0, :].repeat(2, axis=-1)
     return out
 
 
@@ -595,10 +601,11 @@ def _paley_sums(a: np.ndarray, table: _ShellTable) -> np.ndarray:
     On shell ``s`` every term below ``s`` enters with sign +1 and the term
     at ``s`` with -1.  The Paley-block recursion and ``_nest_partial_sum``
     nest from the lowest bit up; the bound-and-prune search adds from the top.
+    ``a`` broadcasts against the table's ``(slot, shell, block)`` axes.
     """
     level = table.orders.shape[1]
     s = np.arange(level)[:, None]
-    out = np.zeros(table.orders.shape)
+    out = np.zeros(np.broadcast_shapes(a.shape, table.orders.shape))
     for j in range(level - 1, -1, -1) if table.top_down else range(level):
         term = np.where((table.orders >> j) & 1 & (s >= j), np.ldexp(a, j), 0.0)  # 0 above the shell
         if table.top_down:
@@ -616,9 +623,10 @@ def _atom_maximal(
     ``packets`` is the ``_packet_table`` of its ``2^e`` cells there, and
     ``operators`` lists ``(orders, scheme)``, ``orders`` None for every
     order.  Per operator: the value on each shell, the float
-    ``weighted_maximal`` and ``restricted_maximal`` give at ``m = level + e``.
+    ``weighted_maximal`` and ``restricted_maximal`` give at ``m = level + e``,
+    with the table's leading axes, such as one per trial, in front.
     """
-    spectrum = np.abs(packets[0][:, 0])  # |U(h)| = |U_level[Q_h]| on I, h < 2^e
+    spectrum = np.abs(packets[0][..., 0])[..., None, None, :]  # |U(h)| = |U_level[Q_h]| on I, h < 2^e
     out = []
     for orders, scheme in operators:
         table = _shell_table(scheme, None if orders is None else orders.indices, level, level + len(packets) - 1)
@@ -626,7 +634,7 @@ def _atom_maximal(
             sums = table.scale * spectrum
         else:
             sums = _paley_sums(np.ldexp(spectrum, -level), table)
-        out.append((sums / table.weight).max(axis=(0, 2)))
+        out.append((sums / table.weight).max(axis=(-3, -1)))
     return out
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walshlab.analysis import PExponent, hardy_quasinorm, validate_atom
+from walshlab import constructions
+from walshlab.analysis import PExponent, atom_sup_bound, hardy_quasinorm, validate_atom
 from walshlab.constructions import (
     GENERATORS,
     AtomRecipe,
@@ -12,6 +13,7 @@ from walshlab.constructions import (
     probe_index,
 )
 from walshlab.functions import values_equal
+from walshlab.group import GroupPoint, interval
 from walshlab.spectral import (
     dirichlet_direct,
     dirichlet_dyadic,
@@ -75,6 +77,62 @@ def test_recipe_fields_take_any_integer_but_bool():
     for level, base, seed in ((2.5, 0, 1), (True, 0, 1), (2, 8.0, 1), (2, 0, 1.0), (2, 0, False)):
         with pytest.raises(ValueError, match="must be an integer"):
             AtomRecipe(level, base, P_HALF, "haar-pair", seed)
+
+
+def _grid_atom_reference(recipe, m, mode):
+    """The recipe's atom drawn straight onto the 2^m grid, one recipe at a time."""
+    iv = interval(GroupPoint(m, recipe.base), recipe.support_level)
+    bound = atom_sup_bound(recipe.support_level, recipe.p, mode)
+    rng = constructions._rng_for(recipe, m)
+    if recipe.generator == "random-bounded":
+        draws = rng.integers(-(1 << 12), (1 << 12) + 1, iv.size)
+        units = iv.size * draws - draws.sum()
+        top = int(np.abs(units).max())
+        scale = Fraction(2) ** constructions._power_of_two_fit(top, bound) if top else 1
+    else:
+        units = np.repeat(np.array([1, -1], dtype=np.int64), iv.size // 2)
+        if recipe.generator == "random-signs":
+            units = rng.permutation(units)
+        scale = bound
+    if mode == "exact":
+        values = np.zeros(1 << m, dtype=object)
+        values[iv.start : iv.stop] = units.astype(object) * scale
+    else:
+        values = np.zeros(1 << m)
+        values[iv.start : iv.stop] = units * float(scale)
+    return iv, values.tolist()
+
+
+@pytest.mark.parametrize("mode, p_str", [("float64", "1/2"), ("float64", "3/4"), ("exact", "1/2"), ("exact", "1/3")])
+def test_grid_atom_is_its_cells_placed_at_base(mode, p_str):
+    # make_atom places the cells builder's row at recipe.base; the rows of one
+    # batch are each recipe's own draws, whatever else the batch holds.
+    p = PExponent.parse(p_str)
+    for m in (2, 5, 8, 10):
+        for level in sorted({1, m // 2, m - 1}):
+            recipes = [
+                AtomRecipe(level, base, p, gen, seed)
+                for gen in GENERATORS
+                for base, seed in ((0, 7), (1 << (m - level), 8), ((1 << m) - 1, 9), (5 % (1 << m), 1 << 63))
+            ]
+            rows = constructions._atom_cells(recipes[::-1], m, mode)[::-1]
+            for recipe, row in zip(recipes, rows):
+                iv, want = _grid_atom_reference(recipe, m, mode)
+                atom = make_atom(recipe, m, mode)
+                assert atom.support == iv
+                assert atom.values.values.tolist() == want
+                assert list(map(type, atom.values.values.tolist())) == list(map(type, want))
+                assert row.tolist() == want[iv.start : iv.stop]
+                assert list(map(type, row.tolist())) == list(map(type, want[iv.start : iv.stop]))
+
+
+def test_atom_cells_share_one_level_and_exponent():
+    with pytest.raises(ValueError, match="share"):
+        constructions._atom_cells([AtomRecipe(2, 0, P_HALF, "haar-pair", 0), AtomRecipe(3, 0, P_HALF, "haar-pair", 0)], 5)
+    with pytest.raises(ValueError, match="share"):
+        constructions._atom_cells(
+            [AtomRecipe(2, 0, P_HALF, "haar-pair", 0), AtomRecipe(2, 0, PExponent.parse("1/3"), "haar-pair", 0)], 5
+        )
 
 
 def test_single_cell_support_errors():

@@ -2,11 +2,12 @@ import dataclasses
 import json
 import os
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from walshlab import experiments, operators, spectral
+from walshlab import analysis, constructions, experiments, operators, spectral
 from walshlab.analysis import PExponent, hardy_quasinorm, lp_quasinorm, weak_lp_quasinorm
 from walshlab.constructions import GENERATORS, AtomRecipe, counterexample_fn, make_atom, probe_index
 from walshlab.experiments import (
@@ -329,7 +330,7 @@ def test_theorem1_shell_constant_reads_shells_by_definition():
     # over shells s < M of the operator's sup there over 2^(s/p).
     p, level, m, seed = PExponent.parse("1/2"), 4, 6, 11
     for trial in range(len(GENERATORS)):
-        case = experiments._thm1_case((str(p), level, m, seed, trial))
+        [case] = experiments._thm1_cell((str(p), level, m, seed, range(trial, trial + 1)))
         recipe = AtomRecipe(level, 0, p, case["generator"], experiments._trial_seed(seed, trial))
         g = weighted_maximal(make_atom(recipe, m).values, RhoWeight(p)).values
         want = max(g[1 << (m - s - 1) : 1 << (m - s)].max() / 2.0 ** (2 * s) for s in range(level))
@@ -604,7 +605,7 @@ def test_off_support_constants_equal_weak_type_constant(p_str):
     for level, e in [(4, 1), (4, 2), (3, 3), (5, 3), (4, 4)]:
         for trial in range(len(GENERATORS)):
             args = (p_str, level, level + e, seed, trial)
-            case = experiments._thm1_case(args)
+            [case] = experiments._thm1_cell((*args[:4], range(trial, trial + 1)))
             assert case["generator"] == GENERATORS[trial]
             assert json.dumps(case) == json.dumps(_thm1_case_by_engine(args))
     for m in (7, 8, 10, 12):
@@ -612,7 +613,7 @@ def test_off_support_constants_equal_weak_type_constant(p_str):
         for level in (2, m // 2, m - 2):
             for trial in range(len(GENERATORS)):
                 args = (p_str, level, m, seed, trial)
-                row = experiments._corollary_case(ops, args)
+                [row] = experiments._corollary_cell(ops, (*args[:4], range(trial, trial + 1)))
                 assert list(row) == ["p", "M", "trial", "generator", *ops]
                 assert json.dumps(row) == json.dumps(_corollary_case_by_engine(ops, args))
 
@@ -625,8 +626,62 @@ def test_atom_experiments_run_no_grid_engine(monkeypatch):
     for name in ("weighted_maximal", "restricted_maximal", "_spread_max", "_pruned_max"):
         monkeypatch.setattr(operators, name, refuse)
     monkeypatch.setattr(experiments, "weighted_maximal", refuse)
+    # Nor do they build, check or measure an atom on the 2^m grid, through
+    # whichever module holds the name.
+    for module, name in ((constructions, "make_atom"), (analysis, "validate_atom"), (analysis, "hardy_quasinorm")):
+        for holder in (module, experiments):
+            if hasattr(holder, name):
+                monkeypatch.setattr(holder, name, refuse)
     assert theorem1_weak_type(_small_thm1_cfg(trials=3)).verdict
     assert len(corollary_suite(7, "1/2", trials=2, seed=1).cases) == 8
+
+
+@pytest.mark.parametrize("trials", [1, 4, 7])
+def test_batched_cells_equal_the_engines(monkeypatch, trials):
+    # A cell runs its trials through each array stage at once, a chunk of
+    # trials at a time.  Every case, whole or cut into chunks of two, must be
+    # the one the general engines give trial by trial.  At p = 3/4 the
+    # random-signs atoms at e = 9 have a rounded mean, which the Hardy norm
+    # reads off the support.
+    p_str, seed = "3/4", 3
+
+    def both(cell, args, level, m):
+        whole = cell((*args, range(trials)))
+        with monkeypatch.context() as mp:
+            mp.setattr(experiments, "_CELL_BUDGET", 2 * (m << (m - level)))
+            assert len(list(experiments._trial_atoms(*args, range(trials)))) == (trials + 1) // 2
+            chunked = cell((*args, range(trials)))
+        assert json.dumps(chunked) == json.dumps(whole)
+        assert [c["trial"] for c in whole] == list(range(trials))
+        return whole
+
+    for level, m in [(1, 10), (4, 6), (3, 8), (5, 9)]:
+        args = (p_str, level, m, seed)
+        for t, case in enumerate(both(experiments._thm1_cell, args, level, m)):
+            assert json.dumps(case) == json.dumps(_thm1_case_by_engine((*args, t)))
+    for m in (7, 10):
+        ops = experiments._corollary_operators(m, PExponent.parse(p_str))
+        for level in (2, m // 2, m - 2):
+            args = (p_str, level, m, seed)
+            for t, row in enumerate(both(partial(experiments._corollary_cell, ops), args, level, m)):
+                assert json.dumps(row) == json.dumps(_corollary_case_by_engine(ops, (*args, t)))
+
+
+def test_theorem1_trial_chunks_bound_memory():
+    # At e = 13 a trial holds m 2^e = 114,688 elements per array stage, so a
+    # chunk is one trial.  The per-case path this replaced, one 2^14-point
+    # grid atom per task, peaked at 8,457,145 B traced on this config in a
+    # fresh process (7.2-7.9 MiB once its shell table was cached); all 64
+    # trials in one chunk peaked at 455 MiB.
+    cfg = ExperimentConfig(p_list=("1/2",), support_levels=(1,), extra_resolution=13, trials=64, seed=0)
+    tracemalloc.start()
+    try:
+        rep = theorem1_weak_type(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.cases) == 64
+    assert peak <= 2 * 8_457_145
 
 
 def test_corollary_suite_builds_its_operators_once(monkeypatch):
