@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .functions import DyadicFunction, Mode, Scalar, _exact_sum, _from_numerators, _halve, _numerators
+from .functions import DyadicFunction, Mode, Scalar, _exact_sum, _float_sum, _from_numerators, _halve, _numerators
 from .group import DyadicInterval
 
 ExponentLike = Union["PExponent", Fraction, float, int]
@@ -175,15 +175,20 @@ class LevelSet(NamedTuple):
         return best, level
 
 
-def _lp(nums: np.ndarray, unit: Scalar | None, size: int, p: ExponentLike):
-    """The ``L_p`` quasi-norm of the ``size`` values ``nums * unit`` (``unit`` None in float64)."""
+def _lp(cells: Callable[[int, int], np.ndarray], unit: Scalar | None, size: int, p: ExponentLike):
+    """The ``L_p`` quasi-norm of the ``size`` values ``cells(0, size) * unit`` (``unit`` None in float64).
+
+    ``cells(start, stop)`` returns those entries' numerators.  float64 sums
+    ``|.|^p`` a chunk of cells at a time (``functions._float_sum``), so no
+    array of ``size`` powers is built.
+    """
     pv = _exponent_value(p)
     if unit is None:
         pw = float(pv)
-        total = _exact_sum(np.abs(nums) ** pw)
+        total = _float_sum(lambda start, stop: np.abs(cells(start, stop)) ** pw, size)
         return (total / size) ** (1.0 / pw)
     q = _require_reciprocal_integer(pv)
-    levels, counts, _ = LevelSet.of(nums, unit, size)
+    levels, counts, _ = LevelSet.of(cells(0, size), unit, size)
     counts = counts.tolist()
     if not levels.size:
         return Fraction(0)
@@ -207,7 +212,8 @@ def lp_quasinorm(f: DyadicFunction, p: ExponentLike):
     ``p = 1/q`` and returns a ``Fraction`` when the value is rational
     (always for a single-level function), raising otherwise.
     """
-    return _lp(*_numerators(f.values, 0), f.size, p)
+    values, unit = _numerators(f.values, 0)
+    return _lp(lambda start, stop: values[start:stop], unit, f.size, p)
 
 
 def weak_lp_quasinorm(f: DyadicFunction, p: ExponentLike):
@@ -231,34 +237,49 @@ def _weak_lp(levels: LevelSet, pv: Union[Fraction, float], exact: bool):
     return levels.scan(lambda v, c: v * Fraction(int(c), levels.size) ** q, Fraction(0))[0]
 
 
-def _maximal_numerators(f: DyadicFunction) -> tuple[np.ndarray, Scalar | None]:
-    """The maximal function of ``f`` as the pair ``(nums, unit)`` of ``functions._numerators``.
+def _maximal_numerators(f: DyadicFunction) -> tuple[Callable[[int, int], np.ndarray], Scalar | None]:
+    """The maximal function of ``f`` as ``(cells, unit)``: ``cells`` reads its numerators as :func:`_pyramid` does.
 
-    Exact mode runs on numerators pre-scaled by ``2^m``, each pair sum at
-    most twice the largest entry.
+    ``unit`` is as ``functions._numerators`` gives it.  Exact mode runs on
+    numerators pre-scaled by ``2^m``, each pair sum at most twice the
+    largest entry.
     """
     values, unit = _numerators(f.values, 1, shift=f.m)
     return _pyramid(values, f.m)[0], unit
 
 
-def _pyramid(values: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _pyramid(values: np.ndarray, m: int) -> tuple[Callable[[int, int], np.ndarray], np.ndarray]:
     """The maximal function of the ``2^m`` values on the last axis of ``values``, and their mean.
 
     The averages are built fine to coarse by halved pair sums, then the
-    running max of their magnitudes is carried coarse to fine.  The mean
-    is the coarsest average, with a last axis of length 1; leading axes
-    carry through.
+    running max of their magnitudes is carried coarse to fine in place,
+    down to the pairs of cells.  The maximal function comes back as
+    ``cells(start, stop)``, its entries ``start:stop`` (both even): that
+    max set against ``|values|`` on those cells alone, so a caller that
+    reads it a chunk at a time never holds all of it.  The mean is the
+    coarsest average, with a last axis of length 1; leading axes carry
+    through.  ``m >= 1``.
     """
-    pyramid = [np.abs(values)]
+    averages = []
     cur = values
     for _ in range(m):
         cur = cur[..., 0::2] + cur[..., 1::2]
         _halve(cur)
-        pyramid.append(np.abs(cur))
-    best = pyramid.pop()
-    while pyramid:
-        best = np.maximum(np.repeat(best, 2, axis=-1), pyramid.pop())
-    return best, cur
+        averages.append(cur)
+    best = np.abs(cur)
+    for level in reversed(averages[:-1]):
+        np.abs(level, out=level)
+        pairs = level.reshape(*level.shape[:-1], -1, 2)
+        np.maximum(pairs, best[..., None], out=pairs)
+        best = level
+
+    def cells(start: int, stop: int) -> np.ndarray:
+        out = np.abs(values[..., start:stop])
+        pairs = out.reshape(*out.shape[:-1], -1, 2)
+        np.maximum(pairs, best[..., start // 2 : stop // 2, None], out=pairs)
+        return out
+
+    return cells, cur
 
 
 def maximal_function(f: DyadicFunction) -> DyadicFunction:
@@ -267,16 +288,19 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
     Level ``k`` averages ``f`` over the level-``k`` interval around each
     point, which coincides with the 2^k-th spectral partial sum; the sup
     runs over ``k = 0 .. m`` and dominates ``|f|``.  The averages are built
-    fine to coarse, then the running max is carried coarse to fine, so each
-    level is expanded once by a factor of two: O(2^m) in all.  Exact mode
-    returns ``Fraction`` values.
+    fine to coarse, then the running max is carried coarse to fine in
+    place (:func:`_pyramid`): O(2^m) in all.  Exact mode returns
+    ``Fraction`` values.
     """
-    return f.with_values(_from_numerators(*_maximal_numerators(f)))
+    cells, unit = _maximal_numerators(f)
+    return f.with_values(_from_numerators(cells(0, f.size), unit))
 
 
 def hardy_quasinorm(f: DyadicFunction, p: ExponentLike):
     """H_p quasi-norm: the L_p quasi-norm of the maximal function.
 
+    float64 reads the maximal function a chunk at a time into one exact
+    sum of its p-th powers, so it never holds all ``2^m`` of either.
     Exact mode counts the levels straight off the maximal function's
     numerators, so only its distinct levels become ``Fraction`` values.
     """
@@ -293,7 +317,8 @@ def _atom_hardy(cells: np.ndarray, level: int, m: int, p: ExponentLike) -> list[
     scales a term exactly, so one ``fsum`` per row gives the grid's sum.
     """
     pw = float(_exponent_value(p))
-    best, mean = _pyramid(cells, m - level)
+    maximal, mean = _pyramid(cells, m - level)
+    best = maximal(0, cells.shape[-1])
     shells = np.ldexp(np.abs(mean), np.arange(level) - level)
     terms = np.concatenate([best, shells], axis=-1) ** pw
     terms[..., best.shape[-1] :] = np.ldexp(terms[..., best.shape[-1] :], m - 1 - np.arange(level))
@@ -379,7 +404,7 @@ def _validate_cells(rows: np.ndarray, level: int, p: PExponent, mode: Mode, size
     bound = atom_sup_bound(level, p, mode)
     out = []
     for row, peak in zip(rows, np.abs(rows).max(axis=-1).tolist()):
-        total = _exact_sum(row)
+        total = _exact_sum(row) if mode == "exact" else math.fsum(row.tolist())
         sup_ok = bool(peak <= bound)
         sup_violation = float(peak - bound) if not sup_ok else 0.0
         out.append(AtomValidation(total == 0, sup_ok, True, max(abs(float(total)) / size, sup_violation)))

@@ -20,9 +20,9 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .analysis import AtomSpec, PExponent, _validate_cells, atom_sup_bound
-from .functions import DyadicFunction, Mode
+from .functions import DyadicFunction, Mode, _mode_dtype
 from .group import GroupPoint, ResolutionLike, _as_int, as_resolution, interval
-from .spectral import _to_mode, index_stats
+from .spectral import index_stats
 
 Generator = Literal["haar-pair", "random-signs", "random-bounded"]
 
@@ -151,10 +151,10 @@ def counterexample_fn(n: int, m: ResolutionLike, mode: Mode = "exact") -> Dyadic
     if n + 1 > r.m:
         raise ValueError(f"scale {n} needs resolution >= {n + 1}, got {r.m}")
     half = 1 << (r.m - n - 1)
-    ints = np.zeros(r.size, dtype=np.int64)
-    ints[:half] = 1 << n
-    ints[half : 2 * half] = -(1 << n)
-    return _to_mode(ints, r.m, mode)
+    values = np.zeros(r.size, dtype=_mode_dtype(mode))  # exact mode's zeros are ints
+    values[:half] = 1 << n
+    values[half : 2 * half] = -(1 << n)
+    return DyadicFunction(r.m, values, mode)
 
 
 @dataclass(frozen=True)

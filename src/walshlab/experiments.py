@@ -824,10 +824,10 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
         for n, s in probes:
             q = probe_index(n, s).q
             f = counterexample_fn(n, n + 1, "float64")
-            sq = partial_sum(f, q)
             phi_q = float_weight(phi, q)
             threshold = _PROBE_LOWER_CONSTANT * 2.0**s
-            meas = int((np.abs(sq.values) >= threshold).sum()) / f.size
+            # Only the count of S_q f outlives this line, so the norm below runs without it.
+            meas = int((np.abs(partial_sum(f, q).values) >= threshold).sum()) / f.size
             hardy = hardy_quasinorm(f, p)
             ratio = (threshold / phi_q) * meas**inv_p / hardy
             reference = 2.0 ** ((n - s) * (inv_p - 1.0)) / phi_q

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from pathlib import Path
-from typing import Literal, Union
+from typing import Callable, Literal, Union
 
 import numpy as np
 
@@ -138,21 +138,63 @@ def _from_numerators(nums: np.ndarray, unit: Scalar | None, divisor: int = 1) ->
     return np.array([Fraction(v, unit.denominator) for v in nums.tolist()], dtype=object)
 
 
-#: Floats ``_exact_sum`` turns into one Python list at a time.
-_SUM_CHUNK = 1 << 13
+#: Floats ``_float_sum`` reads at a time; each chunk's per-exponent bins stay exact (see there).
+_SUM_CHUNK = 1 << 15
+
+_MANTISSA_BITS = 52
+_EXPONENT_FIELDS = 1 << 11  # biased exponent fields 0 .. 2046; 2047 is inf and nan
+_LOW_BITS = 26
+_LOW_MASK = (1 << _LOW_BITS) - 1
+# Every finite float64 is mant * 2^(max(field, 1) - 1075) with a signed 53-bit integer mant.
+_SCALE = 1 << 1075
+
+
+def _float_sum(cells: Callable[[int, int], np.ndarray], size: int) -> float:
+    """The correctly rounded sum of the ``size`` floats ``cells(0, size)``, bit for bit ``math.fsum``'s.
+
+    ``cells(start, stop)`` returns those entries, so the floats are read
+    one ``_SUM_CHUNK`` at a time and never held at once.  Each chunk's
+    floats split into exponent fields and signed integer mantissas; two
+    ``np.bincount`` calls add the mantissas' high 27 and low 26 bits per
+    field.  Float64 adds such terms exactly for up to ``2^26`` of them per
+    bin, far beyond a chunk.  The bins fold into one Python int, the exact
+    sum times ``2^1075``, and its one int true division by ``2^1075`` is
+    correctly rounded, as ``math.fsum`` is.
+
+    A chunk holding inf or nan sends the whole sum to ``math.fsum``, so
+    non-finite input gives fsum's results and errors.  An exact sum past
+    the float64 range raises ``OverflowError``, as fsum does; fsum raises
+    it also when only a running sum leaves the range, where this returns
+    the correctly rounded sum.
+    """
+    total = 0
+    for start in range(0, size, _SUM_CHUNK):
+        bits = np.ascontiguousarray(cells(start, start + _SUM_CHUNK), dtype=np.float64).view(np.int64)
+        field = (bits >> _MANTISSA_BITS) & (_EXPONENT_FIELDS - 1)
+        if bits.size and field.max() == _EXPONENT_FIELDS - 1:
+            chunks = (cells(i, i + _SUM_CHUNK).tolist() for i in range(0, size, _SUM_CHUNK))
+            return math.fsum(itertools.chain.from_iterable(chunks))
+        # |mant| is the fraction field plus the implicit bit of a normal float; the sign bit negates it.
+        mant = bits & ((1 << _MANTISSA_BITS) - 1)
+        mant |= np.minimum(field, 1) << _MANTISSA_BITS
+        sign = bits >> 63
+        mant ^= sign
+        mant -= sign
+        np.maximum(field, 1, out=field)
+        high = np.bincount(field, (mant >> _LOW_BITS).astype(np.float64), _EXPONENT_FIELDS)
+        low = np.bincount(field, (mant & _LOW_MASK).astype(np.float64), _EXPONENT_FIELDS)
+        used = np.flatnonzero((high != 0) | (low != 0))
+        for e, h, lo in zip(used.tolist(), high[used].tolist(), low[used].tolist()):
+            total += ((int(h) << _LOW_BITS) + int(lo)) << e
+    return total / _SCALE
 
 
 def _exact_sum(values: np.ndarray):
-    """The sum of ``values``: exact in exact mode, correctly rounded in float64.
-
-    ``math.fsum`` reads lists faster than it iterates an array, but one
-    list of ``2^19`` floats adds 16 MiB to the peak memory, so it reads
-    one chunk's list at a time.
-    """
+    """The sum of ``values``: exact in exact mode, correctly rounded in float64 (see :func:`_float_sum`)."""
     if values.dtype == object:
         return sum(values.tolist(), Fraction(0))
-    chunks = (values[i : i + _SUM_CHUNK].tolist() for i in range(0, values.size, _SUM_CHUNK))
-    return math.fsum(itertools.chain.from_iterable(chunks))
+    flat = values.reshape(-1)
+    return _float_sum(lambda start, stop: flat[start:stop], flat.size)
 
 
 def _coerce_exact(values) -> np.ndarray:

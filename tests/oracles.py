@@ -7,6 +7,7 @@ path with the library implementations it checks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,28 @@ def interval_average_maximal(values, m: int):
             best = avg if best is None else max(best, avg)
         out.append(best)
     return out
+
+
+def block_average_maximal(values: np.ndarray, m: int) -> np.ndarray:
+    """``interval_average_maximal`` a level at a time, for float64 values whose sums are exact.
+
+    The level-``k`` interval around ``x`` holds the ``2^(m - k)`` consecutive
+    indices that share the top ``k`` bits of ``x``: read ``values`` as
+    ``2^k`` rows, and each row's mean is the average on every one of its
+    points.  Dyadic values of few bits sum exactly in any order, so on
+    them this is the interval-average definition at any ``m``.
+    """
+    out = np.abs(values)
+    for k in range(m):
+        rows = values.reshape(1 << k, -1)
+        means = np.abs(rows.sum(axis=1)) / rows.shape[1]
+        out = np.maximum(out, np.repeat(means, rows.shape[1]))
+    return out
+
+
+def lp_by_definition(values: np.ndarray, p: float) -> float:
+    """``(mean |f|^p)^(1/p)``: the powers from numpy's ``**`` on the whole array, one ``math.fsum`` over them."""
+    return (math.fsum((np.abs(values) ** p).tolist()) / len(values)) ** (1 / p)
 
 
 def variation_by_runs(n: int) -> int:

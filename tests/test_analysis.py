@@ -1,5 +1,7 @@
+import hashlib
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from walshlab.analysis import (
     hardy_quasinorm,
     lp_quasinorm,
     maximal_function,
+    _pyramid,
     validate_atom,
     weak_lp_quasinorm,
 )
@@ -22,7 +25,7 @@ from walshlab.functions import DyadicFunction
 from walshlab.group import GroupPoint, interval
 from walshlab.spectral import dirichlet_direct, dirichlet_dyadic, walsh
 
-from oracles import interval_average_maximal, weak_lp_by_definition
+from oracles import block_average_maximal, interval_average_maximal, lp_by_definition, weak_lp_by_definition
 
 
 def test_pexponent_parsing_and_properties():
@@ -274,6 +277,83 @@ def test_maximal_dominates_absolute_value(m, seed):
     rng = np.random.default_rng(seed)
     f = DyadicFunction.from_values(m, rng.standard_normal(1 << m))
     assert np.all(maximal_function(f).values >= np.abs(f.values))
+
+
+def test_block_average_oracle_is_the_interval_average_oracle():
+    rng = np.random.default_rng(43)
+    for m in range(1, 7):
+        vals = rng.integers(-64, 65, 1 << m) / 8.0
+        assert block_average_maximal(vals, m).tolist() == interval_average_maximal(vals, m)
+
+
+def test_pyramid_rows_match_the_one_row_engine():
+    m = 6
+    rows = np.random.default_rng(44).standard_normal((3, 1 << m))
+    before = rows.copy()
+    cells, mean = _pyramid(rows, m)
+    whole = cells(0, 1 << m)
+    assert np.array_equal(rows, before)
+    assert whole.shape == rows.shape and mean.shape == (3, 1)
+    assert np.array_equal(np.concatenate([cells(i, i + 16) for i in range(0, 1 << m, 16)], axis=-1), whole)
+    for row, got in zip(rows, whole):
+        assert got.tobytes() == maximal_function(DyadicFunction(m, row.copy(), "float64")).values.tobytes()
+    # On dyadic rows the halved pair sums are exact, so the mean is each row's exact mean.
+    dyadic = np.random.default_rng(45).integers(-64, 65, (3, 1 << m)) / 8.0
+    cells, mean = _pyramid(dyadic, m)
+    assert mean[:, 0].tolist() == [math.fsum(row) / (1 << m) for row in dyadic.tolist()]
+    assert cells(0, 1 << m).tolist() == [block_average_maximal(row, m).tolist() for row in dyadic]
+
+
+# -- float norms at large resolutions -------------------------------------------------
+
+_NORM_EXPONENTS = (Fraction(1, 2), Fraction(1, 3), 0.7)
+
+# For the standard normal draw of default_rng(2000 + m): the leading 16 hex
+# digits of the sha256 of the maximal function's little-endian bytes, the
+# mean, and (hardy, lp) per exponent above, as the full-grid pyramid and one
+# math.fsum over all 2^m powers gave them.
+_GAUSSIAN_PINS = {
+    3: ("c7eebe609727eced", "0x1.652b550a56caep-1", ("0x1.227803498ee4ep+0", "0x1.53c89676dbfbfp-1"), ("0x1.1fbab7a209834p+0", "0x1.3b21d17e91aeep-1"), ("0x1.25c504e707e8ep+0", "0x1.712ef28f130e2p-1")),
+    15: ("d0e61ec3cff1e3dc", "-0x1.18afb68f9b487p-8", ("0x1.c7de49fefd0abp-1", "0x1.59efedcc08ec1p-1"), ("0x1.bcca70015737cp-1", "0x1.42aea53812f2cp-1"), ("0x1.d5495296434d0p-1", "0x1.7416290c6c911p-1")),
+    16: ("80a761ec0784c5d8", "-0x1.e442ad65a0c51p-9", ("0x1.c831450506eabp-1", "0x1.59dd80a7e3405p-1"), ("0x1.bd190a79ff377p-1", "0x1.428afd6497ce5p-1"), ("0x1.d59ce202e8c0fp-1", "0x1.74162759ed1cap-1")),
+    17: ("dc95bb449dd1329c", "0x1.1c7d0bae5965dp-8", ("0x1.c74510dcbbab3p-1", "0x1.5966d79679340p-1"), ("0x1.bc1b39a21b58cp-1", "0x1.4221778036413p-1"), ("0x1.d4c90acb4ae9dp-1", "0x1.739bf1b478396p-1")),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_GAUSSIAN_PINS))
+def test_float_norms_match_definitions_on_dyadic_input(m):
+    vals = np.random.default_rng(m).integers(-64, 65, 1 << m) / 8.0
+    f = DyadicFunction.from_values(m, vals)
+    maximal = block_average_maximal(vals, m)
+    assert maximal_function(f).values.tobytes() == maximal.tobytes()
+    assert f.integral() == math.fsum(vals.tolist()) / f.size
+    for p in _NORM_EXPONENTS:
+        assert hardy_quasinorm(f, p).hex() == lp_by_definition(maximal, float(p)).hex()
+        assert lp_quasinorm(f, p).hex() == lp_by_definition(vals, float(p)).hex()
+
+
+@pytest.mark.parametrize("m", sorted(_GAUSSIAN_PINS))
+def test_float_norms_keep_their_gaussian_values(m):
+    digest, mean, *norms = _GAUSSIAN_PINS[m]
+    f = DyadicFunction(m, np.random.default_rng(2000 + m).standard_normal(1 << m), "float64")
+    assert hashlib.sha256(maximal_function(f).values.astype("<f8").tobytes()).hexdigest()[:16] == digest
+    assert f.integral().hex() == mean
+    for p, (hardy, lp) in zip(_NORM_EXPONENTS, norms):
+        assert (hardy_quasinorm(f, p).hex(), lp_quasinorm(f, p).hex()) == (hardy, lp)
+
+
+def test_hardy_quasinorm_traced_peak_stays_small():
+    # The pyramid's averages are 4 MiB at m = 19; the full-grid maximal
+    # function, its |.| copies and all 2^19 powers took 14 MiB.
+    f = counterexample_fn(18, 19, "float64")
+    tracemalloc.start()
+    try:
+        norm = hardy_quasinorm(f, Fraction(1, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norm == 2.0**-18
+    assert peak < 6 << 20
 
 
 # -- H_p ------------------------------------------------------------------------------

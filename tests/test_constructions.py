@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +182,27 @@ def test_counterexample_magnitude_profile():
 def test_counterexample_hardy_norm():
     for n in range(1, 6):
         assert hardy_quasinorm(counterexample_fn(n, 8), P_HALF) == Fraction(1, 1 << n)
+
+
+def test_counterexample_modes_hold_their_own_types():
+    exact = counterexample_fn(2, 4)
+    assert exact.values.dtype == object
+    assert {type(v) for v in exact.values.tolist()} == {int}
+    floats = counterexample_fn(2, 4, "float64")
+    assert floats.values.dtype == np.float64
+    assert floats.values.tolist() == exact.values.tolist()
+
+
+def test_counterexample_traced_peak_is_its_output():
+    # The float64 output is 4 MiB at m = 19; an int64 array copied by astype made it 8 MiB.
+    tracemalloc.start()
+    try:
+        f = counterexample_fn(18, 19, "float64")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.values[0] == 2.0**18
+    assert peak < 5 << 20
 
 
 def test_counterexample_range_checks():

@@ -1,11 +1,17 @@
+import math
 import struct
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walshlab.functions import (
+    _SUM_CHUNK,
     DyadicFunction,
+    _exact_sum,
     load_binary,
     load_csv,
     store_binary,
@@ -149,3 +155,80 @@ def test_binary_rejects_exact_and_corrupt(tmp_path):
         bad.write_bytes(struct.pack("<Q", 2) + np.array([1.0, value]).astype("<f8").tobytes())
         with pytest.raises(ValueError, match="not finite"):
             load_binary(bad)
+
+
+
+# -- the float sum ------------------------------------------------------------------
+
+DBL_MAX = sys.float_info.max
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-2.3e-308, 2.3e-308),  # subnormal and least normal magnitudes
+)
+_LENGTHS = st.one_of(
+    st.integers(0, 64), st.integers(_SUM_CHUNK - 2, _SUM_CHUNK + 2), st.integers(2 * _SUM_CHUNK, 3 * _SUM_CHUNK)
+)
+
+
+def _outcome(total):
+    """``total()`` as the hex of its float, or the type and text of what it raised."""
+    try:
+        return total().hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_sums_like_fsum(x: np.ndarray) -> None:
+    got, want = _outcome(lambda: _exact_sum(x)), _outcome(lambda: math.fsum(x.tolist()))
+    if want == (OverflowError, "intermediate overflow in fsum"):
+        # fsum raises when a running sum leaves the float range; the exact
+        # sum, correctly rounded as float(Fraction) rounds it, is then due.
+        exact = sum((Fraction(v) * n for v, n in Counter(x.tolist()).items()), Fraction(0))
+        want = _outcome(lambda: float(exact))
+    assert got == want
+
+
+@given(st.lists(_FINITE, max_size=40), _LENGTHS, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_float_sum_is_fsum_bit_for_bit(base, length, cancel):
+    x = np.resize(np.array(base, dtype=np.float64), length if base else 0)
+    if cancel:
+        x = np.concatenate([x, -x[::-1]])  # sums to exactly 0
+    _assert_sums_like_fsum(x)
+
+
+@given(
+    st.lists(st.floats(), min_size=1, max_size=20),
+    st.integers(0, 2 * _SUM_CHUNK),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+@settings(max_examples=40, deadline=None)
+def test_float_sum_reads_non_finite_input_as_fsum_does(base, at, special):
+    x = np.resize(np.array(base, dtype=np.float64), 2 * _SUM_CHUNK + 1)
+    x[at] = special
+    assert _outcome(lambda: _exact_sum(x)) == _outcome(lambda: math.fsum(x.tolist()))
+
+
+@pytest.mark.parametrize(
+    "values, total",
+    [
+        ([], 0.0),
+        ([5e-324] * 3, 1.5e-323),
+        ([5e-324, -5e-324], 0.0),
+        ([2.2250738585072014e-308, -5e-324], 2.225073858507201e-308),
+        ([1e308, 1.0, -1e308], 1.0),
+        ([DBL_MAX, DBL_MAX, -DBL_MAX], DBL_MAX),  # fsum raises on its running sum here
+    ],
+)
+def test_float_sum_edge_cases(values, total):
+    assert _exact_sum(np.array(values, dtype=np.float64)).hex() == total.hex()
+
+
+@pytest.mark.parametrize("values", [[DBL_MAX, DBL_MAX], [-DBL_MAX, -1e300], [DBL_MAX, 2.0**970]])
+def test_float_sum_raises_past_the_float_range(values):
+    # DBL_MAX + 2^970 lies halfway to 2^1024 and rounds to it.
+    with pytest.raises(OverflowError):
+        _exact_sum(np.array(values))
+    with pytest.raises(OverflowError):
+        math.fsum(values)
