@@ -157,7 +157,6 @@ def test_binary_rejects_exact_and_corrupt(tmp_path):
             load_binary(bad)
 
 
-
 # -- the float sum ------------------------------------------------------------------
 
 DBL_MAX = sys.float_info.max
