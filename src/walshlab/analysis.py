@@ -130,14 +130,16 @@ def _exact_root(x: Fraction, q: int) -> Fraction | None:
 
 
 class LevelSet(NamedTuple):
-    """The distribution of ``|f|`` on ``size`` points: its distinct nonzero levels and their counts.
+    """The distribution of ``|f|`` on ``size`` points: its distinct nonzero levels and how many points reach each.
 
-    ``levels`` ascend, float64 or exact values in an object array; ``counts``
-    are int64 and may sum to less than ``size``, which the measures divide by.
+    Both are Python lists, so a scan runs on Python floats and ints:
+    ``levels`` ascend, float or exact values, and ``above[i]`` counts the
+    points at or above ``levels[i]``.  ``above[0]`` may be less than
+    ``size``, which the measures divide by.
     """
 
-    levels: np.ndarray
-    counts: np.ndarray
+    levels: list
+    above: list
     size: int
 
     @classmethod
@@ -149,30 +151,41 @@ class LevelSet(NamedTuple):
         levels, counts = np.unique(np.abs(nums), return_counts=True)
         if levels.size and levels[0] == 0:
             levels, counts = levels[1:], counts[1:]
-        return cls(_from_numerators(levels, unit), counts, size)
-
-    @classmethod
-    def from_pairs(cls, values: np.ndarray, counts: np.ndarray, size: int) -> "LevelSet":
-        """The level set of ``counts[i]`` points at ``|values[i]|``, float64: equal levels merge, zeros drop."""
-        levels, where = np.unique(np.abs(values), return_inverse=True)
-        merged = np.bincount(where, counts, levels.size).astype(np.int64)  # counts below 2^53 add exactly
-        if levels.size and levels[0] == 0:
-            levels, merged = levels[1:], merged[1:]
-        return cls(levels, merged, size)
+        return cls(_from_numerators(levels, unit).tolist(), counts[::-1].cumsum()[::-1].tolist(), size)
 
     def scan(self, candidate: Callable, zero) -> tuple:
         """The largest ``candidate(v, c)`` over the levels ``v`` and the level attaining it.
 
-        ``c`` is the int64 count of points at or above ``v``.  The scan
-        climbs from ``(zero, zero)``; a later level wins only when its
-        candidate is strictly larger.
+        ``c`` is the count of points at or above ``v``.  The scan climbs
+        from ``(zero, zero)``; a later level wins only when its candidate is
+        strictly larger.
         """
         best = level = zero
-        for v, c in zip(self.levels, self.counts[::-1].cumsum()[::-1]):
+        for v, c in zip(self.levels, self.above):
             cand = candidate(v, c)
             if cand > best:
                 best, level = cand, v
         return best, level
+
+
+def _level_sets(values: np.ndarray, counts: np.ndarray, size: int) -> list[LevelSet]:
+    """The level set of each row of float64 ``values``, ``counts[i]`` points at ``|values[..., i]|``.
+
+    One pass for all rows, taken in C order over the leading axes: each
+    row's magnitudes sort along the last axis with their int64 counts, the
+    counts are summed from the top down, and a level keeps only its first
+    entry, whose sum counts every point at or above it.  Zeros drop.
+    """
+    mags = np.abs(values).reshape(-1, values.shape[-1])
+    order = np.argsort(mags, axis=-1)
+    levels = np.take_along_axis(mags, order, -1)
+    above = np.take_along_axis(np.broadcast_to(counts, mags.shape), order, -1)
+    above = above[:, ::-1].cumsum(axis=-1)[:, ::-1]
+    first = levels > 0
+    first[:, 1:] &= levels[:, 1:] != levels[:, :-1]
+    ends = first.sum(axis=-1).cumsum().tolist()
+    flat_levels, flat_above = levels[first].tolist(), above[first].tolist()
+    return [LevelSet(flat_levels[a:b], flat_above[a:b], size) for a, b in zip([0, *ends], ends)]
 
 
 def _lp(cells: Callable[[int, int], np.ndarray], unit: Scalar | None, size: int, p: ExponentLike):
@@ -188,20 +201,19 @@ def _lp(cells: Callable[[int, int], np.ndarray], unit: Scalar | None, size: int,
         total = _float_sum(lambda start, stop: np.abs(cells(start, stop)) ** pw, size)
         return (total / size) ** (1.0 / pw)
     q = _require_reciprocal_integer(pv)
-    levels, counts, _ = LevelSet.of(cells(0, size), unit, size)
-    counts = counts.tolist()
-    if not levels.size:
+    levels, above, _ = LevelSet.of(cells(0, size), unit, size)
+    if not levels:
         return Fraction(0)
     if len(levels) == 1:
-        return levels[0] * Fraction(counts[0], size) ** q
+        return levels[0] * Fraction(above[0], size) ** q
     total = Fraction(0)
-    for v, c in zip(levels, counts):
+    for v, c, higher in zip(levels, above, [*above[1:], 0]):
         root = _exact_root(v, q)
         if root is None:
             raise ValueError(
                 f"L_{pv} quasi-norm of this function is irrational; use float64 mode"
             )
-        total += Fraction(c, size) * root
+        total += Fraction(c - higher, size) * root
     return total**q
 
 
@@ -234,7 +246,7 @@ def _weak_lp(levels: LevelSet, pv: Union[Fraction, float], exact: bool):
         root = 1.0 / float(pv)
         return levels.scan(lambda v, c: v * (c / levels.size) ** root, 0.0)[0]
     q = _require_reciprocal_integer(pv)
-    return levels.scan(lambda v, c: v * Fraction(int(c), levels.size) ** q, Fraction(0))[0]
+    return levels.scan(lambda v, c: v * Fraction(c, levels.size) ** q, Fraction(0))[0]
 
 
 def _maximal_numerators(f: DyadicFunction) -> tuple[Callable[[int, int], np.ndarray], Scalar | None]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
@@ -30,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .analysis import LevelSet, PExponent, _atom_hardy, _weak_lp, hardy_quasinorm, lp_quasinorm
+from .analysis import LevelSet, PExponent, _atom_hardy, _level_sets, _weak_lp, hardy_quasinorm, lp_quasinorm
 from .constructions import GENERATORS, AtomRecipe, _atom_cells, counterexample_fn, probe_index
 from .group import as_resolution, shell_decomposition
 from .operators import (
@@ -480,50 +481,48 @@ def _trial_atoms(p_str: str, level: int, m: int, seed: int, trials: range) -> It
         yield chunk, [r.generator for r in recipes], cells, _packet_table(cells, m - level)
 
 
-def _atom_levels(shells: np.ndarray, m: int, support: np.ndarray | None = None) -> LevelSet:
-    """The level set of an atom's operator at resolution ``m`` from its shell values.
-
-    Shell ``s`` holds ``2^(m-s-1)`` points.  Without ``support`` the atom's
-    support ``I_level(0)`` counts as 0; with it, one point per entry.
-    """
-    counts = 1 << (m - 1 - np.arange(shells.size))
-    if support is not None:
-        shells = np.concatenate([shells, support])
-        counts = np.concatenate([counts, np.ones(support.size, np.int64)])
-    return LevelSet.from_pairs(shells, counts, 1 << m)
+def _shell_counts(level: int, m: int) -> np.ndarray:
+    """The points of shells ``s = 0 .. level - 1`` off ``I_level(0)`` at resolution ``m``: ``2^(m-s-1)`` each."""
+    return 1 << (m - 1 - np.arange(level))
 
 
 def _thm1_cell(args: tuple) -> list[dict]:
     """thm1's cases of one (exponent, level) cell, in trial order.
 
     Each chunk of trials runs its atoms' cells through every array stage
-    at once; the level sets, scans and case dicts stay per trial.
+    at once, level sets included; only the scans and case dicts are per
+    trial.
     """
     p_str, level, m, seed, trials = args
     p = PExponent.parse(p_str)
     scheme = RhoWeight(p)
     weights = _spread_weights(scheme, m, False)
+    counts = np.concatenate([_shell_counts(level, m), np.ones(1 << (m - level), np.int64)])
     cases = []
     for chunk, generators, cells, packets in _trial_atoms(p_str, level, m, seed, trials):
         [shells] = _atom_maximal(packets, level, [(None, scheme)])
-        support = _spread_recursion(packets, level, np.divide, weights)
+        # Each row's values on the whole group, and a copy off the support,
+        # where the support's cells carry 0: one level pass takes both.
+        rows = np.zeros((2, len(chunk), counts.size))
+        rows[..., :level] = shells
+        rows[1, :, level:] = _spread_recursion(packets, level, np.divide, weights)
+        sets = _level_sets(rows, counts, 1 << m)
         hardy = _atom_hardy(cells, level, m, p)
-        for row, (trial, generator) in enumerate(zip(chunk, generators)):
+        for trial, generator, *measured in zip(chunk, generators, shells.tolist(), sets, sets[len(chunk) :], hardy):
             case = {"p": p_str, "M": level, "trial": trial, "generator": generator}
-            case.update(_thm1_measures(p, level, m, shells[row], support[row], hardy[row]))
+            case.update(_thm1_measures(p, level, *measured))
             cases.append(case)
     return cases
 
 
-def _thm1_measures(p: PExponent, level: int, m: int, shells: np.ndarray, support: np.ndarray, hardy: float) -> dict:
-    """One thm1 case's measured fields from its operator's shell and support values and its Hardy norm."""
-    off = _atom_levels(shells, m)
+def _thm1_measures(p: PExponent, level: int, shells: list, off: LevelSet, whole: LevelSet, hardy: float) -> dict:
+    """One thm1 case's measured fields from its operator's shell values, its level sets off the support and on the whole group, and its Hardy norm."""
     wt = _weak_type(off, float(p.p))
-    weak_all = _weak_lp(_atom_levels(shells, m, support), p.p, exact=False)
+    weak_all = _weak_lp(whole, p.p, exact=False)
     normalized = weak_all / hardy if hardy > 0 else 0.0
 
     inv_p = float(p.reciprocal)
-    shell_ratios = [float(smax) / 2.0 ** (s * inv_p) for s, smax in enumerate(shells)]
+    shell_ratios = [smax / 2.0 ** (s * inv_p) for s, smax in enumerate(shells)]
     shell_constant = max(shell_ratios) if shell_ratios else 0.0
 
     # Tail bound: above threshold 2^(k/p) (times the trial constant), the
@@ -531,12 +530,12 @@ def _thm1_measures(p: PExponent, level: int, m: int, shells: np.ndarray, support
     # count is a search of the off-support levels; sigma0 reads the top one.
     sigma4_margin = None
     if shell_constant > 0:
-        above = np.searchsorted(off.levels, [shell_constant * 2.0 ** (k * inv_p) for k in range(level)])
-        sigma4_margin = max(int(off.counts[i:].sum()) / off.size - 2.0 / (1 << k) for k, i in enumerate(above))
-    sigma0_ok = bool(
-        shell_constant == 0.0
-        or float(off.levels[-1]) <= shell_constant * 2.0 ** (level * inv_p)
-    )
+        above = [*off.above, 0]
+        sigma4_margin = max(
+            above[bisect_left(off.levels, shell_constant * 2.0 ** (k * inv_p))] / off.size - 2.0 / (1 << k)
+            for k in range(level)
+        )
+    sigma0_ok = shell_constant == 0.0 or off.levels[-1] <= shell_constant * 2.0 ** (level * inv_p)
 
     return {
         "wt_off_value": wt.value,
@@ -800,6 +799,11 @@ def _auto_probe_bit(n: int, p: PExponent, phi: WeightScheme) -> int:
     return best_s
 
 
+def _count_beyond(values: np.ndarray, t: float) -> int:
+    """How many ``|values| >= t``, for ``t > 0``: ``values >= t`` plus ``values <= -t``, with no ``|values|`` copy."""
+    return int(np.count_nonzero(values >= t)) + int(np.count_nonzero(values <= -t))
+
+
 def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
     """Weak quasi-norm blow-up for any nondecreasing weight below the reference.
 
@@ -827,7 +831,7 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
             phi_q = float_weight(phi, q)
             threshold = _PROBE_LOWER_CONSTANT * 2.0**s
             # Only the count of S_q f outlives this line, so the norm below runs without it.
-            meas = int((np.abs(partial_sum(f, q).values) >= threshold).sum()) / f.size
+            meas = _count_beyond(partial_sum(f, q).values, threshold) / f.size
             hardy = hardy_quasinorm(f, p)
             ratio = (threshold / phi_q) * meas**inv_p / hardy
             reference = 2.0 ** ((n - s) * (inv_p - 1.0)) / phi_q
@@ -914,13 +918,15 @@ def _corollary_cell(ops: dict, args: tuple) -> list[dict]:
     """The corollary suite's rows of one level, in trial order, a chunk of trials per array stage."""
     p_str, level, m, seed, trials = args
     pw = float(PExponent.parse(p_str).p)
+    counts = _shell_counts(level, m)
     rows = []
     for chunk, generators, _, packets in _trial_atoms(p_str, level, m, seed, trials):
-        shells = _atom_maximal(packets, level, ops.values())
+        # One level pass for every operator's rows, operator-major.
+        sets = _level_sets(np.stack(_atom_maximal(packets, level, ops.values())), counts, 1 << m)
         for i, (trial, generator) in enumerate(zip(chunk, generators)):
             row: dict = {"p": p_str, "M": level, "trial": trial, "generator": generator}
-            for op_name, op_shells in zip(ops, shells):
-                row[op_name] = _weak_type(_atom_levels(op_shells[i], m), pw).value
+            for op_name, levels in zip(ops, sets[i :: len(chunk)]):
+                row[op_name] = _weak_type(levels, pw).value
             rows.append(row)
     return rows
 

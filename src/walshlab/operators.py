@@ -667,5 +667,5 @@ def weak_type_constant(g: DyadicFunction, p: ExponentLike) -> WeakTypeReport:
 
 def _weak_type(levels: LevelSet, pw: float) -> WeakTypeReport:
     """``weak_type_constant`` at exponent ``pw``, read off a level set of either mode."""
-    best, level = levels.scan(lambda v, c: float(v) ** pw * (int(c) / levels.size), 0.0)
+    best, level = levels.scan(lambda v, c: float(v) ** pw * (c / levels.size), 0.0)
     return WeakTypeReport(best, float(level))

@@ -16,13 +16,16 @@ from walshlab.analysis import (
     hardy_quasinorm,
     lp_quasinorm,
     maximal_function,
+    _level_sets,
     _pyramid,
+    _weak_lp,
     validate_atom,
     weak_lp_quasinorm,
 )
 from walshlab.constructions import counterexample_fn
 from walshlab.functions import DyadicFunction
 from walshlab.group import GroupPoint, interval
+from walshlab.operators import _weak_type, weak_type_constant
 from walshlab.spectral import dirichlet_direct, dirichlet_dyadic, walsh
 
 from oracles import block_average_maximal, interval_average_maximal, lp_by_definition, weak_lp_by_definition
@@ -133,26 +136,107 @@ def test_quasinorm_homogeneity_exact():
 # -- weak L_p ---------------------------------------------------------------------
 
 
-def test_level_set_from_pairs_equals_the_expanded_array():
-    # (value, count) pairs stand for count points at |value|: equal levels
-    # merge, zeros drop, and the result is the level set of the expansion.
+def _scans(levels: LevelSet) -> tuple:
+    """What the atom cells read off a float level set: weak L_1/2, and the weak-type constant at p = 3/4 with its level."""
+    wt = _weak_type(levels, 0.75)
+    return _weak_lp(levels, Fraction(1, 2), exact=False), wt.value, wt.attaining_level
+
+
+def test_level_sets_equal_the_expanded_array():
+    # Row i of a chunk stands for counts[j] points at |values[i, j]|: each
+    # row's level set, counts at or above and scans are those of the
+    # expanded array, bit for bit.  Ties join a shell value to support
+    # values, zeros of either sign drop, and negatives count by magnitude.
     rng = np.random.default_rng(7)
-    pairs = [
-        ([3.0, -1.5, 0.0, 3.0, 1.5, -0.0], [2, 1, 5, 4, 3, 1]),
-        ([0.0, 0.0], [3, 1]),
-        (rng.choice([0.0, 0.25, -0.75, 2.0**-40, 3.0], 40), rng.integers(1, 9, 40)),
-        (rng.standard_normal(30), rng.integers(1, 1 << 20, 30)),
+    m = 6
+    shells = 1 << (m - 1 - np.arange(3))  # 32, 16, 8 points
+    counts = np.concatenate([shells, np.ones(5, np.int64)])
+    rows = np.array([
+        [3.0, 1.5, 0.75, 1.5, -0.75, 0.0, 3.0, 0.25],  # shell-support ties
+        [0.0, -2.0, 2.0, -0.0, -1.0, 0.0, 2.0, -2.0],  # zeros and negatives
+        [0.0] * 8,  # nothing above zero
+        rng.choice([0.0, 0.25, -0.75, 2.0**-40, 3.0], 8),
+        rng.standard_normal(8),
+        rng.standard_normal(8),
+    ])
+    chunks = [
+        (rows.reshape(2, 3, 8), counts),  # leading axes, taken in C order
+        (rows[:1], counts),
+        # One trial at e = 13: a level-1 shell and 2^13 support cells.
+        (rng.choice([0.0, 0.5, -0.5, 1.0, -3.0, 2.0**-30], (1, (1 << 13) + 1)),
+         np.concatenate([[1 << 13], np.ones(1 << 13, np.int64)])),
     ]
-    for values, counts in pairs:
-        values, counts = np.asarray(values), np.asarray(counts)
-        size = int(counts.sum()) + 3  # a few points of the group carry nothing
-        want = LevelSet.of(np.repeat(values, counts), None, size)
-        got = LevelSet.from_pairs(values, counts, size)
-        assert got.levels.tolist() == want.levels.tolist()
-        assert got.counts.tolist() == want.counts.tolist()
-        assert (got.levels.dtype, got.counts.dtype, got.size) == (np.float64, np.int64, size)
-    merged = LevelSet.from_pairs(np.array([2.0, -2.0, 0.0, 1.0]), np.array([1, 2, 9, 4]), 16)
-    assert (merged.levels.tolist(), merged.counts.tolist()) == ([1.0, 2.0], [4, 3])
+    for values, weights in chunks:
+        size = int(weights.sum()) + 3  # a few points of the group carry nothing
+        got = _level_sets(values, weights, size)
+        flat = values.reshape(-1, values.shape[-1])
+        assert len(got) == len(flat)
+        for row, sets in zip(flat, got):
+            want = LevelSet.of(np.repeat(row, weights), None, size)
+            assert (sets.levels, sets.above, sets.size) == (want.levels, want.above, size)
+            assert {type(v) for v in sets.levels} <= {float} and {type(c) for c in sets.above} <= {int}
+            assert _scans(sets) == _scans(want)
+    [ties, signs, empty, *_] = _level_sets(rows, counts, 64)
+    assert (ties.levels, ties.above) == ([0.25, 0.75, 1.5, 3.0], [60, 59, 50, 33])
+    assert (signs.levels, signs.above) == ([1.0, 2.0], [27, 26])
+    assert (empty.levels, empty.above, _scans(empty)) == ([], [], (0.0, 0.0, 0.0))
+
+
+def _numpy_scalar_scan(levels: np.ndarray, counts: np.ndarray, candidate, zero) -> tuple:
+    """The scan as it ran on numpy scalars: ``np.unique``'s levels and their suffix-summed counts, entry by entry."""
+    best = level = zero
+    for v, c in zip(levels, counts[::-1].cumsum()[::-1]):
+        cand = candidate(v, c)
+        if cand > best:
+            best, level = cand, v
+    return best, level
+
+
+def _unique_levels(values) -> tuple:
+    levels, counts = np.unique(np.abs(values), return_counts=True)
+    keep = levels != 0
+    return levels[keep], counts[keep]
+
+
+@pytest.mark.parametrize("kind", ["gauss", "dyadic"])
+def test_list_scan_equals_the_numpy_scalar_scan(kind):
+    # The scans read Python floats and ints; each value and attaining level
+    # must be the numpy-scalar scan's, bit for bit.
+    m = 16
+    rng = np.random.default_rng(16)
+    if kind == "gauss":
+        values = rng.standard_normal(1 << m)
+    else:
+        values = rng.integers(-64, 65, 1 << m) / 2.0 ** rng.integers(0, 8, 1 << m)
+    f = DyadicFunction.from_values(m, values)
+    g = f.with_values(np.abs(values))
+    levels, counts = _unique_levels(values)
+    for p in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)):
+        root, pw = float(1 / p), float(p)
+        weak = lambda v, c: v * (c / f.size) ** root  # noqa: E731
+        want = _numpy_scalar_scan(levels, counts, weak, 0.0)
+        assert LevelSet.of(values, None, f.size).scan(weak, 0.0) == want
+        assert weak_lp_quasinorm(f, p) == want[0]
+        best, level = _numpy_scalar_scan(levels, counts, lambda v, c: float(v) ** pw * (int(c) / f.size), 0.0)
+        wt = weak_type_constant(g, p)
+        assert (wt.value, wt.attaining_level) == (best, float(level))
+
+
+def test_list_scan_equals_the_numpy_scalar_scan_exact():
+    # Exact levels are Fractions and ints; the counts are Python ints either way.
+    m = 8
+    rng = np.random.default_rng(8)
+    values = [Fraction(int(v), int(d)) for v, d in zip(rng.integers(-9, 10, 1 << m), rng.choice([1, 3, 4, 12], 1 << m))]
+    f = DyadicFunction(m, np.array(values, dtype=object), "exact")
+    g = f.with_values(np.array([abs(v) for v in values], dtype=object))
+    levels, counts = _unique_levels(np.array(values, dtype=object))
+    for q in (1, 2, 3):
+        want = _numpy_scalar_scan(levels, counts, lambda v, c: v * Fraction(int(c), f.size) ** q, Fraction(0))
+        got = weak_lp_quasinorm(f, Fraction(1, q))
+        assert got == want[0] and type(got) is Fraction
+        best, level = _numpy_scalar_scan(levels, counts, lambda v, c: float(v) ** (1 / q) * (int(c) / f.size), 0.0)
+        wt = weak_type_constant(g, Fraction(1, q))
+        assert (wt.value, wt.attaining_level) == (best, float(level))
 
 
 def test_weak_lp_single_level_matches_lp():

@@ -190,9 +190,9 @@ def test_norm_numerators(name, widths):
 def test_level_counts_past_int64(widths):
     values = [2**70, -(2**70), Fraction(2**70 + 1, 2), 0, 3, -3, 2**70, 1]
     f = DyadicFunction(M, np.array(values, dtype=object), "exact")
-    levels, counts, _ = analysis.LevelSet.of(*analysis._numerators(f.values, 0), SIZE)
-    assert levels.tolist() == [1, 3, Fraction(2**70 + 1, 2), 2**70]
-    assert counts.tolist() == [1, 2, 1, 3]
+    levels, above, _ = analysis.LevelSet.of(*analysis._numerators(f.values, 0), SIZE)
+    assert levels == [1, 3, Fraction(2**70 + 1, 2), 2**70]
+    assert above == [7, 6, 4, 3]  # points at or above each level; per level 1, 2, 1, 3
     assert widths == [np.dtype(object)]
     assert weak_lp_quasinorm(f, 1) == max(v * Fraction(c, SIZE) for v, c in
                                           ((1, 7), (3, 6), (Fraction(2**70 + 1, 2), 4), (2**70, 3)))

@@ -414,6 +414,26 @@ def test_theorem2b_explicit_probes_and_auto_choice():
     assert [(c["n"], c["s"]) for c in auto.cases] == [(5, 0), (6, 0)]
 
 
+def test_theorem2b_probe_count_equals_the_magnitude_count():
+    # Part b counts |S_q f| >= t, t > 0, as S_q f >= t plus S_q f <= -t.
+    # Entries exactly at +-t count once; those one ulp inside, and zeros of
+    # either sign, do not.
+    t = experiments._PROBE_LOWER_CONSTANT * 2.0**3
+    rng = np.random.default_rng(5)
+    inside = np.nextafter(t, 0)
+    values = rng.choice([-4.0, -t, -inside, -1.0, -0.0, 0.0, 1.0, inside, t, 4.0], 1000)
+    assert np.any(values == t) and np.any(values == -t)
+    assert experiments._count_beyond(values, t) == int((np.abs(values) >= t).sum())
+    # On part b's own partial sums, which read +-2^s or 0, and on a quarter of
+    # them, which puts entries exactly at +-threshold.
+    for n, s in [(5, 0), (6, 2), (9, 4), (12, 11)]:
+        sq = partial_sum(counterexample_fn(n, n + 1, "float64"), probe_index(n, s).q).values
+        threshold = experiments._PROBE_LOWER_CONSTANT * 2.0**s
+        for x in (sq, sq / 4):
+            assert experiments._count_beyond(x, threshold) == int((np.abs(x) >= threshold).sum())
+        assert np.any(sq / 4 == threshold) and np.any(sq / 4 == -threshold)
+
+
 def test_theorem2b_table_monotonicity_enforced():
     with pytest.raises(ValueError):
         TableWeight(((17, 4.0), (33, 2.0)))
@@ -632,6 +652,8 @@ def test_atom_experiments_run_no_grid_engine(monkeypatch):
         for holder in (module, experiments):
             if hasattr(holder, name):
                 monkeypatch.setattr(holder, name, refuse)
+    # A cell's level sets come from its one level pass, never from a grid's values.
+    monkeypatch.setattr(analysis.LevelSet, "of", refuse)
     assert theorem1_weak_type(_small_thm1_cfg(trials=3)).verdict
     assert len(corollary_suite(7, "1/2", trials=2, seed=1).cases) == 8
 
