@@ -162,6 +162,8 @@ def test_level_sets_equal_the_expanded_array():
     chunks = [
         (rows.reshape(2, 3, 8), counts),  # leading axes, taken in C order
         (rows[:1], counts),
+        (rng.choice([0.0, 0.25, -0.75, 2.0**-40, 3.0], (2, 40)), rng.integers(1, 9, 40)),
+        (rng.standard_normal((1, 30)), rng.integers(1, 1 << 20, 30)),
         # One trial at e = 13: a level-1 shell and 2^13 support cells.
         (rng.choice([0.0, 0.5, -0.5, 1.0, -3.0, 2.0**-30], (1, (1 << 13) + 1)),
          np.concatenate([[1 << 13], np.ones(1 << 13, np.int64)])),
