@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .analysis import LevelSet, PExponent, _atom_hardy, _level_sets, _weak_lp, hardy_quasinorm, lp_quasinorm
 from .constructions import GENERATORS, AtomRecipe, _atom_cells, counterexample_fn, probe_index
-from .group import as_resolution, shell_decomposition
+from .group import MAX_RESOLUTION, as_resolution, shell_decomposition
 from .operators import (
     PolyWeight,
     RhoWeight,
@@ -94,7 +94,7 @@ class ExperimentContract(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameter carrier; each experiment reads the fields ``EXPERIMENTS`` lists for it.
+    """Parameter carrier; each experiment reads the fields ``EXPERIMENTS`` lists for it and refuses any other set.
 
     Every way of building a config runs ``_FIELD_CHECKS``, with JSON lists
     read as tuples and numpy integers as ``int``; a bad field raises
@@ -124,11 +124,16 @@ class ExperimentConfig:
             value = _plain(getattr(self, field.name))
             if field.name == "p_list" and isinstance(value, tuple):
                 value = tuple(map(str, value))
+                seen = set()
                 for pstr in value:
                     try:
-                        PExponent.parse(pstr)
+                        exponent = PExponent.parse(pstr).p
                     except ValueError as exc:
                         problems.append(f"'p_list' entry {pstr!r} is not an exponent in (0, 1]: {exc}")
+                        continue
+                    if exponent in seen:
+                        problems.append(f"'p_list' entry {pstr!r} repeats the exponent {exponent}")
+                    seen.add(exponent)
             object.__setattr__(self, field.name, value)
             ok, message = _FIELD_CHECKS[field.name]
             if not ok(value):
@@ -196,13 +201,37 @@ _FIELD_CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
 }
 
 
-def _exponent_problems(cfg: ExperimentConfig) -> list[str]:
-    """The exponent rule every experiment shares: a nonempty ``p_list`` in (0, 1)."""
-    problems = [] if cfg.p_list else ["'p_list' must be nonempty"]
+def _shared_problems(cfg: ExperimentConfig, experiment: str) -> list[str]:
+    """The rules every experiment shares: a nonempty ``p_list`` in (0, 1), and no field it does not read set.
+
+    A set field is one that differs from its default; a config file meets
+    the same rule, worded the same, in ``from_json_dict``.
+    """
+    read = EXPERIMENTS[experiment].fields
+    problems = [
+        f"field '{f.name}' is not read by {experiment}"
+        for f in dataclass_fields(cfg)
+        if f.name not in read and getattr(cfg, f.name) != f.default
+    ]
+    if not cfg.p_list:
+        problems.append("'p_list' must be nonempty")
     for pstr in cfg.p_list:
         if not PExponent.parse(pstr).p < 1:
             problems.append(f"'p_list' entry {pstr} must lie in (0, 1)")
     return problems
+
+
+def _scale_problems(scales: Sequence[int], resolution: int) -> list[str]:
+    """The scale rule both parts of thm2 share: scale ``n`` runs at resolution ``n + 1``.
+
+    That must lie within ``resolution`` and the group's cap, so every
+    scale is checked before any runs.
+    """
+    top = min(resolution, MAX_RESOLUTION) - 1
+    if all(1 <= n <= top for n in scales):
+        return []
+    return [f"'scales' must lie within [1, {top}]: scale n runs at n + 1 <= resolution {resolution}, "
+            f"and at most {MAX_RESOLUTION}"]
 
 
 def _provenance(seed: int | None) -> dict:
@@ -548,7 +577,7 @@ def _thm1_measures(p: PExponent, level: int, shells: list, off: LevelSet, whole:
 
 
 def _validate_thm1(cfg: ExperimentConfig) -> None:
-    problems = _exponent_problems(cfg)
+    problems = _shared_problems(cfg, "thm1")
     if not cfg.support_levels:
         problems.append("'support_levels' must be nonempty")
     if any(lv < 1 for lv in cfg.support_levels):
@@ -582,36 +611,32 @@ def theorem1_weak_type(cfg: ExperimentConfig) -> ExperimentReport:
         for p_str in cfg.p_list
         for level in levels
     ]
-    cases = [case for cell in _map_tasks(_thm1_cell, tasks, cfg.jobs) for case in cell]
+    results = _map_tasks(_thm1_cell, tasks, cfg.jobs)
+    cases = [case for rows in results for case in rows]
 
-    cells = []
+    cells = [
+        {
+            "p": p_str,
+            "M": level,
+            "max_wt_off": max(r["wt_off_value"] for r in rows),
+            "max_normalized": max(r["normalized_ratio"] for r in rows),
+            "max_shell_constant": max(r["shell_constant"] for r in rows),
+        }
+        for (p_str, level, *_), rows in zip(tasks, results)
+    ]
     per_p: dict[str, dict] = {}
-    for p_str in cfg.p_list:
-        maxima = []
-        cell_constants = []
-        for level in levels:
-            rows = [c for c in cases if c["p"] == p_str and c["M"] == level]
-            cell = {
-                "p": p_str,
-                "M": level,
-                "max_wt_off": max(r["wt_off_value"] for r in rows),
-                "max_normalized": max(r["normalized_ratio"] for r in rows),
-                "max_shell_constant": max(r["shell_constant"] for r in rows),
-            }
-            cells.append(cell)
-            maxima.append(cell["max_wt_off"])
-            cell_constants.append(cell["max_shell_constant"])
+    for i, p_str in enumerate(cfg.p_list):
+        span = slice(i * len(levels), (i + 1) * len(levels))  # this exponent's tasks, by level
+        maxima = [cell["max_wt_off"] for cell in cells[span]]
         ratios = _consecutive_ratios(maxima)
-        c_p = max(cell_constants)
-        rows_p = [c for c in cases if c["p"] == p_str]
-        single_constant_ok = all(r["shell_constant"] <= c_p for r in rows_p)
+        c_p = max(cell["max_shell_constant"] for cell in cells[span])
         per_p[p_str] = {
             "max_wt_off_by_level": maxima,
             "consecutive_ratios": ratios,
             "max_consecutive_ratio": max(ratios) if ratios else 1.0,
             "stable": all(rho <= cfg.ratio_cap for rho in ratios),
             "shell_constant": c_p,
-            "single_constant_ok": single_constant_ok,
+            "single_constant_ok": all(r["shell_constant"] <= c_p for rows in results[span] for r in rows),
         }
 
     margins = [c["sigma4_margin"] for c in cases if c["sigma4_margin"] is not None]
@@ -637,11 +662,11 @@ def theorem1_weak_type(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _validate_thm2a(cfg: ExperimentConfig) -> None:
-    problems = _exponent_problems(cfg)
+    problems = _shared_problems(cfg, "thm2a")
     if cfg.resolution is None or cfg.resolution < 5:
         problems.append("'resolution' must be an integer >= 5")
-    elif any(not 1 <= n <= cfg.resolution - 1 for n in cfg.scales):
-        problems.append("'scales' must lie within [1, resolution - 1]")
+    else:
+        problems += _scale_problems(cfg.scales or range(3, cfg.resolution), cfg.resolution)
     if len(cfg.scales) == 1:
         problems.append("'scales' needs two distinct scales to fit a slope")
     if problems:
@@ -745,17 +770,16 @@ _PROBE_LOWER_CONSTANT = 0.25
 
 def _validate_thm2b(cfg: ExperimentConfig) -> WeightScheme:
     """Check the config and return its weight, the unit weight when ``scheme`` is unset."""
-    problems = _exponent_problems(cfg)
+    problems = _shared_problems(cfg, "thm2b")
     if cfg.resolution is None or cfg.resolution < 3:
         problems.append("'resolution' must be an integer >= 3")
+    else:
+        problems += _scale_problems([*cfg.scales, *(n for n, _ in cfg.probes or ())], cfg.resolution)
     if bool(cfg.scales) == bool(cfg.probes):
         problems.append("exactly one of 'scales' and 'probes' must be given")
     for n, s in cfg.probes or ():
         if not 0 <= s < n:
             problems.append(f"probe ({n}, {s}) needs 0 <= s < n")
-    scales = list(cfg.scales) + [n for n, _ in cfg.probes or ()]
-    if cfg.resolution is not None and any(n + 1 > cfg.resolution for n in scales):
-        problems.append(f"scales and probe scales need n + 1 <= resolution {cfg.resolution}")
     try:
         phi = UnitWeight() if cfg.scheme is None else scheme_from_json(cfg.scheme)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -824,7 +848,7 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
         p = PExponent.parse(p_str)
         inv_p = float(p.reciprocal)
         probes = cfg.probes or [(n, _auto_probe_bit(n, p, phi)) for n in cfg.scales]
-        ratios = []
+        ratios, tracking = [], []
         for n, s in probes:
             q = probe_index(n, s).q
             f = counterexample_fn(n, n + 1, "float64")
@@ -835,6 +859,7 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
             hardy = hardy_quasinorm(f, p)
             ratio = (threshold / phi_q) * meas**inv_p / hardy
             reference = 2.0 ** ((n - s) * (inv_p - 1.0)) / phi_q
+            tracking.append(ratio / reference)
             pinned_measure = 2.0 ** (-(s + 1))
             cases.append(
                 {
@@ -846,17 +871,16 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
                     "measure": meas,
                     "ratio": ratio,
                     "reference": reference,
-                    "tracking": ratio / reference,
+                    "tracking": tracking[-1],
                     "measure_at_least_pinned_interval": bool(meas >= pinned_measure),
                 }
             )
             ratios.append(ratio)
-        track = [c["tracking"] for c in cases if c["p"] == p_str]
         growth = _consecutive_ratios(ratios)
         entry = {
             "ratios": ratios,
-            "tracking_spread": max(track) / min(track) if track else 1.0,
-            "tracking_ok": bool(track and max(track) / min(track) <= 4.0),
+            "tracking_spread": max(tracking) / min(tracking) if tracking else 1.0,
+            "tracking_ok": bool(tracking and max(tracking) / min(tracking) <= 4.0),
             "growth_factors": growth,
         }
         if cfg.expectation == "divergent":
@@ -978,15 +1002,10 @@ def corollary_suite(
 
     ops = _corollary_operators(r.m, p)
     tasks = [(str(p), lv, r.m, seed, range(trials)) for lv in levels]
-    cases = [row for cell in _map_tasks(partial(_corollary_cell, ops), tasks, jobs) for row in cell]
+    results = _map_tasks(partial(_corollary_cell, ops), tasks, jobs)
+    cases = [row for rows in results for row in rows]
 
-    trends: dict[str, dict] = {}
-    for op_name in ops:
-        maxima = []
-        for lv in levels:
-            rows = [c[op_name] for c in cases if c["M"] == lv]
-            maxima.append(max(rows))
-        trends[op_name] = _window_trend(maxima)
+    trends = {op_name: _window_trend([max(row[op_name] for row in rows) for rows in results]) for op_name in ops}
     checks = {}
     for op_name in _COROLLARY_EXPECT_STABLE:
         checks[op_name] = trends[op_name]["stable"]

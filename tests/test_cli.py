@@ -70,6 +70,10 @@ def test_kernel_exact_flag_is_gone():
 def test_kernel_out_of_range(capsys):
     assert main(["kernel", "9", "--resolution", "2"]) == 2
     assert main(["kernel", "3", "--resolution", "30"]) == 2
+    capsys.readouterr()
+    assert main(["kernel", "6", "--resolution", "4", "--construction", "dyadic"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs a power-of-two order" in captured.err
 
 
 def test_transform_roundtrip(tmp_path, capsys):
@@ -129,6 +133,10 @@ def test_thm1_malformed_config(tmp_path, capsys):
     assert "oops" in capsys.readouterr().err
     cfg_path.write_text("{not json")
     assert main(["thm1", "--config", str(cfg_path)]) == 2
+    cfg_path.write_text(json.dumps([{"p_list": ["1/2"], "support_levels": [3]}]))
+    capsys.readouterr()
+    assert main(["thm1", "--config", str(cfg_path)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_thm2_both_parts(tmp_path):
@@ -299,6 +307,15 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
         (None, ["thm1", "--levels", "3,3", "--trials", "1"], "'support_levels' entries must be distinct"),
         (None, ["thm2", "--part", "a", "--scales", "3,3,4"], "'scales' entries must be distinct"),
         (None, ["thm2", "--part", "b", "--scales", "4,4,5"], "'scales' entries must be distinct"),
+        # So is a repeated exponent, however it is spelled.
+        (None, ["thm1", "--p", "1/2", "--p", "1/2", "--levels", "3..4", "--trials", "2"],
+         "'p_list' entry '1/2' repeats the exponent 1/2"),
+        (None, ["thm2", "--part", "a", "--p", "1/2", "--p", "0.5", "--resolution", "8"],
+         "'p_list' entry '0.5' repeats the exponent 1/2"),
+        # Every scale is checked before any runs, against the group's cap too.
+        (None, ["thm2", "--part", "a", "--resolution", "26", "--scales", "3,17,25"],
+         "'scales' must lie within [1, 23]"),
+        (None, ["thm2", "--part", "b", "--resolution", "8", "--scales", "0,4"], "'scales' must lie within [1, 7]"),
     ],
 )
 def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):

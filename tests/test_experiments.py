@@ -105,6 +105,7 @@ def test_config_float_gates_take_finite_numbers():
         ("name", "sub/../escape"),
         ("name", ["x"]),
         ("expectation", "maybe"),
+        ("p_list", ("1/2", "0.5")),  # one exponent, spelled twice
     ],
 )
 def test_every_config_field_is_checked_when_built(key, value):
@@ -137,6 +138,11 @@ def test_each_experiment_accepts_checks_and_records_its_own_fields(experiment):
     unread = next(f for f in ("trials", "resolution") if f not in contract.fields)
     with pytest.raises(ConfigError, match=f"'{unread}' is not read by {experiment}"):
         ExperimentConfig.from_json_dict({**rep.config, unread: 5}, experiment)
+    # A library caller meets the same rule; a field left at its default is not set.
+    with pytest.raises(ConfigError, match=f"field '{unread}' is not read by {experiment}"):
+        run(ExperimentConfig(**{**fields, unread: 5}))
+    default = next(f.default for f in dataclasses.fields(ExperimentConfig) if f.name == unread)
+    contract.validate(ExperimentConfig(**{**fields, unread: default}))
     # One exponent rule for every experiment: p = 1 lies outside (0, 1).
     with pytest.raises(ConfigError, match="entry 1 must lie in"):
         run(ExperimentConfig(**{**fields, "p_list": ("1",)}))
@@ -306,6 +312,36 @@ def test_theorem1_small_run_passes():
     assert len(rep.cases) == 45
 
 
+def test_summaries_equal_the_cases_filtered_by_cell():
+    # Each summary reduces its cells' own case lists; filtering the flat
+    # cases on their keys is the reference.
+    rep = theorem1_weak_type(_small_thm1_cfg(p_list=("1/4", "1/2", "3/4"), trials=4))
+    levels = (3, 4, 5)
+
+    def cell(p_str, level):
+        return [c for c in rep.cases if c["p"] == p_str and c["M"] == level]
+
+    assert rep.summary["cells"] == [
+        {"p": p_str, "M": level, "max_wt_off": max(c["wt_off_value"] for c in cell(p_str, level)),
+         "max_normalized": max(c["normalized_ratio"] for c in cell(p_str, level)),
+         "max_shell_constant": max(c["shell_constant"] for c in cell(p_str, level))}
+        for p_str in ("1/4", "1/2", "3/4") for level in levels
+    ]
+    for p_str, stats in rep.summary["per_p"].items():
+        assert stats["max_wt_off_by_level"] == [max(c["wt_off_value"] for c in cell(p_str, lv)) for lv in levels]
+        assert stats["shell_constant"] == max(c["shell_constant"] for c in rep.cases if c["p"] == p_str)
+
+    cor = corollary_suite(8, "1/2", trials=3, seed=4)
+    for op_name, trend in cor.summary["trends"].items():
+        maxima = [max(c[op_name] for c in cor.cases if c["M"] == lv) for lv in cor.summary["levels"]]
+        assert trend["max_by_level"] == maxima
+
+    div = theorem2_weak_divergence(ExperimentConfig(p_list=("1/2", "1/3"), resolution=9, scales=(4, 6, 8)))
+    for p_str, stats in div.summary["per_p"].items():
+        track = [c["tracking"] for c in div.cases if c["p"] == p_str]
+        assert stats["tracking_spread"] == max(track) / min(track)
+
+
 def test_theorem1_zero_shell_guard():
     # A run mixing generators includes no zero atoms at these sizes, but the
     # margin field must be present and nonpositive for every real trial.
@@ -353,6 +389,13 @@ def test_theorem1_config_validation():
         theorem1_weak_type(ExperimentConfig(p_list=("1",), support_levels=(4,)))
     with pytest.raises(ConfigError):
         theorem1_weak_type(ExperimentConfig(p_list=("1/2",), support_levels=(14,)))
+    for fields, named in (
+        (dict(support_levels=()), "'support_levels' must be nonempty"),
+        (dict(support_levels=(0, 3)), "'support_levels' entries must be >= 1"),
+        (dict(support_levels=(3,), trials=0), "'trials' must be >= 1"),
+    ):
+        with pytest.raises(ConfigError, match=named):
+            theorem1_weak_type(ExperimentConfig(p_list=("1/2",), **fields))
 
 
 # -- sharpness growth --------------------------------------------------------------------
@@ -448,6 +491,38 @@ def test_theorem2b_validation():
         theorem2_weak_divergence(
             ExperimentConfig(p_list=("1/2",), resolution=5, scales=(7,))
         )
+    with pytest.raises(ConfigError, match="'resolution' must be an integer >= 3"):
+        theorem2_weak_divergence(ExperimentConfig(p_list=("1/2",), resolution=2, scales=(1,)))
+
+
+@pytest.mark.parametrize(
+    "run, fields, top",
+    [
+        # Past the group's cap a scale fails however large the resolution.
+        (theorem2_growth, dict(resolution=26, scales=(3, 17, 25)), 23),
+        (theorem2_growth, dict(resolution=26), 23),  # the default scales 3 .. 25
+        (theorem2_weak_divergence, dict(resolution=30, scales=(4, 24)), 23),
+        (theorem2_weak_divergence, dict(resolution=30, probes=((5, 0), (24, 3))), 23),
+        # A scale below 1 has no probe bit.
+        (theorem2_weak_divergence, dict(resolution=8, scales=(0, 4)), 7),
+        (theorem2_weak_divergence, dict(resolution=8, scales=(-2, 4)), 7),
+        (theorem2_growth, dict(resolution=8, scales=(0, 4)), 7),
+    ],
+)
+def test_thm2_scales_are_checked_before_any_scale_runs(monkeypatch, run, fields, top):
+    def no_scale(*args, **kwargs):
+        raise AssertionError("a scale ran before the config was checked")
+
+    monkeypatch.setattr(experiments, "counterexample_fn", no_scale)
+    with pytest.raises(ConfigError, match=rf"'scales' must lie within \[1, {top}\]"):
+        run(ExperimentConfig(p_list=("1/2",), **fields))
+
+
+def test_thm2_scales_may_reach_the_group_cap():
+    # resolution only caps the scales, so one past the group's cap is allowed
+    # while every scale runs within it.
+    EXPERIMENTS["thm2a"].validate(ExperimentConfig(p_list=("1/2",), resolution=30, scales=(3, 23)))
+    EXPERIMENTS["thm2b"].validate(ExperimentConfig(p_list=("1/2",), resolution=30, probes=((23, 0),)))
 
 
 def test_theorem2_runs_without_the_transform(monkeypatch):

@@ -132,6 +132,11 @@ def test_csv_rejects_bad_shapes(tmp_path):
         path.write_text(f"index,value\n0,1\n1,{bad}\n")
         with pytest.raises(ValueError):
             load_csv(path)
+    # A power-of-two count whose indices skip or repeat one.
+    for indices in ((0, 2), (1, 1), (0, 1, 2, 5)):
+        path.write_text("index,value\n" + "".join(f"{i},1\n" for i in indices))
+        with pytest.raises(ValueError, match=f"indices are not 0..{len(indices) - 1}"):
+            load_csv(path)
 
 
 def test_binary_roundtrip(tmp_path):
@@ -154,6 +159,15 @@ def test_binary_rejects_exact_and_corrupt(tmp_path):
     for value in (np.nan, np.inf):
         bad.write_bytes(struct.pack("<Q", 2) + np.array([1.0, value]).astype("<f8").tobytes())
         with pytest.raises(ValueError, match="not finite"):
+            load_binary(bad)
+    for raw in (b"", b"\x02\x00\x00"):
+        bad.write_bytes(raw)
+        with pytest.raises(ValueError, match="truncated header"):
+            load_binary(bad)
+    payload = np.array([1.0, 2.0]).astype("<f8").tobytes()
+    for body in (payload[:-1], payload + b"\x00", b""):
+        bad.write_bytes(struct.pack("<Q", 2) + body)
+        with pytest.raises(ValueError, match=f"expected 16 payload bytes, got {len(body)}"):
             load_binary(bad)
 
 

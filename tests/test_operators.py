@@ -57,6 +57,9 @@ def test_table_weight_validation():
         TableWeight(((1, 0.5),))  # below 1
     with pytest.raises(ValueError):
         TableWeight(((5, 1.0), (2, 2.0)))  # unsorted orders
+    for order in (0, -3):
+        with pytest.raises(ValueError, match=f"table order {order} must be >= 1"):
+            TableWeight(((order, 1.0), (5, 2.0)))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="at n=5 is not finite"):
             TableWeight(((1, 1.0), (5, bad)))
@@ -95,6 +98,9 @@ def test_scheme_json_roundtrip():
         blob = json.dumps(scheme_to_json(scheme), sort_keys=True)
         back = scheme_from_json(json.loads(blob))
         assert json.dumps(scheme_to_json(back), sort_keys=True) == blob
+    for data in ({"kind": "x"}, {}):
+        with pytest.raises(ValueError, match="unknown weight scheme kind"):
+            scheme_from_json(data)
 
 
 def test_subsequence_validation():

@@ -124,7 +124,7 @@ def test_numpy_integer_resolution_gives_the_same_result():
     assert type(walsh(3, np.int32(4)).m) is int
 
 
-def test_walsh_rows_never_fill_the_memo():
+def test_walsh_rows_return_rows_no_other_call_holds():
     # Each call returns rows of its own: writing into one block leaves the next call's rows as they were.
     for m in (3, 10):
         expected = walsh_rows_by_product(0, 8, m)
@@ -139,6 +139,12 @@ def test_walsh_rows_lower_bound_must_be_an_integer():
         with pytest.raises(ValueError, match="must be an integer"):
             walsh_rows(lo, 2, 10)
     assert np.array_equal(walsh_rows(np.int64(1), 3, 10), walsh_rows(1, 3, 10))
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 17), (17, 17)])
+def test_walsh_rows_range_must_lie_in_the_orders(lo, hi):
+    with pytest.raises(ValueError, match=rf"row range \[{lo}, {hi}\) outside \[0, 2\^4\]"):
+        walsh_rows(lo, hi, 4)
 
 
 @pytest.mark.parametrize("n", [3, 300])
