@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .analysis import LevelSet, PExponent, _atom_hardy, _level_sets, _weak_lp, hardy_quasinorm, lp_quasinorm
-from .constructions import GENERATORS, AtomRecipe, _atom_cells, counterexample_fn, probe_index
+from .constructions import _MASK64, GENERATORS, AtomRecipe, _atom_cells, counterexample_fn, probe_index
 from .group import MAX_RESOLUTION, as_resolution, shell_decomposition
 from .operators import (
     PolyWeight,
@@ -64,7 +64,6 @@ from .spectral import (
 )
 
 _GOLDEN = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
 
 #: Resolution caps for the exhaustive sweeps.
 KERNEL_SWEEP_MAX = 12
@@ -168,6 +167,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_seed(value) -> bool:
+    """A seed in ``[0, 2^64)``: trial seeds are masked to 64 bits, so a seed outside would repeat another's cases."""
+    return _is_int(value) and 0 <= value <= _MASK64
+
+
 def _plain(value):
     """``value`` with its lists, at any depth, as tuples and its integers but ``bool`` as ``int``."""
     if isinstance(value, (list, tuple)):
@@ -189,7 +193,8 @@ _FIELD_CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
     "support_levels": (partial(_ints, distinct=True), "entries must be distinct integers"),
     "resolution": (lambda v: v is None or _is_int(v), "must be an integer"),
     "scales": (partial(_ints, distinct=True), "entries must be distinct integers"),
-    **dict.fromkeys(("trials", "seed", "extra_resolution", "jobs"), (_is_int, "must be an integer")),
+    **dict.fromkeys(("trials", "extra_resolution", "jobs"), (_is_int, "must be an integer")),
+    "seed": (_is_seed, "must be an integer in [0, 2^64)"),
     "scheme": (lambda v: v is None or isinstance(v, dict), "must be an object"),
     "probes": (lambda v: v is None or isinstance(v, tuple) and all(_ints(q) and len(q) == 2 for q in v),
                "must be a list of [n, s] integer pairs"),
@@ -582,6 +587,8 @@ def _validate_thm1(cfg: ExperimentConfig) -> None:
         problems.append("'support_levels' must be nonempty")
     if any(lv < 1 for lv in cfg.support_levels):
         problems.append("'support_levels' entries must be >= 1")
+    if cfg.extra_resolution < 1:
+        problems.append("'extra_resolution' must be >= 1: an atom needs at least two cells")
     if any(lv + cfg.extra_resolution > ATOM_RESOLUTION_MAX for lv in cfg.support_levels):
         problems.append(
             f"'support_levels' plus extra_resolution exceed the cap {ATOM_RESOLUTION_MAX}"
@@ -714,9 +721,15 @@ def theorem2_growth(cfg: ExperimentConfig) -> ExperimentReport:
                 sq = partial_sum(f, q).values
                 block = np.abs(sq[shell.start : shell.stop])
                 w = 2.0 ** ((n - s) * (inv_p - 1.0))
-                # np.sum's pairwise order depends on the length: sum the block as it stands at m.
-                terms = np.repeat((block / w) ** pw, 1 << (m - n - 1))
-                shell_sum += float(terms.sum()) / (1 << m)
+                # Sum the block as it stands at m, each value repeated 2^(m-n-1) times.
+                # np.sum adds a contiguous float64 array in 128-value blocks and pairs
+                # the blocks up a binary tree, so a run of r >= 128 copies sums to
+                # exactly r/128 times the sum of 128: repeat at most 128 times and
+                # scale by the power-of-two rest.
+                reps = 1 << (m - n - 1)
+                copies = min(reps, 128)
+                terms = np.repeat((block / w) ** pw, copies)
+                shell_sum += float(terms.sum()) * (reps // copies) / (1 << m)
             closed_form = n / 2.0 ** (n * (1.0 - pw) + 1.0)
             rel_err = abs(shell_sum - closed_form) / closed_form
             shell_ratio = shell_sum**inv_p / hardy
@@ -987,9 +1000,11 @@ def corollary_suite(
     p = PExponent.parse(p)
     if not p.p < 1:
         raise ValueError(f"corollary suite needs p in (0, 1), got {p}")
-    for name, value in (("trials", trials), ("seed", seed), ("jobs", jobs)):
+    for name, value in (("trials", trials), ("jobs", jobs)):
         if not _is_int(value):
             raise ValueError(f"corollary suite needs an integer {name}, got {value!r}")
+    if not _is_seed(seed):
+        raise ValueError(f"corollary suite needs an integer seed in [0, 2^64), got {seed!r}")
     if trials < 1:
         raise ValueError(f"corollary suite needs trials >= 1, got {trials}")
     levels = tuple(range(2, r.m - 1))

@@ -32,8 +32,9 @@ once for float64 and exact:
   the block's least weight, that bound closes every block that cannot
   beat a point's best.  O(m 2^m) set-up, then a few blocks per point and
   level on typical inputs, and never more than O(4^m);
-* ``restricted_maximal`` assembles each requested partial sum from the
-  same packet table in ``popcount(n)`` vector steps;
+* ``restricted_maximal`` builds each requested partial sum by
+  ``spectral._partial_sum_numerators``, the halving chain behind
+  ``partial_sum``, in O(2^m) time and memory per order;
 * ``_atom_maximal`` gives the same floats for a function on ``I_L(0)``
   from the packets of its ``2^e`` cells, ``e = m - L``, on the flat shells
   off the support, through a memoized shell table; on the support the
@@ -57,7 +58,7 @@ import numpy as np
 from .analysis import ExponentLike, LevelSet, PExponent, _exponent_value
 from .functions import DyadicFunction, _divider, _from_numerators, _halve, _numerators
 from .group import _as_int
-from .spectral import _nest_partial_sum, index_stats
+from .spectral import _partial_sum_numerators, index_stats
 
 
 @dataclass(frozen=True)
@@ -348,12 +349,6 @@ def _spread_recursion(packets: list[np.ndarray], level: int, weigh, w: np.ndarra
     return out
 
 
-def _packet_partial_sum(packets: list[np.ndarray], n: int, m: int) -> np.ndarray:
-    """``S_n f`` for ``1 <= n < 2^m``, its terms read off the packet table."""
-    terms = [(j, packets[j][(n >> j) - 1]) for j in range(n.bit_length()) if (n >> j) & 1]
-    return _nest_partial_sum(terms, m)
-
-
 # -- bound-and-prune over the Paley tree (every other weight) -------------------
 
 #: Most (point, block) pairs the pruned search holds in one array stage.
@@ -504,17 +499,17 @@ def restricted_maximal(
     """Sup of ``|S_n f| / weight(n)`` over a chosen subsequence of orders.
 
     Orders above 2^m are allowed: their partial sum clamps to ``f`` while
-    the weight stays the sequence's own.  Each partial sum is assembled
-    from one packet table, with no inverse transform per order.
+    the weight stays the sequence's own.  Each partial sum is one
+    halving chain, ``partial_sum``'s own, with no transform: O(2^m) time
+    and memory per order.
     """
     if not isinstance(seq, Subsequence):
         seq = Subsequence(tuple(seq))
     values, unit = _numerators(f.values, f.m.bit_length(), shift=f.m)
-    packets = _packet_table(values, f.m)
     weights = _weights(scheme, seq.indices, f.mode == "exact")
     out = None
     for n, w in zip(seq.indices, weights):
-        part = values if n >= f.size else _packet_partial_sum(packets, n, f.m)
+        part = values if n >= f.size else _partial_sum_numerators(values, n, f.m)
         cand = np.abs(part) / w
         out = cand if out is None else np.maximum(out, cand)
     return f.with_values(_from_numerators(out, unit))
@@ -599,8 +594,9 @@ def _paley_sums(a: np.ndarray, table: _ShellTable) -> np.ndarray:
     """``|S_n f|`` per entry of ``table``, summed from its Paley terms ``2^j a(h)`` as the engine does.
 
     On shell ``s`` every term below ``s`` enters with sign +1 and the term
-    at ``s`` with -1.  The Paley-block recursion and ``_nest_partial_sum``
-    nest from the lowest bit up; the bound-and-prune search adds from the top.
+    at ``s`` with -1.  The Paley-block recursion and the partial-sum chain
+    behind ``restricted_maximal`` nest from the lowest bit up; the
+    bound-and-prune search adds from the top.
     ``a`` broadcasts against the table's ``(slot, shell, block)`` axes.
     """
     level = table.orders.shape[1]

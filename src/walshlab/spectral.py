@@ -42,8 +42,8 @@ One halving chain over the bits of ``n`` yields every such conditional
 expectation, and they nest from the lowest set bit up as
 ``V <- E_j(...) + r_j V``: O(2^m) per order in float64 and exact mode,
 the exact chain on numerators pre-scaled by ``2^m``.
-``operators.restricted_maximal`` nests terms read off its packet table
-with the same helper.
+``_partial_sum_numerators`` is that one construction; ``partial_sum`` and
+``operators.restricted_maximal`` both run it per order.
 """
 
 from __future__ import annotations
@@ -349,34 +349,17 @@ def dirichlet_fast(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFun
 # -- partial sums ----------------------------------------------------------
 
 
-def _nest_partial_sum(terms: list[tuple[int, np.ndarray]], m: int) -> np.ndarray:
-    """``S_n f`` from its per-bit terms, nested from the lowest set bit up.
-
-    ``terms`` lists ``(j, U_j[Q_j])`` for the set bits ``j`` of ``n`` in
-    ascending order, where ``Q_j = {k > j : n_k = 1}`` and
-    ``U_j[Q] = E_j(f prod_{k in Q} r_k)`` holds one value per level-``j``
-    interval.  Then ``S_n f = sum_j (prod_{k in Q_j} r_k) U_j[Q_j]``, which
-    nests as ``V <- U_j[Q_j] + r_j V``; O(2^m) work in ``popcount(n)`` steps.
-    """
-    (level, v), *rest = terms
-    for j, u in rest:
-        # r_j is +1 on the even and -1 on the odd level-(j+1) cells.
-        u = u.reshape(1 << level, 1 << (j - level))
-        out = np.empty((1 << level, 1 << (j - level), 2), v.dtype)
-        np.add(u, v[:, None], out=out[..., 0])
-        np.subtract(u, v[:, None], out=out[..., 1])
-        v = out.reshape(-1)
-        level = j + 1
-    return np.repeat(v, 1 << (m - level)) if level < m else v
-
-
-def _partial_sum_terms(values: np.ndarray, n: int, m: int) -> list[tuple[int, np.ndarray]]:
-    """The terms ``(j, U_j[Q_j])`` of ``S_n f`` by one halving chain, O(2^m).
+def _partial_sum_numerators(values: np.ndarray, n: int, m: int) -> np.ndarray:
+    """``S_n f`` for ``1 <= n < 2^m`` by one halving chain, O(2^m).
 
     The chain walks the bits of ``n`` from the top down, carrying
     ``E_j(f prod_{k >= j, n_k = 1} r_k)``: the halved pair sum at a clear
     bit, the halved pair difference at a set bit, where the pair sum is
-    that bit's term.  Exact ``values`` are numerators pre-scaled by ``2^m``.
+    that bit's term ``U_j[Q_j] = E_j(f prod_{k in Q_j} r_k)``, one value per
+    level-``j`` interval, with ``Q_j = {k > j : n_k = 1}``.  Then
+    ``S_n f = sum_j (prod_{k in Q_j} r_k) U_j[Q_j]``, which nests from the
+    lowest set bit up as ``V <- U_j[Q_j] + r_j V`` in ``popcount(n)``
+    steps.  Exact ``values`` are numerators pre-scaled by ``2^m``.
     """
     low = (n & -n).bit_length() - 1
     terms = []
@@ -392,16 +375,24 @@ def _partial_sum_terms(values: np.ndarray, n: int, m: int) -> list[tuple[int, np
                 _halve(chain)
         else:
             chain = total
-    return terms[::-1]
+    level, v = terms.pop()
+    for j, u in reversed(terms):
+        # r_j is +1 on the even and -1 on the odd level-(j+1) cells.
+        u = u.reshape(1 << level, 1 << (j - level))
+        out = np.empty((1 << level, 1 << (j - level), 2), v.dtype)
+        np.add(u, v[:, None], out=out[..., 0])
+        np.subtract(u, v[:, None], out=out[..., 1])
+        v = out.reshape(-1)
+        level = j + 1
+    return np.repeat(v, 1 << (m - level)) if level < m else v
 
 
 def partial_sum(f: DyadicFunction, n: int) -> DyadicFunction:
     """``S_n f``, the sum of the first ``n`` Walsh terms of ``f``.
 
-    Computed without a transform: one halving chain over the bits of ``n``
-    gives a conditional expectation per set bit, and ``_nest_partial_sum``
-    assembles them; O(2^m) in float64 and exact mode, the exact nested sum
-    on numerators at most ``popcount(n) <= m`` times the largest entry.
+    Computed without a transform by ``_partial_sum_numerators``: O(2^m)
+    in float64 and exact mode, the exact nested sum on numerators at most
+    ``popcount(n) <= m`` times the largest entry.
     For ``n >= 2^m`` the whole spectrum is kept, so the input comes back
     unchanged.
     """
@@ -411,5 +402,4 @@ def partial_sum(f: DyadicFunction, n: int) -> DyadicFunction:
     if n >= f.size:
         return f
     values, unit = _numerators(f.values, f.m.bit_length(), shift=f.m)
-    terms = _partial_sum_terms(values, n, f.m)
-    return DyadicFunction(f.m, _from_numerators(_nest_partial_sum(terms, f.m), unit), f.mode)
+    return DyadicFunction(f.m, _from_numerators(_partial_sum_numerators(values, n, f.m), unit), f.mode)

@@ -316,6 +316,11 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
         (None, ["thm2", "--part", "a", "--resolution", "26", "--scales", "3,17,25"],
          "'scales' must lie within [1, 23]"),
         (None, ["thm2", "--part", "b", "--resolution", "8", "--scales", "0,4"], "'scales' must lie within [1, 7]"),
+        # Trial seeds are masked to 64 bits, so a seed outside [0, 2^64) would repeat another's cases.
+        (None, ["thm1", "--levels", "3", "--trials", "1", "--seed", "-1"], "'seed' must be an integer in [0, 2^64)"),
+        ({**_THM2A_CFG, "seed": 2**64}, ["thm2", "--part", "a"], "'seed' must be an integer in [0, 2^64)"),
+        (None, ["corollaries", "--resolution", "8", "--trials", "1", "--seed", "-1"], "seed in [0, 2^64)"),
+        ({**_THM1_CFG, "extra_resolution": 0}, ["thm1"], "'extra_resolution' must be >= 1"),
     ],
 )
 def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):

@@ -106,6 +106,8 @@ def test_config_float_gates_take_finite_numbers():
         ("name", ["x"]),
         ("expectation", "maybe"),
         ("p_list", ("1/2", "0.5")),  # one exponent, spelled twice
+        ("seed", -1),  # trial seeds are masked to 64 bits: -1 would repeat 2^64 - 1's cases
+        ("seed", 2**64),
     ],
 )
 def test_every_config_field_is_checked_when_built(key, value):
@@ -393,6 +395,8 @@ def test_theorem1_config_validation():
         (dict(support_levels=()), "'support_levels' must be nonempty"),
         (dict(support_levels=(0, 3)), "'support_levels' entries must be >= 1"),
         (dict(support_levels=(3,), trials=0), "'trials' must be >= 1"),
+        (dict(support_levels=(3,), extra_resolution=-5), "'extra_resolution' must be >= 1"),
+        (dict(support_levels=(3,), extra_resolution=0), "'extra_resolution' must be >= 1"),
     ):
         with pytest.raises(ConfigError, match=named):
             theorem1_weak_type(ExperimentConfig(p_list=("1/2",), **fields))
@@ -551,7 +555,7 @@ def test_theorem2_runs_without_the_transform(monkeypatch):
         assert np.abs(probe.values).tolist() == dirichlet_dyadic(2, 8, mode).values.tolist()
 
 
-_FULL_RESOLUTION_SCALES = {9: (1, 2, 3, 5, 8), 12: (4, 7, 11), 14: (5, 13)}
+_FULL_RESOLUTION_SCALES = {9: (1, 2, 3, 5, 8), 12: (4, 7, 11), 14: (5, 13), 16: (3, 15)}
 
 
 @pytest.mark.parametrize("m", sorted(_FULL_RESOLUTION_SCALES))
@@ -809,6 +813,10 @@ def test_corollary_suite_validation():
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=f"integer {name}"):
             corollary_suite(8, "1/2", **{"trials": 1, **kwargs})
+    # Trial seeds are masked to 64 bits, so a seed outside [0, 2^64) would repeat another's cases.
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed in \[0, 2\^64\)"):
+            corollary_suite(8, "1/2", trials=1, seed=seed)
 
 
 def test_thm1_rejects_jobs_below_one():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -558,6 +559,22 @@ def test_restricted_clamps_above_resolution():
     f = DyadicFunction.from_values(3, np.arange(8, dtype=float))
     got = restricted_maximal(f, [32], UnitWeight())
     assert np.array_equal(got.values, np.abs(f.values))
+
+
+def test_restricted_traced_peak_holds_a_few_grids():
+    # One partial sum at a time: O(2^m) memory, not the m 2^m values of a
+    # packet table (about 10 MiB here). A grid at m = 16 is 0.5 MiB.
+    m = 16
+    f = DyadicFunction.from_values(m, np.random.default_rng(83).standard_normal(1 << m))
+    spikes = Subsequence(tuple((1 << k) + 1 for k in range(1, m)))
+    tracemalloc.start()
+    try:
+        got = restricted_maximal(f, spikes, UnitWeight())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.values.shape == (1 << m,)
+    assert peak < 4 << 20
 
 
 # -- functions on I_L(0) through their 2^e cells ------------------------------------
