@@ -80,14 +80,14 @@ class ConfigError(ValueError):
 
 
 class ExperimentContract(NamedTuple):
-    """The config fields an experiment reads, the case keys of its TSV series and its config check.
+    """The config fields an experiment reads, the case keys of its TSV series (None: it writes none) and its config check.
 
     ``validate`` raises ``ConfigError`` if a config cannot run the
     experiment, and runs nothing.
     """
 
     fields: tuple[str, ...]
-    series: tuple[str, str]
+    series: tuple[str, str] | None
     validate: Callable[["ExperimentConfig"], object]
 
 
@@ -193,7 +193,9 @@ _FIELD_CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
     "support_levels": (partial(_ints, distinct=True), "entries must be distinct integers"),
     "resolution": (lambda v: v is None or _is_int(v), "must be an integer"),
     "scales": (partial(_ints, distinct=True), "entries must be distinct integers"),
-    **dict.fromkeys(("trials", "extra_resolution", "jobs"), (_is_int, "must be an integer")),
+    # Counts; extra_resolution too, since an atom needs at least two cells.
+    **dict.fromkeys(("trials", "extra_resolution", "jobs"),
+                    (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1")),
     "seed": (_is_seed, "must be an integer in [0, 2^64)"),
     "scheme": (lambda v: v is None or isinstance(v, dict), "must be an object"),
     "probes": (lambda v: v is None or isinstance(v, tuple) and all(_ints(q) and len(q) == 2 for q in v),
@@ -587,16 +589,10 @@ def _validate_thm1(cfg: ExperimentConfig) -> None:
         problems.append("'support_levels' must be nonempty")
     if any(lv < 1 for lv in cfg.support_levels):
         problems.append("'support_levels' entries must be >= 1")
-    if cfg.extra_resolution < 1:
-        problems.append("'extra_resolution' must be >= 1: an atom needs at least two cells")
     if any(lv + cfg.extra_resolution > ATOM_RESOLUTION_MAX for lv in cfg.support_levels):
         problems.append(
             f"'support_levels' plus extra_resolution exceed the cap {ATOM_RESOLUTION_MAX}"
         )
-    if cfg.trials < 1:
-        problems.append("'trials' must be >= 1")
-    if cfg.jobs < 1:
-        problems.append("'jobs' must be >= 1")
     if problems:
         raise ConfigError(problems)
 
@@ -802,9 +798,25 @@ def _validate_thm2b(cfg: ExperimentConfig) -> WeightScheme:
     return phi
 
 
+def _validate_corollaries(cfg: ExperimentConfig) -> tuple[int, ...]:
+    """Check the config and return its support levels, ``2 .. m-2``."""
+    problems = _shared_problems(cfg, "corollaries")
+    m, levels = cfg.resolution, ()
+    if m is None or not 6 <= m <= MAX_RESOLUTION:
+        problems.append(f"'resolution' must be an integer in [6, {MAX_RESOLUTION}]")
+    elif len(levels := tuple(range(2, m - 1))) < 4:
+        shared = ", ".join(str(lv) for lv in sorted(set(levels[:2]) & set(levels[-2:])))
+        problems.append(f"'resolution' {m} gives the support levels {list(levels)}, and the corollary trends "
+                        f"need at least 4: both two-level end windows would hold level {shared}")
+    if problems:
+        raise ConfigError(problems)
+    return levels
+
+
 #: A config may set only the fields its experiment reads, and the report
 #: records them all but ``jobs``, a run setting kept in the ``.meta.json``
-#: sidecar, so feeding a report's config back reruns it.
+#: sidecar, so feeding a report's config back reruns it.  The corollary
+#: suite's report records its derived levels and gates instead.
 EXPERIMENTS = {
     "thm1": ExperimentContract(
         ("name", "p_list", "support_levels", "trials", "seed", "extra_resolution", "ratio_cap", "jobs"),
@@ -822,6 +834,7 @@ EXPERIMENTS = {
         ("n", "ratio"),
         _validate_thm2b,
     ),
+    "corollaries": ExperimentContract(("p_list", "resolution", "trials", "seed", "jobs"), None, _validate_corollaries),
 }
 
 
@@ -994,30 +1007,13 @@ def corollary_suite(
     with the weaker, lower-exponent damping, and the report records which
     variant is stable without declaring a verdict on it.
     """
-    r = as_resolution(m)
-    if r.m < 6:
-        raise ValueError(f"corollary suite needs resolution >= 6, got {r.m}")
-    p = PExponent.parse(p)
-    if not p.p < 1:
-        raise ValueError(f"corollary suite needs p in (0, 1), got {p}")
-    for name, value in (("trials", trials), ("jobs", jobs)):
-        if not _is_int(value):
-            raise ValueError(f"corollary suite needs an integer {name}, got {value!r}")
-    if not _is_seed(seed):
-        raise ValueError(f"corollary suite needs an integer seed in [0, 2^64), got {seed!r}")
-    if trials < 1:
-        raise ValueError(f"corollary suite needs trials >= 1, got {trials}")
-    levels = tuple(range(2, r.m - 1))
-    if len(levels) < 4:
-        shared = ", ".join(str(lv) for lv in sorted(set(levels[:2]) & set(levels[-2:])))
-        raise ValueError(
-            f"corollary trends need at least 4 support levels, got {list(levels)}: "
-            f"both two-level end windows would hold level {shared}"
-        )
+    cfg = ExperimentConfig(p_list=(str(PExponent.parse(p)),), resolution=m, trials=trials, seed=seed, jobs=jobs)
+    levels = _validate_corollaries(cfg)
+    [p_str], m = cfg.p_list, cfg.resolution
 
-    ops = _corollary_operators(r.m, p)
-    tasks = [(str(p), lv, r.m, seed, range(trials)) for lv in levels]
-    results = _map_tasks(partial(_corollary_cell, ops), tasks, jobs)
+    ops = _corollary_operators(m, PExponent.parse(p_str))
+    tasks = [(p_str, lv, m, cfg.seed, range(cfg.trials)) for lv in levels]
+    results = _map_tasks(partial(_corollary_cell, ops), tasks, cfg.jobs)
     cases = [row for rows in results for row in rows]
 
     trends = {op_name: _window_trend([max(row[op_name] for row in rows) for rows in results]) for op_name in ops}
@@ -1044,17 +1040,17 @@ def corollary_suite(
             }
         ),
     }
-    cfg = {
-        "resolution": r.m,
-        "p": str(p),
-        "trials": trials,
-        "seed": seed,
+    recorded = {
+        "resolution": m,
+        "p": p_str,
+        "trials": cfg.trials,
+        "seed": cfg.seed,
         "support_levels": list(levels),
         "stable_cap": _COROLLARY_STABLE_CAP,
         "band_cap": _COROLLARY_BAND_CAP,
         "growth_floor": _COROLLARY_GROWTH_FLOOR,
     }
-    return ExperimentReport("corollary-suite", cfg, cases, summary, verdict, _provenance(seed))
+    return ExperimentReport("corollary-suite", recorded, cases, summary, verdict, _provenance(cfg.seed))
 
 
 # -- umbrella -----------------------------------------------------------------

@@ -108,6 +108,9 @@ def test_config_float_gates_take_finite_numbers():
         ("p_list", ("1/2", "0.5")),  # one exponent, spelled twice
         ("seed", -1),  # trial seeds are masked to 64 bits: -1 would repeat 2^64 - 1's cases
         ("seed", 2**64),
+        ("trials", 0),
+        ("jobs", 0),
+        ("extra_resolution", 0),  # an atom needs at least two cells
     ],
 )
 def test_every_config_field_is_checked_when_built(key, value):
@@ -394,9 +397,9 @@ def test_theorem1_config_validation():
     for fields, named in (
         (dict(support_levels=()), "'support_levels' must be nonempty"),
         (dict(support_levels=(0, 3)), "'support_levels' entries must be >= 1"),
-        (dict(support_levels=(3,), trials=0), "'trials' must be >= 1"),
-        (dict(support_levels=(3,), extra_resolution=-5), "'extra_resolution' must be >= 1"),
-        (dict(support_levels=(3,), extra_resolution=0), "'extra_resolution' must be >= 1"),
+        (dict(support_levels=(3,), trials=0), "'trials' must be an integer >= 1"),
+        (dict(support_levels=(3,), extra_resolution=-5), "'extra_resolution' must be an integer >= 1"),
+        (dict(support_levels=(3,), extra_resolution=0), "'extra_resolution' must be an integer >= 1"),
     ):
         with pytest.raises(ConfigError, match=named):
             theorem1_weak_type(ExperimentConfig(p_list=("1/2",), **fields))
@@ -795,34 +798,34 @@ def test_corollary_suite_builds_its_operators_once(monkeypatch):
 
 
 def test_corollary_suite_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"'resolution' must be an integer in \[6, 24\]"):
         corollary_suite(5, "1/2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"'p_list' entry 1 must lie in \(0, 1\)"):
         corollary_suite(8, "1")
-    with pytest.raises(ValueError, match="trials"):
+    with pytest.raises(ValueError, match="'trials' must be an integer >= 1"):
         corollary_suite(8, "1/2", trials=0)
     # Three levels put the middle one in both two-level end windows, so the
     # growth check cannot pass: m = 6 has only the levels 2, 3, 4.
     with pytest.raises(ValueError, match="hold level 3"):
         corollary_suite(6, "1/2")
-    with pytest.raises(ValueError, match="jobs"):
+    with pytest.raises(ValueError, match="'jobs' must be an integer >= 1"):
         corollary_suite(8, "1/2", trials=1, jobs=0)
     # Non-integer counts are input errors, not a TypeError deep in the run;
     # a bool is no count, so True does not run one trial.
-    for kwargs in ({"trials": "5"}, {"trials": 2.0}, {"trials": True}, {"seed": 1.5}, {"jobs": "2"}):
+    for kwargs, bound in (({"trials": "5"}, ">= 1"), ({"trials": 2.0}, ">= 1"), ({"trials": True}, ">= 1"),
+                          ({"seed": 1.5}, r"in \[0, 2\^64\)"), ({"jobs": "2"}, ">= 1")):
         name = next(iter(kwargs))
-        with pytest.raises(ValueError, match=f"integer {name}"):
+        with pytest.raises(ValueError, match=f"'{name}' must be an integer {bound}"):
             corollary_suite(8, "1/2", **{"trials": 1, **kwargs})
     # Trial seeds are masked to 64 bits, so a seed outside [0, 2^64) would repeat another's cases.
     for seed in (-1, 2**64):
-        with pytest.raises(ValueError, match=r"seed in \[0, 2\^64\)"):
+        with pytest.raises(ValueError, match=r"'seed' must be an integer in \[0, 2\^64\)"):
             corollary_suite(8, "1/2", trials=1, seed=seed)
 
 
 def test_thm1_rejects_jobs_below_one():
-    cfg = ExperimentConfig(p_list=("1/2",), support_levels=(3, 4), trials=1, jobs=0)
-    with pytest.raises(ConfigError, match="jobs"):
-        theorem1_weak_type(cfg)
+    with pytest.raises(ConfigError, match="'jobs' must be an integer >= 1"):
+        theorem1_weak_type(ExperimentConfig(p_list=("1/2",), support_levels=(3, 4), trials=1, jobs=0))
 
 
 def test_worker_count_caps_at_cpu_count():
