@@ -341,7 +341,7 @@ def _atom_hardy(cells: np.ndarray, level: int, m: int, p: ExponentLike) -> list[
 
 
 def atom_sup_bound(level: int, p: PExponent, mode: Mode):
-    """The sup-norm cap ``mu(I)^(-1/p)`` for an atom on a level-``level`` interval."""
+    """The sup-norm cap ``mu(I)^(-1/p)`` on a level-``level`` interval; ``ValueError`` if a float cap overflows."""
     exponent = level * p.reciprocal
     if mode == "exact":
         if exponent.denominator != 1:
@@ -349,7 +349,10 @@ def atom_sup_bound(level: int, p: PExponent, mode: Mode):
                 f"exact atoms need an integral bound exponent, got 2^{exponent}"
             )
         return 1 << int(exponent)
-    return float(2.0 ** float(exponent))
+    try:
+        return 2.0 ** float(exponent)
+    except OverflowError:
+        raise ValueError(f"atom bound 2^{exponent} at level {level} overflows float64") from None
 
 
 @dataclass(frozen=True)

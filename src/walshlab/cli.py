@@ -235,9 +235,11 @@ def _cmd_thm2(args) -> int:
 
 def _cmd_corollaries(args) -> int:
     started = time.perf_counter()
+    if len(args.p or ()) > 1:
+        raise ValueError(f"--p takes one exponent for corollaries, got {len(args.p)}")
     report = corollary_suite(
         args.resolution,
-        args.p,
+        (args.p or ["1/2"])[0],
         trials=args.trials,
         seed=args.seed,
         jobs=args.jobs,
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("corollaries", help="weak-type trends for the derived operators")
     sp.add_argument("--resolution", type=int, default=10, metavar="M")
-    sp.add_argument("--p", default="1/2")
+    sp.add_argument("--p", action="append", help="exponent, given once (default 1/2)")
     sp.add_argument("--trials", type=int, default=60)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1, help="worker processes, >= 1; capped at the CPU count")

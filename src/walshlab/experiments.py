@@ -80,7 +80,7 @@ class ConfigError(ValueError):
 
 
 class ExperimentContract(NamedTuple):
-    """The config fields an experiment reads, the case keys of its TSV series (None: it writes none) and its config check.
+    """The config fields an experiment reads, its TSV series' case keys (None: no series) and its config check.
 
     ``validate`` raises ``ConfigError`` if a config cannot run the
     experiment, and runs nothing.
@@ -252,6 +252,14 @@ def _config_report(
     return ExperimentReport(
         cfg.name or default_name, cfg.to_json_dict(experiment), cases, summary, verdict, _provenance(cfg.seed)
     )
+
+
+def _power_of_two(exponent: float, what: str) -> float:
+    """``2.0 ** exponent``; ``ValueError`` naming ``what`` if it overflows float64."""
+    try:
+        return 2.0 ** exponent
+    except OverflowError:
+        raise ValueError(f"{what} overflows float64") from None
 
 
 def _consecutive_ratios(values: Sequence[float]) -> list[float]:
@@ -843,7 +851,8 @@ def _auto_probe_bit(n: int, p: PExponent, phi: WeightScheme) -> int:
     inv_p1 = float(p.weight_exponent)
     best_s, best_val = 0, -np.inf
     for s in range(n):
-        val = 2.0 ** ((n - s) * inv_p1) / float_weight(phi, probe_index(n, s).q)
+        reference = _power_of_two((n - s) * inv_p1, f"reference weight at scale {n}, bit {s}")
+        val = reference / float_weight(phi, probe_index(n, s).q)
         if val > best_val:
             best_s, best_val = s, val
     return best_s
@@ -883,8 +892,10 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
             # Only the count of S_q f outlives this line, so the norm below runs without it.
             meas = _count_beyond(partial_sum(f, q).values, threshold) / f.size
             hardy = hardy_quasinorm(f, p)
+            if hardy == 0.0:
+                raise ValueError(f"the H_p quasi-norm of f_{n} underflows float64 at p = {p}")
             ratio = (threshold / phi_q) * meas**inv_p / hardy
-            reference = 2.0 ** ((n - s) * (inv_p - 1.0)) / phi_q
+            reference = _power_of_two((n - s) * (inv_p - 1.0), f"reference weight at scale {n}, bit {s}") / phi_q
             tracking.append(ratio / reference)
             pinned_measure = 2.0 ** (-(s + 1))
             cases.append(
@@ -934,6 +945,11 @@ def theorem2_weak_divergence(cfg: ExperimentConfig) -> ExperimentReport:
 # -- corollary suite ----------------------------------------------------------
 
 
+def _power_table(orders: Sequence[int], exponents: Iterator[Fraction]) -> TableWeight:
+    """The weight ``2^x`` at each order, ``x`` its exponent; ``ValueError`` naming the order if one overflows."""
+    return TableWeight(tuple((n, _power_of_two(float(x), f"weight at order {n}")) for n, x in zip(orders, exponents)))
+
+
 def _corollary_operators(m: int, p: PExponent) -> dict[str, tuple[Subsequence | None, WeightScheme]]:
     """Named ``(orders, weight)`` operators at resolution ``m``; ``orders`` None runs every order."""
     e = p.weight_exponent
@@ -941,12 +957,8 @@ def _corollary_operators(m: int, p: PExponent) -> dict[str, tuple[Subsequence | 
     bounded = Subsequence(tuple((1 << k) + (1 << (k - 1)) for k in range(1, m)))
     spikes = Subsequence(tuple((1 << k) + 1 for k in range(1, m)))
     half = tuple((1 << k) + (1 << (k // 2)) for k in range(1, m))
-    half_weights = TableWeight(
-        tuple((n, 2.0 ** float((k // 2) * e)) for k, n in zip(range(1, m), half))
-    )
-    spike_rho = TableWeight(
-        tuple((n, 2.0 ** float(k * e)) for k, n in zip(range(1, m), spikes.indices))
-    )
+    half_weights = _power_table(half, ((k // 2) * e for k in range(1, m)))
+    spike_rho = _power_table(spikes.indices, (k * e for k in range(1, m)))
     ops: dict[str, tuple] = {
         "dyadic-orders-unit": (powers, UnitWeight()),
         "bounded-spread-unit": (bounded, UnitWeight()),
@@ -957,10 +969,7 @@ def _corollary_operators(m: int, p: PExponent) -> dict[str, tuple[Subsequence | 
     }
     stated = p.reciprocal - 2
     if stated >= 0:
-        spike_stated = TableWeight(
-            tuple((n, 2.0 ** float(k * stated)) for k, n in zip(range(1, m), spikes.indices))
-        )
-        ops["spike-orders-stated-exponent"] = (spikes, spike_stated)
+        ops["spike-orders-stated-exponent"] = (spikes, _power_table(spikes.indices, (k * stated for k in range(1, m))))
     return ops
 
 

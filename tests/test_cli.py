@@ -201,6 +201,17 @@ def test_weight_overflow_is_usage_error(tmp_path, capsys):
     assert main(["thm2", "--part", "b", "--config", str(cfg),
                  "--output", str(tmp_path / "b.json")]) == 2
     assert "overflows float64" in capsys.readouterr().err
+    # A table weight, a probe's reference weight and an underflowing H_p norm
+    # name their order or scale, and exit 2 like any range error.
+    for argv, named in (
+        (["corollaries", "--resolution", "12", "--p", "1/100", "--trials", "1"], "weight at order 2049 overflows"),
+        (["thm2", "--part", "b", "--p", "1/200", "--resolution", "8"], "weight at scale 6, bit 0 overflows"),
+        (["thm2", "--part", "b", "--p", "1/200", "--resolution", "8", "--probes", "7:0"],
+         "quasi-norm of f_7 underflows"),
+    ):
+        assert main([*argv, "--output", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
 
 def test_thm2_config_needs_one_part(tmp_path, capsys):
@@ -322,6 +333,8 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
         (None, ["corollaries", "--resolution", "8", "--trials", "1", "--seed", "-1"],
          "'seed' must be an integer in [0, 2^64)"),
         ({**_THM1_CFG, "extra_resolution": 0}, ["thm1"], "'extra_resolution' must be an integer >= 1"),
+        # The corollaries run one exponent, so a second is an error, never dropped.
+        (None, ["corollaries", "--p", "1/2", "--p", "1/3", "--resolution", "8", "--trials", "1"], "--p"),
     ],
 )
 def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):

@@ -148,6 +148,13 @@ def test_exact_atom_requires_integral_reciprocal():
         make_atom(AtomRecipe(2, 0, PExponent.parse("3/4"), "haar-pair", 0), 4, "exact")
 
 
+def test_float_atom_bound_outside_float64_is_a_value_error():
+    # 2^(11 * 100) leaves the float64 range; 2^(10 * 100) does not.
+    with pytest.raises(ValueError, match=r"atom bound 2\^1100 at level 11 overflows float64"):
+        make_atom(AtomRecipe(11, 0, PExponent.parse("1/100"), "haar-pair", 0), 13)
+    assert atom_sup_bound(10, PExponent.parse("1/100"), "float64") == 2.0**1000
+
+
 # -- sharpness sequence -----------------------------------------------------------
 
 

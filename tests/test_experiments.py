@@ -797,6 +797,23 @@ def test_corollary_suite_builds_its_operators_once(monkeypatch):
     assert len(rep.cases) == 8
 
 
+def test_corollary_suite_records_its_config():
+    # The report's config is built from the checked ExperimentConfig and
+    # records the derived levels and the trend gates, not the contract's fields.
+    rep = corollary_suite(7, "1/2", trials=2, seed=1)
+    assert rep.config == {
+        "resolution": 7,
+        "p": "1/2",
+        "trials": 2,
+        "seed": 1,
+        "support_levels": [2, 3, 4, 5],
+        "stable_cap": 1.4,
+        "band_cap": 4.0,
+        "growth_floor": 1.7,
+    }
+    assert rep.name == "corollary-suite" and EXPERIMENTS["corollaries"].series is None
+
+
 def test_corollary_suite_validation():
     with pytest.raises(ValueError, match=r"'resolution' must be an integer in \[6, 24\]"):
         corollary_suite(5, "1/2")
