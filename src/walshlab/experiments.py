@@ -53,10 +53,12 @@ from .operators import (
 )
 from .reporting import ExperimentReport
 from .spectral import (
+    _KERNEL_CHUNK,
     _binary_variation,
     _dirichlet_direct_int64,
     _dirichlet_dyadic_int64,
     _dirichlet_fast_int64,
+    _kernel_dtype,
     _kernel_pair_stream,
     _kernel_rows_stream,
     partial_sum,
@@ -356,51 +358,60 @@ def _kernel_sweep(m: int, identities: bool = False, lemma1: bool = False, sandwi
     with the kernels below it, so they read ``_kernel_pair_stream``; its
     ``D_1`` and high rows give every order once, and feed the per-order
     checks and the L1 sums as well.  The sandwich alone reads one running
-    sum and skips the low-order replay.
+    sum and skips the low-order replay.  Every check runs in place in one
+    scratch chunk, so the pass allocates its chunk-sized arrays once.
     """
-    tally = _KernelTally(m, abs_sums=np.empty(1 << m, dtype=np.int64) if sandwich else None)
+    size = 1 << m
+    tally = _KernelTally(m, abs_sums=np.empty(size, dtype=np.int64) if sandwich else None)
 
-    def per_order(lo: int, rows: np.ndarray) -> None:  # rows[i] is D_{lo+i+1}
-        hi = lo + rows.shape[0]
+    def per_order(lo: int, rows: np.ndarray, scratch: np.ndarray) -> None:  # rows[i] is D_{lo+i+1}
+        n = rows.shape[0]
+        hi = lo + n
         if identities:
-            fast = _dirichlet_fast_int64(lo + 1, hi + 1, m)
-            tally.direct_fast += int((rows != fast).any(axis=1).sum())
+            diff = np.subtract(rows, _dirichlet_fast_int64(lo + 1, hi + 1, m, out=scratch), out=scratch[:n])
+            tally.direct_fast += int(diff.any(axis=1).sum())
             for k in range(lo.bit_length(), hi.bit_length()):  # the orders 2^k in lo+1 .. hi
                 tally.closed_form += not np.array_equal(rows[(1 << k) - lo - 1], _dirichlet_dyadic_int64(k, m))
         if sandwich:
-            tally.abs_sums[lo:hi] = np.abs(rows).sum(axis=1, dtype=np.int64)
+            tally.abs_sums[lo:hi] = np.abs(rows, out=scratch[:n]).sum(axis=1, dtype=np.int64)
 
     if not (identities or lemma1):
         for lo, rows in _kernel_rows_stream(m):
-            per_order(lo, rows)
+            per_order(lo, rows, rows)  # nothing else reads the chunk, so it is its own scratch
         return tally
     shells = shell_decomposition(m)
+    scratch = np.empty((min(_KERNEL_CHUNK, size), size), dtype=_kernel_dtype(m))
     for k, lo, low, high, base in _kernel_pair_stream(m):
         if k == 0:
-            per_order(0, low)  # D_1, by its definition
-        per_order((1 << k) + lo, high)
+            per_order(0, low, scratch)  # D_1, by its definition
+        per_order((1 << k) + lo, high, scratch)
+        if lemma1:
+            # Order 2^k + j has top bit k and the lowest bit of j; the rows
+            # with lowest bit l < k are every 2^(l+1)-th from j = 2^l.
+            for low_bit in range(k):
+                pinned = shells.shell(low_bit)
+                first = ((1 << low_bit) - 1 - lo) % (2 << low_bit)
+                picked = (slice(first, None, 2 << low_bit), slice(pinned.start, pinned.stop))
+                count, width = high[picked].shape
+                dn = np.abs(high[picked], out=scratch[:count, :width])
+                dref = np.abs(low[picked], out=scratch[:count, width : 2 * width])  # a shell spans at most half a row
+                mins = dn.min(axis=1).astype(np.int64)  # 4 * 2^14 overflows int16
+                tally.equality += int(np.subtract(dn, dref, out=dref).any(axis=1).sum())
+                tally.bound += int((4 * mins < (1 << low_bit)).sum())
+                tally.lemma_checked += mins.size
+                if mins.size:
+                    # Ratios min/2^l compared as integers over the common denominator 2^m.
+                    scaled = int(mins.min()) << (m - low_bit)
+                    tally.lemma_min = scaled if tally.lemma_min is None else min(tally.lemma_min, scaled)
         if identities:
+            # Twists low in place, so it runs last, after every other read of low.
             if lo == 0:
                 twist = walsh_rows(1 << k, (1 << k) + 1, m)[0]
-            tally.shift_checked += low.shape[0]
-            tally.shift += int((high - base != low * twist).any(axis=1).sum())
-        if not lemma1:
-            continue
-        # Order 2^k + j has top bit k and the lowest bit of j; the rows
-        # with lowest bit l < k are every 2^(l+1)-th from j = 2^l.
-        for low_bit in range(k):
-            pinned = shells.shell(low_bit)
-            first = ((1 << low_bit) - 1 - lo) % (2 << low_bit)
-            dn = np.abs(high[first :: 2 << low_bit, pinned.start : pinned.stop])
-            dref = np.abs(low[first :: 2 << low_bit, pinned.start : pinned.stop])
-            tally.equality += int((dn != dref).any(axis=1).sum())
-            mins = dn.min(axis=1).astype(np.int64)  # 4 * 2^14 overflows int16
-            tally.bound += int((4 * mins < (1 << low_bit)).sum())
-            tally.lemma_checked += mins.size
-            if mins.size:
-                # Ratios min/2^l compared as integers over the common denominator 2^m.
-                scaled = int(mins.min()) << (m - low_bit)
-                tally.lemma_min = scaled if tally.lemma_min is None else min(tally.lemma_min, scaled)
+            n = low.shape[0]
+            shifted = np.subtract(high, base, out=scratch[:n])
+            np.subtract(shifted, np.multiply(low, twist, out=low), out=shifted)
+            tally.shift_checked += n
+            tally.shift += int(shifted.any(axis=1).sum())
     return tally
 
 

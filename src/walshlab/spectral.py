@@ -9,13 +9,15 @@ In exact mode it runs on integer numerators (``functions._numerators``)
 and divides once at the output.
 
 ``walsh_rows`` is the one accessor for Walsh sign rows and ``_sign_rows``
-the one construction behind it.  No rows are kept between calls but one
-read-only 256 x 256 table, the rows at resolution 8, built one coordinate
-at a time.  At or below resolution 8 a row is a strided slice of the
-table.  Above it a row is a Kronecker product: the low 8 bits of the
-order act on the first 8 coordinates and the rest on the others, so a row
-is a row of the table, each entry repeated, times one row at resolution
-``m - 8``, tiled.
+the one construction behind it; both write into a caller's array or a
+fresh one.  No rows are kept between calls but one read-only 256 x 256
+table, the rows at resolution 8, built one coordinate at a time.  At or
+below resolution 8 a row is a strided slice of the table.  Above it a
+range of orders splits into aligned power-of-two blocks.  A block's first
+row is a Kronecker product: the low 8 bits of the order act on the first
+8 coordinates and the rest on the others, so the row is the outer product
+of a row of the table and one row at resolution ``m - 8``.  The block
+doubles from it, since ``w_(c 2^t + i) = w_(c 2^t) w_i`` for ``i < 2^t``.
 
 Dirichlet kernels get three independent constructions: the defining sum
 over Walsh functions, the closed form at powers of two, and the
@@ -33,7 +35,13 @@ entries in ``_kernel_dtype(m)``, the narrowest of int16, int32 and int64
 that fits ``|D_n| <= 2^m`` and a shift difference: int16 up to ``m = 14``,
 which covers both sweep caps (the ``_int64`` suffix of the constructions'
 private names is older than that choice).  Sums over a row are taken in
-int64.
+int64.  Each stream writes every chunk into one buffer, so a chunk is
+valid only until the next, and the pair stream owns its two buffers for
+all stages.  With the sweep's one scratch chunk, ``verify all
+--resolution 12`` allocates its 1 MiB chunks once, not per chunk, and
+takes 0.061-0.070 s and about 800 minor page faults in a fresh process,
+against 0.088-0.098 s and 25,400 (2-CPU x86-64, Python 3.11, numpy 2.4;
+``BENCH_27.json``).
 
 Partial sums use the same binary expansion and no transform.  With
 ``Q_j = {k > j : n_k = 1}``, ``S_n f`` is the sum over the set bits ``j``
@@ -76,43 +84,65 @@ def _product_table() -> np.ndarray:
     return table
 
 
-def _sign_rows(lo: int, hi: int, m: int) -> np.ndarray:
-    """Walsh rows ``lo .. hi-1`` at resolution ``m``, int8, in a fresh array.
+def _kronecker_row(n: int, m: int) -> np.ndarray:
+    """The one row ``w_n`` at resolution ``m > _PRODUCT_BITS``, int8.
+
+    Write ``n = a 2^8 + b`` and ``x = u 2^(m-8) + v``: the low bits of
+    ``n`` act on the first coordinates (``u``) and the high bits on the
+    rest (``v``), so ``w_n(x) = w^(8)_b(u) w^(m-8)_a(v)``, the outer
+    product of the table's row ``b`` and row ``a`` at resolution ``m - 8``.
+    """
+    a, b = n >> _PRODUCT_BITS, n & ((1 << _PRODUCT_BITS) - 1)
+    return np.multiply.outer(_product_table()[b], _sign_rows(a, a + 1, m - _PRODUCT_BITS)[0]).reshape(-1)
+
+
+def _sign_rows(lo: int, hi: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Walsh rows ``lo .. hi-1`` at resolution ``m``, written into ``out`` or a fresh int8 array.
 
     Up to resolution ``_PRODUCT_BITS`` a strided slice of the table:
-    ``w_n(x) = w^(8)_n(x 2^(8-m))`` for ``n < 2^m``.  Above it, write
-    ``n = a 2^8 + b`` and ``x = u 2^(m-8) + v``: the low bits of ``n`` act
-    on the first coordinates (``u``) and the high bits on the rest
-    (``v``), so ``w_n(x) = w^(8)_b(u) w^(m-8)_a(v)``.  The rows of one
-    block of orders sharing ``a`` are the table's rows, each entry
-    repeated ``2^(m-8)`` times, times one row at resolution ``m - 8`` tiled
-    ``2^8`` times.
+    ``w_n(x) = w^(8)_n(x 2^(8-m))`` for ``n < 2^m``.  Above it the range
+    splits into blocks ``[c 2^t, (c+1) 2^t)``, each the largest aligned to
+    its size that fits.  The orders of a block share their bits from ``t``
+    up, so ``w_(c 2^t + i) = w_(c 2^t) w_i``: from its first row, a
+    Kronecker product (``_kronecker_row``), the block doubles ``t`` times,
+    rows ``2^j .. 2^(j+1) - 1`` being rows ``0 .. 2^j - 1`` times
+    ``w_(2^j)``, one contiguous multiply each.  No temporary is larger than
+    one row.
     """
+    if out is None:
+        out = np.empty((hi - lo, 1 << m), dtype=np.int8)
     if m <= _PRODUCT_BITS:
-        return _product_table()[lo:hi, :: 1 << (_PRODUCT_BITS - m)].copy()
-    if lo == hi:
-        return np.empty((0, 1 << m), dtype=np.int8)
-    blocks = []
-    for a in range(lo >> _PRODUCT_BITS, ((hi - 1) >> _PRODUCT_BITS) + 1):
-        start, stop = max(lo, a << _PRODUCT_BITS), min(hi, (a + 1) << _PRODUCT_BITS)
-        b = start - (a << _PRODUCT_BITS)
-        rows = np.repeat(_product_table()[b : b + stop - start], 1 << (m - _PRODUCT_BITS), axis=1)
-        rows *= np.tile(_sign_rows(a, a + 1, m - _PRODUCT_BITS)[0], 1 << _PRODUCT_BITS)
-        blocks.append(rows)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        out[...] = _product_table()[lo:hi, :: 1 << (_PRODUCT_BITS - m)]
+        return out
+    n, doubling = lo, []  # doubling[j] is w_(2^j), shared by the blocks
+    while n < hi:
+        t = min((n & -n).bit_length() - 1 if n else m, (hi - n).bit_length() - 1)
+        block = out[n - lo : n - lo + (1 << t)]
+        block[0] = _kronecker_row(n, m)
+        for j in range(t):
+            if j == len(doubling):
+                doubling.append(_kronecker_row(1 << j, m))
+            np.multiply(block[: 1 << j], doubling[j], out=block[1 << j : 2 << j])
+        n += 1 << t
+    return out
 
 
-def walsh_rows(lo: int, hi: int, m: ResolutionLike) -> np.ndarray:
+def walsh_rows(lo: int, hi: int, m: ResolutionLike, out: np.ndarray | None = None) -> np.ndarray:
     """Sign matrix with row ``n - lo`` holding ``w_n`` over all indices, int8.
 
-    Every call builds its rows afresh by ``_sign_rows`` and returns a
-    writable array that nothing else holds.
+    Every call builds its rows afresh by ``_sign_rows``.  Without ``out``
+    it returns a writable array that nothing else holds; with it, the rows
+    overwrite ``out``, an array of shape ``(hi - lo, 2^m)`` and a signed
+    dtype, which is returned.
     """
     r = as_resolution(m)
     lo, hi = _as_int(lo, "row bound"), _as_int(hi, "row bound")
     if not 0 <= lo <= hi <= r.size:
         raise ValueError(f"row range [{lo}, {hi}) outside [0, 2^{r.m}]")
-    return _sign_rows(lo, hi, r.m)
+    if out is not None and (out.shape != (hi - lo, r.size) or not np.issubdtype(out.dtype, np.signedinteger)):
+        raise ValueError(f"rows [{lo}, {hi}) at resolution {r.m} need a signed integer array of shape "
+                         f"{(hi - lo, r.size)}, got {out.dtype} {out.shape}")
+    return _sign_rows(lo, hi, r.m, out)
 
 
 def _to_mode(ints: np.ndarray, m: int, mode: Mode) -> DyadicFunction:
@@ -259,45 +289,59 @@ def _dirichlet_dyadic_int64(k: int, m: int) -> np.ndarray:
     return values
 
 
-def _dirichlet_fast_int64(lo: int, hi: int, m: int) -> np.ndarray:
-    """Kernels of the orders ``lo .. hi-1``, one row each, from their binary expansions alone."""
+def _dirichlet_fast_int64(lo: int, hi: int, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Kernels of the orders ``lo .. hi-1``, one row each, from their binary expansions alone.
+
+    Written into the first ``hi - lo`` rows of ``out`` if given, which are
+    returned; the rest of ``out`` is left as it was.
+    """
     size = 1 << m
     top = min(hi, size)
     dtype = _kernel_dtype(m)
-    orders = np.arange(lo, top, dtype=dtype)[:, None]
+    acc = np.empty((hi - lo, size), dtype=dtype) if out is None else out[: hi - lo]
     # Before the twist the block sum of order n < 2^m is n at index 0 and
     # c_j(n) = (n mod 2^j) - n_j 2^j on shell j, the 2^(m-j-1) indices from
-    # 2^(m-j-1): m + 1 values, the shells in index order j = m-1 .. 0.
-    j = np.arange(m - 1, -1, -1, dtype=dtype)
-    values = np.hstack((orders, (orders & ((1 << j) - 1)) - (orders & (1 << j))))
-    acc = np.repeat(values, np.r_[1, 1 << (m - 1 - j)], axis=1)
-    acc *= walsh_rows(lo, top, m)
+    # 2^(m-j-1); each multiplies the Walsh row w_n there.
+    rows = walsh_rows(lo, top, m, out=acc[: top - lo])
+    orders = np.arange(lo, top, dtype=dtype)[:, None]
+    rows[:, :1] *= orders
+    for j in range(m):
+        rows[:, 1 << (m - j - 1) : 1 << (m - j)] *= (orders & ((1 << j) - 1)) - (orders & (1 << j))
     if hi > size:
         # The top-bit block of order 2^m sits above the resolution; the
         # kernel is the closed-form spike there.
-        acc = np.vstack((acc, _dirichlet_dyadic_int64(m, m)))
+        acc[-1] = _dirichlet_dyadic_int64(m, m)
     return acc
 
 
-#: Orders per chunk of the kernel streams; a chunk from a multiple of it stays in one block of ``_sign_rows``.
+#: Orders per chunk of the kernel streams; a chunk from a multiple of it is one aligned block of ``_sign_rows``.
 _KERNEL_CHUNK = 128
 
 
-def _kernel_rows_stream(m: int, start: int = 0, stop: int | None = None, carry=0):
+def _kernel_rows_stream(m: int, start: int = 0, stop: int | None = None, carry=0, out: np.ndarray | None = None):
     """Yield (lo, rows) where rows[i] is ``carry`` plus Walsh rows ``start .. lo+i``, in ``_kernel_dtype(m)``.
 
-    With the defaults, rows[i] is the order-(lo+i+1) kernel.
+    With the defaults, rows[i] is the order-(lo+i+1) kernel.  Every chunk
+    is written in place into one buffer, ``out`` if given (at least
+    ``min(_KERNEL_CHUNK, stop - start)`` rows of ``2^m``), so a yielded
+    chunk is valid only until the next one is asked for.  The stream keeps
+    its own copy of each chunk's last row, so the caller may overwrite a
+    chunk.
     """
-    stop = 1 << m if stop is None else stop
-    dtype = _kernel_dtype(m)
+    size = 1 << m
+    stop = size if stop is None else stop
+    if out is None:
+        out = np.empty((min(_KERNEL_CHUNK, stop - start), size), dtype=_kernel_dtype(m))
+    last = np.empty(size, dtype=out.dtype)
     for lo in range(start, stop, _KERNEL_CHUNK):
         hi = min(lo + _KERNEL_CHUNK, stop)
-        rows = walsh_rows(lo, hi, m).astype(dtype)
+        rows = walsh_rows(lo, hi, m, out=out[: hi - lo])
         rows[0] += carry
         # Row by row: one cumulative sum along the order axis is about four times slower.
-        for i in range(1, hi - lo):
-            np.add(rows[i], rows[i - 1], out=rows[i])
-        carry = rows[-1].copy()
+        for prev, row in zip(rows, rows[1:]):
+            row += prev
+        last[...] = rows[-1]
+        carry = last
         yield lo, rows
 
 
@@ -308,15 +352,21 @@ def _kernel_pair_stream(m: int):
     ``j = lo + i + 1`` in ``1 .. 2^k``; ``base`` is ``D_{2^k}``.  The high
     stream is carried from ``base``, the previous stage's last high row, so
     ``D_1`` (the ``k = 0`` low row) and the high rows give every order
-    ``1 .. 2^m`` once.
+    ``1 .. 2^m`` once.  One low and one high buffer serve every stage, so a
+    yielded chunk, ``base`` included, is valid only until the next one is
+    asked for.  The caller may overwrite ``low``; the last ``high`` row of
+    a stage is the next stage's ``base``.
     """
-    base = np.ones(1 << m, dtype=_kernel_dtype(m))  # D_1 = w_0
+    size = 1 << m
+    dtype = _kernel_dtype(m)
+    low_rows, high_rows = (np.empty((min(_KERNEL_CHUNK, size >> 1), size), dtype=dtype) for _ in range(2))
+    base = np.ones(size, dtype=dtype)  # D_1 = w_0
     for k in range(m):
-        low = _kernel_rows_stream(m, 0, 1 << k)
-        high = _kernel_rows_stream(m, 1 << k, 2 << k, carry=base)
+        low = _kernel_rows_stream(m, 0, 1 << k, out=low_rows)
+        high = _kernel_rows_stream(m, 1 << k, 2 << k, carry=base, out=high_rows)
         for (lo, rows_lo), (_, rows_hi) in zip(low, high):
             yield k, lo, rows_lo, rows_hi, base
-        base = rows_hi[-1].copy()
+        base[...] = rows_hi[-1]
 
 
 def dirichlet_direct(n: int, m: ResolutionLike, mode: Mode = "exact") -> DyadicFunction:

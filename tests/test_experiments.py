@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
 
@@ -183,7 +185,7 @@ def test_verify_kernels_counts_injected_faults(monkeypatch):
     rows = experiments.walsh_rows
     with monkeypatch.context() as mp:  # a wrong kernel from the binary expansion at order 6
         mp.setattr(experiments, "_dirichlet_fast_int64",
-                   lambda lo, hi, m: fast(lo, hi, m) + (np.arange(lo, hi) == 6)[:, None])
+                   lambda lo, hi, m, **kw: fast(lo, hi, m, **kw) + (np.arange(lo, hi) == 6)[:, None])
         rep = verify_kernels(5)
     assert _mismatches(rep) == {"direct_vs_fast": 1, "closed_form_powers": 0, "shift_identity": 0}
     assert rep.summary["mismatches"] == 1 and not rep.verdict
@@ -253,6 +255,36 @@ def test_verify_all_traced_peak_stays_small():
     assert peak < 6 << 20
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_verify_all_parts_equal_the_separate_sweeps(m):
+    # The combined pass shares one scratch chunk among its checks and twists
+    # each low chunk in place for the shift identity; no check may see
+    # another's writes.
+    tally = experiments._kernel_sweep(m, identities=True, lemma1=True, sandwich=True)
+    combined = (experiments._kernels_report(tally), experiments._lemma1_report(tally), experiments._sandwich_report(tally))
+    alone = (verify_kernels(m), verify_lemma1(m), verify_kernel_l1_sandwich(m))
+    for got, want in zip(combined, alone, strict=True):
+        assert (got.name, got.cases, got.summary, got.verdict) == (want.name, want.cases, want.summary, want.verdict), m
+    assert verify_all(m).cases == [{"experiment": r.name, "verdict": r.verdict, "summary": r.summary} for r in alone]
+
+
+def test_verify_all_minor_page_faults_stay_few():
+    # A fresh 1 MiB array per chunk took about 25,400 minor page faults at
+    # m = 12; with one set of chunk buffers per sweep it takes about 800.
+    # Counted in a fresh process, net of its imports.
+    code = (
+        "import resource\n"
+        "from walshlab.experiments import verify_all\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert verify_all(12).verdict\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) < 25_400 // 3
+
+
 def test_verify_lemma1_passes_with_unit_ratio():
     rep = verify_lemma1(8)
     assert rep.verdict
@@ -286,9 +318,9 @@ def test_verify_all_reads_each_kernel_once(monkeypatch):
     rows = spectral.walsh_rows
     read = []
 
-    def counted(lo, hi, m):
+    def counted(lo, hi, m, **kw):
         read.append(hi - lo)
-        return rows(lo, hi, m)
+        return rows(lo, hi, m, **kw)
 
     monkeypatch.setattr(spectral, "walsh_rows", counted)
     monkeypatch.setattr(experiments, "walsh_rows", counted)

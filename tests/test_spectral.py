@@ -147,6 +147,53 @@ def test_walsh_rows_range_must_lie_in_the_orders(lo, hi):
         walsh_rows(lo, hi, 4)
 
 
+@pytest.mark.parametrize("m", range(1, 15))
+def test_rows_written_in_place_match_product_oracle(m):
+    # One int8 and one kernel-dtype buffer serve every range in turn, so each
+    # range overwrites the rows of the one before: none may survive.
+    size = 1 << m
+    ranges = _sample_row_ranges(m, np.random.default_rng(100 + m))
+    ranges += [(max(0, size - 128), size), (max(0, size - 129), size - 1)]  # an aligned and an unaligned chunk
+    rows = max(hi - lo for lo, hi in ranges)
+    buffers = [np.full((rows, size), 99, dtype=dtype) for dtype in (np.int8, spectral._kernel_dtype(m))]
+    for lo, hi in ranges:
+        want = walsh_rows_by_product(lo, hi, m)
+        for buf in buffers:
+            out = buf[: hi - lo]
+            assert walsh_rows(lo, hi, m, out=out) is out
+            assert np.array_equal(out, want), (m, lo, hi, buf.dtype)
+            out[::2] = 99
+            assert spectral._sign_rows(lo, hi, m, out=out) is out
+            assert np.array_equal(out, want), (m, lo, hi, buf.dtype)
+
+
+@pytest.mark.parametrize("out", [np.empty((3, 16), np.int8), np.empty((2, 8), np.int8), np.empty((2, 16), np.uint8)])
+def test_walsh_rows_out_must_fit_the_rows(out):
+    with pytest.raises(ValueError, match=r"need a signed integer array of shape \(2, 16\)"):
+        walsh_rows(1, 3, 4, out=out)
+
+
+@pytest.mark.parametrize("m", [3, 10, 12])
+def test_dirichlet_fast_into_a_larger_dirty_buffer_matches_direct(m):
+    # The sweep's chunks, orders lo+1 .. hi, the spike row of order 2^m among
+    # them, and a range across the 256-order blocks, all through one buffer
+    # that still holds the previous range's kernels.
+    size = 1 << m
+    chunk = spectral._KERNEL_CHUNK
+    buf = np.full((chunk + 3, size), 7, dtype=spectral._kernel_dtype(m))
+    spans = [(1, min(size, chunk) + 1), (max(1, size - chunk + 1), size + 1), (min(250, size), min(262, size) + 1)]
+    for lo, hi in spans:
+        spare = buf[hi - lo :].copy()
+        block = spectral._dirichlet_fast_int64(lo, hi, m, out=buf)
+        assert block.shape == (hi - lo, size) and np.shares_memory(block, buf)
+        assert np.array_equal(buf[hi - lo :], spare)  # rows past the block are left as they were
+        want = dirichlet_direct(lo, m).values.astype(np.int64)
+        for n in range(lo, hi):
+            assert np.array_equal(block[n - lo], want), (m, n)
+            if n < size:
+                want += walsh_rows_by_product(n, n + 1, m)[0]
+
+
 @pytest.mark.parametrize("n", [3, 300])
 def test_dirichlet_direct_reads_only_its_own_rows(monkeypatch, n):
     rows = spectral.walsh_rows
@@ -363,12 +410,13 @@ def test_kernel_rows_stream_matches_cumsum_reference(chunk, monkeypatch):
             for carry in (0, rng.integers(-50, 51, size)):
                 before = np.copy(carry)
                 want = np.cumsum(walsh_rows(start, stop, m).astype(np.int64), axis=0) + carry
-                got = list(spectral._kernel_rows_stream(m, start, stop, carry=carry))
+                # A chunk is valid only until the next one, so each is copied before it is kept.
+                got = [(lo, rows.copy()) for lo, rows in spectral._kernel_rows_stream(m, start, stop, carry=carry)]
                 assert [lo for lo, _ in got] == list(range(start, stop, chunk)), (m, start, stop)
                 assert all(rows.dtype == spectral._kernel_dtype(m) for _, rows in got)
                 assert np.array_equal(np.vstack([rows for _, rows in got]), want), (m, start, stop)
                 assert np.array_equal(carry, before)  # the caller's carry is read, not written
-        kernels = np.vstack([rows for _, rows in spectral._kernel_rows_stream(m)])
+        kernels = np.vstack([rows.copy() for _, rows in spectral._kernel_rows_stream(m)])
         assert np.array_equal(kernels, np.cumsum(walsh_rows(0, size, m).astype(np.int64), axis=0))
 
 
