@@ -39,8 +39,8 @@ int64.  Each stream writes every chunk into one buffer, so a chunk is
 valid only until the next, and the pair stream owns its two buffers for
 all stages.  With the sweep's one scratch chunk, ``verify all
 --resolution 12`` allocates its 1 MiB chunks once, not per chunk, and
-takes 0.061-0.070 s and about 800 minor page faults in a fresh process,
-against 0.088-0.098 s and 25,400 (2-CPU x86-64, Python 3.11, numpy 2.4;
+takes 0.073-0.095 s and about 800 minor page faults in a fresh process,
+against 0.114-0.154 s and 25,200 (2-CPU x86-64, Python 3.11, numpy 2.4;
 ``BENCH_27.json``).
 
 Partial sums use the same binary expansion and no transform.  With
