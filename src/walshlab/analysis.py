@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .functions import DyadicFunction, Mode, Scalar, _exact_sum, _float_sum, _from_numerators, _halve, _numerators
-from .group import DyadicInterval
+from .group import DyadicInterval, _shell_counts
 
 ExponentLike = Union["PExponent", Fraction, float, int]
 
@@ -333,7 +333,7 @@ def _atom_hardy(cells: np.ndarray, level: int, m: int, p: ExponentLike) -> list[
     best = maximal(0, cells.shape[-1])
     shells = np.ldexp(np.abs(mean), np.arange(level) - level)
     terms = np.concatenate([best, shells], axis=-1) ** pw
-    terms[..., best.shape[-1] :] = np.ldexp(terms[..., best.shape[-1] :], m - 1 - np.arange(level))
+    terms[..., best.shape[-1] :] *= _shell_counts(level, m)
     return [(math.fsum(row) / (1 << m)) ** (1.0 / pw) for row in terms.tolist()]
 
 
@@ -349,10 +349,15 @@ def atom_sup_bound(level: int, p: PExponent, mode: Mode):
                 f"exact atoms need an integral bound exponent, got 2^{exponent}"
             )
         return 1 << int(exponent)
+    return _power_of_two(float(exponent), f"atom bound 2^{exponent} at level {level}")
+
+
+def _power_of_two(exponent: float, what: str) -> float:
+    """``2.0 ** exponent``; ``ValueError`` naming ``what`` if it overflows float64."""
     try:
-        return 2.0 ** float(exponent)
+        return 2.0 ** exponent
     except OverflowError:
-        raise ValueError(f"atom bound 2^{exponent} at level {level} overflows float64") from None
+        raise ValueError(f"{what} overflows float64") from None
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .analysis import LevelSet, PExponent, _atom_hardy, _level_sets, _weak_lp, hardy_quasinorm, lp_quasinorm
+from .analysis import LevelSet, PExponent, _atom_hardy, _level_sets, _power_of_two, _weak_lp, hardy_quasinorm, lp_quasinorm
 from .constructions import _MASK64, GENERATORS, AtomRecipe, _atom_cells, counterexample_fn, probe_index
-from .group import MAX_RESOLUTION, as_resolution, shell_decomposition
+from .group import MAX_RESOLUTION, _shell_counts, as_resolution, shell_decomposition
 from .operators import (
     PolyWeight,
     RhoWeight,
@@ -200,8 +200,8 @@ _FIELD_CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
                     (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1")),
     "seed": (_is_seed, "must be an integer in [0, 2^64)"),
     "scheme": (lambda v: v is None or isinstance(v, dict), "must be an object"),
-    "probes": (lambda v: v is None or isinstance(v, tuple) and all(_ints(q) and len(q) == 2 for q in v),
-               "must be a list of [n, s] integer pairs"),
+    "probes": (lambda v: v is None or isinstance(v, tuple) and all(_ints(q) and len(q) == 2 for q in v)
+               and len(set(v)) == len(v), "must be a list of distinct [n, s] integer pairs"),
     "expectation": (lambda v: v in (None, "divergent", "bounded"), "must be 'divergent', 'bounded', or omitted"),
     **dict.fromkeys(
         ("ratio_cap", "growth_floor", "band_cap", "slope_fraction"),
@@ -256,22 +256,15 @@ def _config_report(
     )
 
 
-def _power_of_two(exponent: float, what: str) -> float:
-    """``2.0 ** exponent``; ``ValueError`` naming ``what`` if it overflows float64."""
-    try:
-        return 2.0 ** exponent
-    except OverflowError:
-        raise ValueError(f"{what} overflows float64") from None
+def _ratio(num: float, den: float) -> float:
+    """``num / den`` of two values ``>= 0``, reading ``0/0`` as 1 and ``num/0`` as ``inf``."""
+    if den == 0:
+        return 1.0 if num == 0 else float("inf")
+    return num / den
 
 
 def _consecutive_ratios(values: Sequence[float]) -> list[float]:
-    out = []
-    for a, b in zip(values, values[1:]):
-        if a == 0:
-            out.append(1.0 if b == 0 else float("inf"))
-        else:
-            out.append(b / a)
-    return out
+    return [_ratio(b, a) for a, b in zip(values, values[1:])]
 
 
 #: Trend gates of the corollary suite; each report's config records them.
@@ -287,12 +280,7 @@ def _window_trend(maxima: Sequence[float]) -> dict:
     weight matching the bit spread only at every other order) do not
     masquerade as growth, plus an overall band check.
     """
-    lo = max(maxima[:2])
-    hi = max(maxima[-2:])
-    if lo > 0:
-        growth = hi / lo
-    else:
-        growth = float("inf") if hi > 0 else 1.0
+    growth = _ratio(max(maxima[-2:]), max(maxima[:2]))
     nonzero = [v for v in maxima if v > 0]
     band = max(nonzero) / min(nonzero) if nonzero else 1.0
     return {
@@ -534,11 +522,6 @@ def _trial_atoms(p_str: str, level: int, m: int, seed: int, trials: range) -> It
         recipes = [AtomRecipe(level, 0, p, GENERATORS[t % len(GENERATORS)], _trial_seed(seed, t)) for t in chunk]
         cells = _atom_cells(recipes, m)
         yield chunk, [r.generator for r in recipes], cells, _packet_table(cells, m - level)
-
-
-def _shell_counts(level: int, m: int) -> np.ndarray:
-    """The points of shells ``s = 0 .. level - 1`` off ``I_level(0)`` at resolution ``m``: ``2^(m-s-1)`` each."""
-    return 1 << (m - 1 - np.arange(level))
 
 
 def _thm1_cell(args: tuple) -> list[dict]:

@@ -34,7 +34,7 @@ from typing import Callable, Literal, Union
 
 import numpy as np
 
-from .group import GroupPoint, ResolutionLike, as_resolution
+from .group import GroupPoint, ResolutionLike, _as_int, as_resolution
 
 Mode = Literal["exact", "float64"]
 
@@ -328,7 +328,7 @@ def translate(f: DyadicFunction, t: Union[int, GroupPoint]) -> DyadicFunction:
     """Group translation ``x -> f(x + t)``, realized as XOR on indices; ``t`` at the resolution of ``f``."""
     if isinstance(t, GroupPoint) and t.m != f.m:
         raise ValueError(f"translation point at resolution {t.m}, function at resolution {f.m}")
-    shift = t.idx if isinstance(t, GroupPoint) else int(t)
+    shift = t.idx if isinstance(t, GroupPoint) else _as_int(t, "translation index")
     if not 0 <= shift < f.size:
         raise ValueError(f"translation index {shift} outside [0, {f.size})")
     idx = np.arange(f.size) ^ shift

@@ -73,6 +73,7 @@ class GroupPoint:
             raise ValueError(f"index {self.idx} outside [0, 2^{self.m})")
 
     def coordinate(self, j: int) -> int:
+        j = _as_int(j, "coordinate")
         if not 0 <= j < self.m:
             raise ValueError(f"coordinate {j} outside [0, {self.m})")
         return (self.idx >> (self.m - 1 - j)) & 1
@@ -136,6 +137,7 @@ class DyadicInterval:
 def interval(x: GroupPoint, n: int) -> DyadicInterval:
     """The level-``n`` dyadic interval containing ``x``."""
     r = as_resolution(x.m)
+    n = _as_int(n, "interval level")
     if not 0 <= n <= r.m:
         raise ValueError(f"interval level {n} outside [0, {r.m}]")
     width = r.m - n
@@ -158,6 +160,7 @@ class ShellDecomposition:
         as_resolution(self.m)
 
     def shell(self, s: int) -> range:
+        s = _as_int(s, "shell index")
         if not 0 <= s < self.m:
             raise ValueError(f"shell index {s} outside [0, {self.m})")
         return range(1 << (self.m - s - 1), 1 << (self.m - s))
@@ -170,10 +173,18 @@ def shell_decomposition(m: ResolutionLike) -> ShellDecomposition:
     return ShellDecomposition(as_resolution(m).m)
 
 
+def _shell_counts(level: int, m: int) -> np.ndarray:
+    """The points of shells ``s = 0 .. level - 1`` off ``I_level(0)`` at resolution ``m``: ``2^(m-s-1)`` each."""
+    return 1 << (m - 1 - np.arange(level))
+
+
 def measure(indices: Iterable[int], m: ResolutionLike) -> Fraction:
-    """Normalized counting measure of an index set, as an exact rational."""
+    """Normalized counting measure of an index set, as an exact rational; ``ValueError`` on a non-integer entry."""
     r = as_resolution(m)
-    arr = np.unique(np.asarray(list(indices) if not isinstance(indices, (np.ndarray, range)) else indices, dtype=np.int64))
+    arr = np.asarray(indices if isinstance(indices, (np.ndarray, range)) else list(indices))
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"index set must hold integers in [0, 2^{r.m}), got {arr.dtype} entries")
+    arr = np.unique(arr.astype(np.int64))
     if arr.size and (arr[0] < 0 or arr[-1] >= r.size):
         raise ValueError(f"index set not contained in [0, 2^{r.m})")
     return Fraction(int(arr.size), r.size)

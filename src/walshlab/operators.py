@@ -232,7 +232,7 @@ class Subsequence:
 
     @classmethod
     def powers_of_two(cls, m: int) -> "Subsequence":
-        return cls(tuple(1 << k for k in range(m + 1)))
+        return cls(tuple(1 << k for k in range(_as_int(m, "top exponent") + 1)))
 
 
 # -- Paley-block recursion (spread-only weights) ------------------------------
@@ -551,19 +551,16 @@ def _shell_table(scheme: WeightScheme, orders: tuple[int, ...] | None, level: in
     per float it can round to; the caller takes the largest.
     """
     size, blocks = 1 << m, 1 << (m - level)
-    n = np.arange(size)
-    member = n > 0
+    # Order 0, and every order a restricted operator skips, weighs inf: its ratio is 0 and never wins.
+    w = np.full(size, np.inf)
     if orders is not None:
         listed = [k for k in orders if k < size]
-        member = np.zeros(size, bool)
-        member[listed] = True
-        w = np.ones(size)
         w[listed] = _weights(scheme, orders, False)[: len(listed)]
     elif scheme.spread_only:
-        spread = np.frexp(n)[1] - np.frexp(n & -n)[1]  # top bit minus lowest bit
-        w = _spread_weights(scheme, m, False)[np.where(member, spread, 0)]
+        n = np.arange(1, size)
+        w[1:] = _spread_weights(scheme, m, False)[np.frexp(n)[1] - np.frexp(n & -n)[1]]  # top bit minus lowest bit
     else:
-        w = np.concatenate([[1.0], _weights(scheme, range(1, size + 1), False)[:-1]])
+        w[1:] = _weights(scheme, range(1, size + 1), False)[:-1]
     r = np.arange(1 << level)
     s = np.arange(level)[:, None]
     low = r & ((2 << s) - 1)  # the bits of r that reach shell s
@@ -573,7 +570,7 @@ def _shell_table(scheme: WeightScheme, orders: tuple[int, ...] | None, level: in
     key = np.where(np.bitwise_count(low) > 2, -1 - low, c)
     c, low, key = (np.broadcast_to(a[:, None], (level, blocks, 1 << level)) for a in (c, low, key))
     w = np.broadcast_to(w.reshape(blocks, 1 << level), c.shape)
-    ratio = np.where(member.reshape(blocks, 1 << level), c / w, 0.0)
+    ratio = c / w
     live = (ratio > 0) & (ratio >= ratio.max(axis=2, keepdims=True) * (1 - _SHELL_BAND))
     slots = []
     while not slots or live.any():

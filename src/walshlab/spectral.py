@@ -37,11 +37,8 @@ which covers both sweep caps (the ``_int64`` suffix of the constructions'
 private names is older than that choice).  Sums over a row are taken in
 int64.  Each stream writes every chunk into one buffer, so a chunk is
 valid only until the next, and the pair stream owns its two buffers for
-all stages.  With the sweep's one scratch chunk, ``verify all
---resolution 12`` allocates its 1 MiB chunks once, not per chunk, and
-takes 0.073-0.095 s and about 800 minor page faults in a fresh process,
-against 0.114-0.154 s and 25,200 (2-CPU x86-64, Python 3.11, numpy 2.4;
-``BENCH_27.json``).
+all stages.  With the sweep's one scratch chunk, ``verify all`` allocates
+its chunk arrays once per sweep, not once per chunk.
 
 Partial sums use the same binary expansion and no transform.  With
 ``Q_j = {k > j : n_k = 1}``, ``S_n f`` is the sum over the set bits ``j``
@@ -232,24 +229,20 @@ def index_stats(n: int) -> IndexStats:
     """Lowest/highest set bit, their spread, and the binary variation.
 
     The variation is ``n_0 + sum_k |n_k - n_{k-1}|`` over the bit expansion,
-    which counts twice the number of maximal blocks of ones.
+    which counts twice the number of maximal blocks of ones.  Bit ``j`` of
+    ``n ^ (n << 1)`` is ``|n_j - n_{j-1}|``, with ``n_{-1} = 0``, so its
+    popcount is the variation.
     """
     n = _as_int(n, "index")
     if n < 1:
         raise ValueError(f"index characteristics undefined for n = {n}")
     low = (n & -n).bit_length() - 1
     high = n.bit_length() - 1
-    bits = [(n >> j) & 1 for j in range(high + 2)]
-    variation = bits[0] + sum(abs(bits[j] - bits[j - 1]) for j in range(1, high + 2))
-    return IndexStats(n, low, high, high - low, variation)
+    return IndexStats(n, low, high, high - low, (n ^ (n << 1)).bit_count())
 
 
 def _binary_variation(orders: np.ndarray) -> np.ndarray:
-    """``index_stats(n).variation`` of every entry of an int64 array of orders, as int64.
-
-    Bit ``j`` of ``n ^ (n << 1)`` is ``|n_j - n_{j-1}|``, with ``n_{-1} = 0``,
-    so its popcount is the variation.
-    """
+    """``index_stats(n).variation`` of every entry of an int64 array of orders, as int64, by the same identity."""
     return np.bitwise_count(orders ^ (orders << 1)).astype(np.int64)
 
 

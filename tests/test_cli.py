@@ -335,6 +335,8 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
         ({**_THM1_CFG, "extra_resolution": 0}, ["thm1"], "'extra_resolution' must be an integer >= 1"),
         # The corollaries run one exponent, so a second is an error, never dropped.
         (None, ["corollaries", "--p", "1/2", "--p", "1/3", "--resolution", "8", "--trials", "1"], "--p"),
+        # So is a repeated probe, which would run one case twice.
+        (None, ["thm2", "--part", "b", "--resolution", "8", "--probes", "4:0,4:0"], "'probes'"),
     ],
 )
 def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):

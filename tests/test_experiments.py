@@ -113,6 +113,7 @@ def test_config_float_gates_take_finite_numbers():
         ("trials", 0),
         ("jobs", 0),
         ("extra_resolution", 0),  # an atom needs at least two cells
+        ("probes", ((4, 0), (4, 0))),  # one probe twice would be one case twice
     ],
 )
 def test_every_config_field_is_checked_when_built(key, value):
@@ -472,6 +473,9 @@ def test_theorem2b_trivial_weight_diverges():
     growth = rep.summary["per_p"]["1/2"]["growth_factors"]
     assert all(g == pytest.approx(2.0, rel=1e-12) for g in growth)
     assert rep.summary["pinned_interval_measures_ok"]
+    # A growth factor off a zero maximum: 0/0 reads as 1, b/0 as inf.
+    assert (experiments._ratio(0.0, 0.0), experiments._ratio(3.0, 0.0), experiments._ratio(3.0, 2.0)) == (
+        1.0, float("inf"), 1.5)
 
 
 def test_theorem2b_reference_weight_bounded():

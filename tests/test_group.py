@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from walshlab.functions import DyadicFunction, translate
 from walshlab.group import (
     DyadicInterval,
     GroupPoint,
@@ -12,6 +13,7 @@ from walshlab.group import (
     measure,
     shell_decomposition,
 )
+from walshlab.operators import Subsequence
 
 from oracles import interval_members
 
@@ -152,3 +154,24 @@ def test_measure_examples():
     assert measure([3, 3, 3], 5) == Fraction(1, 32)  # sets, not multisets
     with pytest.raises(ValueError):
         measure([32], 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: translate(DyadicFunction.zeros(2), 1.5),
+        lambda: translate(DyadicFunction.zeros(2), True),
+        lambda: translate(DyadicFunction.zeros(2), "1"),
+        lambda: measure([0.5, 1], 2),
+        lambda: interval(GroupPoint(3, 5), 1.0),
+        lambda: GroupPoint(3, 5).coordinate(1.0),
+        lambda: shell_decomposition(3).shell(1.0),
+        lambda: Subsequence.powers_of_two(2.5),
+    ],
+    ids=["translate-float", "translate-bool", "translate-str", "measure", "interval", "coordinate", "shell",
+         "powers_of_two"],
+)
+def test_group_level_calls_refuse_non_integer_arguments(call):
+    # Never truncated to an integer, never a TypeError: bad input is a ValueError.
+    with pytest.raises(ValueError, match="integer"):
+        call()
