@@ -193,13 +193,21 @@ def _lp(cells: Callable[[int, int], np.ndarray], unit: Scalar | None, size: int,
 
     ``cells(start, stop)`` returns those entries' numerators.  float64 sums
     ``|.|^p`` a chunk of cells at a time (``functions._float_sum``), so no
-    array of ``size`` powers is built.
+    array of ``size`` powers is built; a power, the sum or the result past
+    the float64 range raises ``ValueError``.
     """
     pv = _exponent_value(p)
     if unit is None:
         pw = float(pv)
-        total = _float_sum(lambda start, stop: np.abs(cells(start, stop)) ** pw, size)
-        return (total / size) ** (1.0 / pw)
+        with np.errstate(over="ignore"):
+            try:
+                total = _float_sum(lambda start, stop: np.abs(cells(start, stop)) ** pw, size)
+                norm = (total / size) ** (1.0 / pw)
+            except OverflowError:
+                norm = math.inf
+        if not math.isfinite(norm):
+            raise ValueError(f"L_{pv} quasi-norm of this function overflows float64")
+        return norm
     q = _require_reciprocal_integer(pv)
     levels, above, _ = LevelSet.of(cells(0, size), unit, size)
     if not levels:

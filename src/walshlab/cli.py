@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .functions import SpectralVector, _csv_text, load_csv
 from .operators import RhoWeight, UnitWeight, scheme_to_json
-from .reporting import ExperimentReport, load_report
+from .reporting import load_report
 from .spectral import dirichlet_direct, dirichlet_dyadic, dirichlet_fast, fwht_forward, fwht_inverse, index_stats
 
 
@@ -67,23 +67,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_report_files(
-    report: ExperimentReport,
-    output: str | None,
-    started: float,
-    series: tuple[str, str] | None = None,
-    series_rows: list | None = None,
-    **run_settings,
-) -> None:
-    """Write the report and its CSV/TSV views; the sidecar also gets the wall time."""
-    out = Path(output) if output else Path(f"walshlab-{report.name}.json")
-    report.write(out, runtime_seconds=time.perf_counter() - started, **run_settings)
-    report.write_cases_csv(out.with_suffix(".cases.csv"))
-    if series:
-        report.write_series_tsv(out.with_suffix(".series.tsv"), *series, rows=series_rows)
-    print(f"{report.name}: {'pass' if report.verdict else 'FAIL'} -> {out}")
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -104,7 +87,7 @@ def _cmd_kernel(args) -> int:
     if args.construction == "fast":
         f = dirichlet_fast(args.n, args.resolution, mode)
     elif args.construction == "dyadic":
-        if args.n & (args.n - 1):
+        if args.n < 1 or args.n & (args.n - 1):
             raise ValueError("the closed-form construction needs a power-of-two order")
         f = dirichlet_dyadic(args.n.bit_length() - 1, args.resolution, mode)
     else:
@@ -169,18 +152,40 @@ _THM1_FLAGS = ("p", "levels", "trials", "seed")
 _THM2_FLAGS = ("p", "resolution", "scales", "seed", "phi", "probes", "expectation")
 
 
+def _run(parts: list[tuple]) -> int:
+    """Run each ``(experiment, run, output, config)`` part; write its report, CSV, TSV and sidecar.
+
+    Every config is checked before any part runs, so a bad one leaves no
+    files; returns 0 only if every verdict passes.  Callers pass ``run``
+    by its name here, so a wrapper patched over that name runs instead.
+    """
+    for experiment, _, _, cfg in parts:
+        EXPERIMENTS[experiment].validate(cfg)
+    ok = True
+    for experiment, run, output, cfg in parts:
+        started = time.perf_counter()
+        report = run(cfg)
+        contract = EXPERIMENTS[experiment]
+        out = Path(output) if output else Path(f"walshlab-{report.name}.json")
+        settings = {"jobs": cfg.jobs} if "jobs" in contract.fields else {}  # sidecar only
+        report.write(out, runtime_seconds=time.perf_counter() - started, **settings)
+        report.write_cases_csv(out.with_suffix(".cases.csv"))
+        if contract.series:
+            rows = report.summary["cells"] if experiment == "thm1" else None
+            report.write_series_tsv(out.with_suffix(".series.tsv"), *contract.series, rows=rows)
+        print(f"{report.name}: {'pass' if report.verdict else 'FAIL'} -> {out}")
+        ok = ok and report.verdict
+    return 0 if ok else 1
+
+
 def _cmd_thm1(args) -> int:
-    started = time.perf_counter()
     cfg = _config(args, "thm1", _THM1_FLAGS, lambda: ExperimentConfig(
         p_list=tuple(args.p or ("1/4", "1/2", "3/4")),
         support_levels=args.levels or tuple(range(4, 10)),
         trials=500 if args.trials is None else args.trials,
         seed=42 if args.seed is None else args.seed,
     ))
-    report = theorem1_weak_type(cfg)
-    series = EXPERIMENTS["thm1"].series
-    _write_report_files(report, args.output, started, series, report.summary["cells"], jobs=cfg.jobs)
-    return 0 if report.verdict else 1
+    return _run([("thm1", theorem1_weak_type, args.output, cfg)])
 
 
 def _thm2b_from_flags(args) -> ExperimentConfig:
@@ -205,8 +210,6 @@ def _cmd_thm2(args) -> int:
     part_b_only = [f"--{flag}" for flag in _THM2_FLAGS[4:] if getattr(args, flag) is not None]
     if args.part == "a" and part_b_only:
         raise ValueError(f"{', '.join(part_b_only)} only apply to --part b")
-    # Every part's config is built and checked before any part runs, so a
-    # bad part b leaves no part-a files behind.
     parts = []
     if args.part in ("a", "both"):
         parts.append(("thm2a", theorem2_growth, args.output, _config(
@@ -222,30 +225,13 @@ def _cmd_thm2(args) -> int:
             out = str(Path(out).with_suffix(".part-b.json"))
         parts.append(("thm2b", theorem2_weak_divergence, out,
                       _config(args, "thm2b", _THM2_FLAGS, lambda: _thm2b_from_flags(args))))
-    for experiment, _, _, cfg in parts:
-        EXPERIMENTS[experiment].validate(cfg)
-    ok = True
-    for experiment, run, out, cfg in parts:
-        started = time.perf_counter()
-        report = run(cfg)
-        _write_report_files(report, out, started, EXPERIMENTS[experiment].series)
-        ok = ok and report.verdict
-    return 0 if ok else 1
+    return _run(parts)
 
 
 def _cmd_corollaries(args) -> int:
-    started = time.perf_counter()
-    if len(args.p or ()) > 1:
-        raise ValueError(f"--p takes one exponent for corollaries, got {len(args.p)}")
-    report = corollary_suite(
-        args.resolution,
-        (args.p or ["1/2"])[0],
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
-    _write_report_files(report, args.output, started, jobs=args.jobs)
-    return 0 if report.verdict else 1
+    cfg = ExperimentConfig(p_list=tuple(args.p or ("1/2",)), resolution=args.resolution,
+                           trials=args.trials, seed=args.seed, jobs=args.jobs)
+    return _run([("corollaries", corollary_suite, args.output, cfg)])
 
 
 def _cmd_report(args) -> int:
@@ -258,6 +244,8 @@ def _cmd_report(args) -> int:
             raise ValueError(f"no case holds {', '.join(repr(key) for key in missing)}")
         out = Path(args.output) if args.output else Path(args.input).with_suffix(".series.tsv")
         report.write_series_tsv(out, args.x, args.y)
+    elif args.x or args.y:
+        raise ValueError("--x and --y only apply to --format tsv")
     else:
         out = Path(args.output) if args.output else Path(args.input).with_suffix(".cases.csv")
         report.write_cases_csv(out)

@@ -803,6 +803,8 @@ def _validate_thm2b(cfg: ExperimentConfig) -> WeightScheme:
 def _validate_corollaries(cfg: ExperimentConfig) -> tuple[int, ...]:
     """Check the config and return its support levels, ``2 .. m-2``."""
     problems = _shared_problems(cfg, "corollaries")
+    if len(cfg.p_list) > 1:
+        problems.append(f"'p_list' holds {len(cfg.p_list)} exponents; the corollaries run one")
     m, levels = cfg.resolution, ()
     if m is None or not 6 <= m <= MAX_RESOLUTION:
         problems.append(f"'resolution' must be an integer in [6, {MAX_RESOLUTION}]")
@@ -994,14 +996,8 @@ _COROLLARY_EXPECT_STABLE = (
 _COROLLARY_EXPECT_GROWTH = ("unbounded-spread-unit",)
 
 
-def corollary_suite(
-    m: int,
-    p: PExponent | str,
-    trials: int = 60,
-    seed: int = 0,
-    jobs: int = 1,
-) -> ExperimentReport:
-    """Weak-type trends for the derived operators.
+def corollary_suite(cfg: ExperimentConfig) -> ExperimentReport:
+    """Weak-type trends for the derived operators, at one exponent.
 
     Each special-case operator runs over random atoms at the support levels
     ``2 .. m-2``.  Restricted operators with bounded bit spread (or the
@@ -1010,9 +1006,8 @@ def corollary_suite(
     with the weaker, lower-exponent damping, and the report records which
     variant is stable without declaring a verdict on it.
     """
-    cfg = ExperimentConfig(p_list=(str(PExponent.parse(p)),), resolution=m, trials=trials, seed=seed, jobs=jobs)
     levels = _validate_corollaries(cfg)
-    [p_str], m = cfg.p_list, cfg.resolution
+    p_str, m = str(PExponent.parse(cfg.p_list[0])), cfg.resolution
 
     ops = _corollary_operators(m, PExponent.parse(p_str))
     tasks = [(p_str, lv, m, cfg.seed, range(cfg.trials)) for lv in levels]

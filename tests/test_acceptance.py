@@ -276,7 +276,10 @@ def test_criterion_9_determinism():
             ExperimentConfig(p_list=("1/2",), resolution=9, scales=(4, 5, 6))
         ),
     )
-    ok &= twice("corollaries", lambda: corollary_suite(8, "1/2", trials=6, seed=5))
+    ok &= twice(
+        "corollaries",
+        lambda: corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=8, trials=6, seed=5)),
+    )
     detail = ", ".join(f"{label}={'ok' if same else 'DIFFERS'}" for label, same in runs)
     _report(9, bool(ok), f"byte-identical reruns: {detail}")
     assert ok

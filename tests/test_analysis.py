@@ -76,6 +76,19 @@ def test_lp_of_constant_is_its_magnitude():
     f = DyadicFunction.constant(4, Fraction(-5, 2), "exact")
     assert lp_quasinorm(f, Fraction(1, 3)) == Fraction(5, 2)
     assert lp_quasinorm(f, 1) == Fraction(5, 2)
+    assert lp_quasinorm(DyadicFunction.constant(4, -2.5), 1) == 2.5
+    assert lp_quasinorm(DyadicFunction.zeros(3, "exact"), Fraction(1, 2)) == 0
+
+
+def test_float_norms_past_the_float64_range_raise():
+    # A power (1e200 ** 2) or a sum (1.7e308 + 1.7e308) past the float64
+    # range is an error naming the exponent, never inf, a warning or an OverflowError.
+    for norm in (lp_quasinorm, hardy_quasinorm):
+        with pytest.raises(ValueError, match="L_2 quasi-norm of this function overflows float64"):
+            norm(DyadicFunction.from_values(1, [1e200, 1.0]), 2)
+    with pytest.raises(ValueError, match="L_1 quasi-norm of this function overflows float64"):
+        lp_quasinorm(DyadicFunction.from_values(1, [1.7e308, 1.7e308]), 1)
+    assert lp_quasinorm(DyadicFunction.from_values(1, [1.7e308, 0.0]), 1) == 1.7e308 / 2
 
 
 def test_lp_example_d3():
@@ -477,8 +490,9 @@ def _haar_atom(level, m, p):
 
 def test_validate_haar_atom_passes_exactly():
     p = PExponent.parse("1/2")
-    rep = validate_atom(_haar_atom(2, 5, p))
-    assert rep.passed and rep.worst_violation == 0.0
+    for level in (0, 2):  # level 0 supports the whole group, so nothing lies outside
+        rep = validate_atom(_haar_atom(level, 5, p))
+        assert rep.passed and rep.worst_violation == 0.0
 
 
 def test_validate_rejects_nonzero_mean():

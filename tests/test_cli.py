@@ -71,9 +71,10 @@ def test_kernel_out_of_range(capsys):
     assert main(["kernel", "9", "--resolution", "2"]) == 2
     assert main(["kernel", "3", "--resolution", "30"]) == 2
     capsys.readouterr()
-    assert main(["kernel", "6", "--resolution", "4", "--construction", "dyadic"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "needs a power-of-two order" in captured.err
+    for n in ("6", "0"):
+        assert main(["kernel", n, "--resolution", "4", "--construction", "dyadic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "needs a power-of-two order" in captured.err
 
 
 def test_transform_roundtrip(tmp_path, capsys):
@@ -242,6 +243,12 @@ def test_report_rendering(tmp_path, capsys):
     assert (tmp_path / "g.tsv").read_text().splitlines()[0] == "n\tratio"
     assert main(["report", str(src), "--format", "tsv"]) == 2  # missing keys
     capsys.readouterr()
+    # --x and --y name TSV columns, so CSV output refuses them rather than ignore them.
+    for flags in (["--x", "n", "--y", "ratio"], ["--x", "n"], ["--y", "ratio"]):
+        stray = tmp_path / "stray.csv"
+        assert main(["report", str(src), "--format", "csv", *flags, "--output", str(stray)]) == 2
+        assert "only apply to --format tsv" in capsys.readouterr().err and not stray.exists()
+    capsys.readouterr()
     typo = tmp_path / "typo.tsv"
     assert main(["report", str(src), "--format", "tsv", "--x", "n", "--y", "raito", "--output", str(typo)]) == 2
     assert "'raito'" in capsys.readouterr().err and not typo.exists()
@@ -334,7 +341,7 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
          "'seed' must be an integer in [0, 2^64)"),
         ({**_THM1_CFG, "extra_resolution": 0}, ["thm1"], "'extra_resolution' must be an integer >= 1"),
         # The corollaries run one exponent, so a second is an error, never dropped.
-        (None, ["corollaries", "--p", "1/2", "--p", "1/3", "--resolution", "8", "--trials", "1"], "--p"),
+        (None, ["corollaries", "--p", "1/2", "--p", "1/3", "--resolution", "8", "--trials", "1"], "'p_list'"),
         # So is a repeated probe, which would run one case twice.
         (None, ["thm2", "--part", "b", "--resolution", "8", "--probes", "4:0,4:0"], "'probes'"),
     ],

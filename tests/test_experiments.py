@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -35,8 +36,8 @@ from walshlab.operators import (
     weak_type_constant,
     weighted_maximal,
 )
-from walshlab.reporting import load_report
-from walshlab.spectral import dirichlet_dyadic, partial_sum
+from walshlab.reporting import load_report, plain
+from walshlab.spectral import dirichlet_dyadic, index_stats, partial_sum
 
 
 # -- config ---------------------------------------------------------------------
@@ -369,7 +370,7 @@ def test_summaries_equal_the_cases_filtered_by_cell():
         assert stats["max_wt_off_by_level"] == [max(c["wt_off_value"] for c in cell(p_str, lv)) for lv in levels]
         assert stats["shell_constant"] == max(c["shell_constant"] for c in rep.cases if c["p"] == p_str)
 
-    cor = corollary_suite(8, "1/2", trials=3, seed=4)
+    cor = corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=8, trials=3, seed=4))
     for op_name, trend in cor.summary["trends"].items():
         maxima = [max(c[op_name] for c in cor.cases if c["M"] == lv) for lv in cor.summary["levels"]]
         assert trend["max_by_level"] == maxima
@@ -664,7 +665,7 @@ def test_theorem2b_cases_do_not_depend_on_resolution():
 
 
 def test_corollary_suite_verdicts():
-    rep = corollary_suite(8, "1/2", trials=9, seed=3)
+    rep = corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=8, trials=9, seed=3))
     assert rep.verdict
     trends = rep.summary["trends"]
     assert trends["dyadic-orders-unit"]["stable"]
@@ -773,7 +774,7 @@ def test_atom_experiments_run_no_grid_engine(monkeypatch):
     # A cell's level sets come from its one level pass, never from a grid's values.
     monkeypatch.setattr(analysis.LevelSet, "of", refuse)
     assert theorem1_weak_type(_small_thm1_cfg(trials=3)).verdict
-    assert len(corollary_suite(7, "1/2", trials=2, seed=1).cases) == 8
+    assert len(corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=7, trials=2, seed=1)).cases) == 8
 
 
 @pytest.mark.parametrize("trials", [1, 4, 7])
@@ -828,7 +829,7 @@ def test_corollary_suite_builds_its_operators_once(monkeypatch):
     calls = []
     build = experiments._corollary_operators
     monkeypatch.setattr(experiments, "_corollary_operators", lambda *a: calls.append(a) or build(*a))
-    rep = corollary_suite(7, "1/2", trials=2, seed=1)
+    rep = corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=7, trials=2, seed=1))
     assert calls == [(7, PExponent.parse("1/2"))]
     assert len(rep.cases) == 8
 
@@ -836,7 +837,7 @@ def test_corollary_suite_builds_its_operators_once(monkeypatch):
 def test_corollary_suite_records_its_config():
     # The report's config is built from the checked ExperimentConfig and
     # records the derived levels and the trend gates, not the contract's fields.
-    rep = corollary_suite(7, "1/2", trials=2, seed=1)
+    rep = corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=7, trials=2, seed=1))
     assert rep.config == {
         "resolution": 7,
         "p": "1/2",
@@ -848,32 +849,41 @@ def test_corollary_suite_records_its_config():
         "growth_floor": 1.7,
     }
     assert rep.name == "corollary-suite" and EXPERIMENTS["corollaries"].series is None
+    # The recorded exponent is normalized, however it is spelled.
+    rep = corollary_suite(ExperimentConfig(p_list=("0.5",), resolution=7, trials=1, seed=1))
+    assert rep.config["p"] == "1/2" and {c["p"] for c in rep.cases} == {"1/2"}
 
 
 def test_corollary_suite_validation():
     with pytest.raises(ValueError, match=r"'resolution' must be an integer in \[6, 24\]"):
-        corollary_suite(5, "1/2")
+        corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=5))
     with pytest.raises(ValueError, match=r"'p_list' entry 1 must lie in \(0, 1\)"):
-        corollary_suite(8, "1")
+        corollary_suite(ExperimentConfig(p_list=("1",), resolution=8))
     with pytest.raises(ValueError, match="'trials' must be an integer >= 1"):
-        corollary_suite(8, "1/2", trials=0)
+        corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=8, trials=0))
+    # The corollaries run one exponent, so a second is an error, never dropped.
+    with pytest.raises(ConfigError, match="'p_list' holds 2 exponents; the corollaries run one"):
+        corollary_suite(ExperimentConfig(p_list=("1/2", "1/3"), resolution=8, trials=1))
+    # The levels are derived from the resolution, so a set support_levels is refused.
+    with pytest.raises(ConfigError, match="field 'support_levels' is not read by corollaries"):
+        corollary_suite(ExperimentConfig(p_list=("1/2",), support_levels=(2, 3), resolution=8, trials=1))
     # Three levels put the middle one in both two-level end windows, so the
     # growth check cannot pass: m = 6 has only the levels 2, 3, 4.
     with pytest.raises(ValueError, match="hold level 3"):
-        corollary_suite(6, "1/2")
+        corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=6))
     with pytest.raises(ValueError, match="'jobs' must be an integer >= 1"):
-        corollary_suite(8, "1/2", trials=1, jobs=0)
+        corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=8, trials=1, jobs=0))
     # Non-integer counts are input errors, not a TypeError deep in the run;
     # a bool is no count, so True does not run one trial.
     for kwargs, bound in (({"trials": "5"}, ">= 1"), ({"trials": 2.0}, ">= 1"), ({"trials": True}, ">= 1"),
                           ({"seed": 1.5}, r"in \[0, 2\^64\)"), ({"jobs": "2"}, ">= 1")):
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=f"'{name}' must be an integer {bound}"):
-            corollary_suite(8, "1/2", **{"trials": 1, **kwargs})
+            corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=8, **{"trials": 1, **kwargs}))
     # Trial seeds are masked to 64 bits, so a seed outside [0, 2^64) would repeat another's cases.
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match=r"'seed' must be an integer in \[0, 2\^64\)"):
-            corollary_suite(8, "1/2", trials=1, seed=seed)
+            corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=8, trials=1, seed=seed))
 
 
 def test_thm1_rejects_jobs_below_one():
@@ -909,6 +919,13 @@ def test_report_files_roundtrip(tmp_path):
     assert len(lines) == 1 + len(rep.cases)
 
 
+def test_plain_converts_report_values():
+    value = {"ok": np.bool_(True), "x": Fraction(3, 4), "n": np.int64(2), "stats": index_stats(5)}
+    assert plain(value) == {"ok": True, "x": "3/4", "n": 2, "stats": index_stats(5).to_json_dict()}
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        plain({1, 2})
+
+
 def test_series_tsv(tmp_path):
     cfg = ExperimentConfig(p_list=("1/2",), resolution=8, scales=(3, 4, 5))
     rep = theorem2_growth(cfg)
@@ -925,6 +942,6 @@ def test_reports_byte_identical_across_runs(tmp_path):
         lambda: theorem2_growth(
             ExperimentConfig(p_list=("1/2",), resolution=8, scales=(3, 4, 5))
         ),
-        lambda: corollary_suite(8, "1/2", trials=5, seed=9),
+        lambda: corollary_suite(ExperimentConfig(p_list=("1/2",), resolution=8, trials=5, seed=9)),
     ):
         assert build().to_json() == build().to_json()

@@ -79,6 +79,7 @@ def test_translate_is_xor():
     g = translate(f, 5)
     assert g.values.tolist() == [idx ^ 5 for idx in range(8)]
     assert values_equal(translate(g, GroupPoint(3, 5)), f)
+    assert not values_equal(f, DyadicFunction.from_values(2, range(4), "exact"))  # two shapes
 
 
 def test_translate_range_check():

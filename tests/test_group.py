@@ -86,6 +86,7 @@ def test_interval_matches_membership_oracle():
 def test_interval_example_idx5():
     iv = interval(GroupPoint(3, 5), 2)
     assert list(iv.indices()) == [4, 5]
+    assert iv.base == GroupPoint(3, 4) and str(iv) == "I_2(4)@m=3"
     assert iv.measure == Fraction(1, 4)
 
 
