@@ -258,48 +258,37 @@ def _weak_lp(levels: LevelSet, pv: Union[Fraction, float], exact: bool):
 
 
 def _maximal_numerators(f: DyadicFunction) -> tuple[Callable[[int, int], np.ndarray], Scalar | None]:
-    """The maximal function of ``f`` as ``(cells, unit)``: ``cells`` reads its numerators as :func:`_pyramid` does.
-
-    ``unit`` is as ``functions._numerators`` gives it.  Exact mode runs on
-    numerators pre-scaled by ``2^m``, each pair sum at most twice the
-    largest entry.
-    """
-    values, unit = _numerators(f.values, 1, shift=f.m)
-    return _pyramid(values, f.m)[0], unit
-
-
-def _pyramid(values: np.ndarray, m: int) -> tuple[Callable[[int, int], np.ndarray], np.ndarray]:
-    """The maximal function of the ``2^m`` values on the last axis of ``values``, and their mean.
+    """The maximal function of ``f`` as ``(cells, unit)``: ``cells(start, stop)`` reads its numerators ``start:stop`` (both even).
 
     The averages are built fine to coarse by halved pair sums, then the
     running max of their magnitudes is carried coarse to fine in place,
-    down to the pairs of cells.  The maximal function comes back as
-    ``cells(start, stop)``, its entries ``start:stop`` (both even): that
-    max set against ``|values|`` on those cells alone, so a caller that
-    reads it a chunk at a time never holds all of it.  The mean is the
-    coarsest average, with a last axis of length 1; leading axes carry
-    through.  ``m >= 1``.
+    down to the pairs of cells.  ``cells`` sets that max against ``|f|`` on
+    its own cells alone, so a caller that reads a chunk at a time never
+    holds all of it.  ``unit`` is as ``functions._numerators`` gives it.
+    Exact mode runs on numerators pre-scaled by ``2^m``, each pair sum at
+    most twice the largest entry.
     """
+    values, unit = _numerators(f.values, 1, shift=f.m)
     averages = []
     cur = values
-    for _ in range(m):
-        cur = cur[..., 0::2] + cur[..., 1::2]
+    for _ in range(f.m):
+        cur = cur[0::2] + cur[1::2]
         _halve(cur)
         averages.append(cur)
     best = np.abs(cur)
     for level in reversed(averages[:-1]):
         np.abs(level, out=level)
-        pairs = level.reshape(*level.shape[:-1], -1, 2)
-        np.maximum(pairs, best[..., None], out=pairs)
+        pairs = level.reshape(-1, 2)
+        np.maximum(pairs, best[:, None], out=pairs)
         best = level
 
     def cells(start: int, stop: int) -> np.ndarray:
-        out = np.abs(values[..., start:stop])
-        pairs = out.reshape(*out.shape[:-1], -1, 2)
-        np.maximum(pairs, best[..., start // 2 : stop // 2, None], out=pairs)
+        out = np.abs(values[start:stop])
+        pairs = out.reshape(-1, 2)
+        np.maximum(pairs, best[start // 2 : stop // 2, None], out=pairs)
         return out
 
-    return cells, cur
+    return cells, unit
 
 
 def maximal_function(f: DyadicFunction) -> DyadicFunction:
@@ -309,7 +298,7 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
     point, which coincides with the 2^k-th spectral partial sum; the sup
     runs over ``k = 0 .. m`` and dominates ``|f|``.  The averages are built
     fine to coarse, then the running max is carried coarse to fine in
-    place (:func:`_pyramid`): O(2^m) in all.  Exact mode returns
+    place (:func:`_maximal_numerators`): O(2^m) in all.  Exact mode returns
     ``Fraction`` values.
     """
     cells, unit = _maximal_numerators(f)
@@ -327,19 +316,23 @@ def hardy_quasinorm(f: DyadicFunction, p: ExponentLike):
     return _lp(*_maximal_numerators(f), f.size, p)
 
 
-def _atom_hardy(cells: np.ndarray, level: int, m: int, p: ExponentLike) -> list[float]:
-    """``hardy_quasinorm`` at resolution ``m`` of float64 functions on ``I_level(0)``, one per row of their ``2^(m - level)`` cells.
+def _atom_hardy(packets: list[np.ndarray], level: int, m: int, p: ExponentLike) -> list[float]:
+    """``hardy_quasinorm`` at resolution ``m`` of float64 functions on ``I_level(0)``, one per row of their cells' ``packets``.
 
-    Off ``I_level(0)`` the maximal function reads only averages over the
-    intervals that hold it: on shell ``s < level`` it is ``|t| 2^(s - level)``
-    on ``2^(m - s - 1)`` points, ``t`` the cells' mean as the halved pair
-    sums round it (0 whenever those sums are exact).  A power-of-two count
-    scales a term exactly, so one ``fsum`` per row gives the grid's sum.
+    ``packets`` is the ``_packet_table`` of the ``2^(m - level)`` cells, and
+    its ``Q = {}`` rows are their dyadic averages.  Off ``I_level(0)`` the
+    maximal function reads only averages over the intervals that hold it:
+    on shell ``s < level`` it is ``|t| 2^(s - level)`` on ``2^(m - s - 1)``
+    points, ``t`` the cells' mean as the halved pair sums round it (0
+    whenever those sums are exact).  A power-of-two count scales a term
+    exactly, so one ``fsum`` per row gives the grid's sum.
     """
     pw = float(_exponent_value(p))
-    maximal, mean = _pyramid(cells, m - level)
-    best = maximal(0, cells.shape[-1])
-    shells = np.ldexp(np.abs(mean), np.arange(level) - level)
+    mean = np.abs(packets[0][..., 0, :])
+    best = mean
+    for table in packets[1:]:
+        best = np.maximum(np.abs(table[..., 0, :]), best.repeat(2, axis=-1))
+    shells = np.ldexp(mean, np.arange(level) - level)
     terms = np.concatenate([best, shells], axis=-1) ** pw
     terms[..., best.shape[-1] :] *= _shell_counts(level, m)
     return [(math.fsum(row) / (1 << m)) ** (1.0 / pw) for row in terms.tolist()]

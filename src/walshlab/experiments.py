@@ -511,17 +511,16 @@ _CELL_BUDGET = 1 << 16
 def _trial_atoms(p_str: str, level: int, m: int, seed: int, trials: range) -> Iterator[tuple]:
     """``trials`` in order, a chunk of at most ``_CELL_BUDGET`` elements (one trial at least) at a time.
 
-    Per chunk: its trials, their generators, their float64 atoms on the
-    ``2^(m - level)`` cells of ``I_level(0)`` at resolution ``m``, one row
-    each, and those rows' packet table.
+    Per chunk: its trials, their generators, and the packet table of their
+    float64 atoms on the ``2^(m - level)`` cells of ``I_level(0)`` at
+    resolution ``m``, one row each.
     """
     p = PExponent.parse(p_str)
     per = max(1, _CELL_BUDGET // (m << (m - level)))
     for start in range(0, len(trials), per):
         chunk = trials[start : start + per]
         recipes = [AtomRecipe(level, 0, p, GENERATORS[t % len(GENERATORS)], _trial_seed(seed, t)) for t in chunk]
-        cells = _atom_cells(recipes, m)
-        yield chunk, [r.generator for r in recipes], cells, _packet_table(cells, m - level)
+        yield chunk, [r.generator for r in recipes], _packet_table(_atom_cells(recipes, m), m - level)
 
 
 def _thm1_cell(args: tuple) -> list[dict]:
@@ -537,7 +536,7 @@ def _thm1_cell(args: tuple) -> list[dict]:
     weights = _spread_weights(scheme, m, False)
     counts = np.concatenate([_shell_counts(level, m), np.ones(1 << (m - level), np.int64)])
     cases = []
-    for chunk, generators, cells, packets in _trial_atoms(p_str, level, m, seed, trials):
+    for chunk, generators, packets in _trial_atoms(p_str, level, m, seed, trials):
         [shells] = _atom_maximal(packets, level, [(None, scheme)])
         # Each row's values on the whole group, and a copy off the support,
         # where the support's cells carry 0: one level pass takes both.
@@ -545,7 +544,7 @@ def _thm1_cell(args: tuple) -> list[dict]:
         rows[..., :level] = shells
         rows[1, :, level:] = _spread_recursion(packets, level, np.divide, weights)
         sets = _level_sets(rows, counts, 1 << m)
-        hardy = _atom_hardy(cells, level, m, p)
+        hardy = _atom_hardy(packets, level, m, p)
         for trial, generator, *measured in zip(chunk, generators, shells.tolist(), sets, sets[len(chunk) :], hardy):
             case = {"p": p_str, "M": level, "trial": trial, "generator": generator}
             case.update(_thm1_measures(p, level, *measured))
@@ -788,6 +787,9 @@ def _validate_thm2b(cfg: ExperimentConfig) -> WeightScheme:
         problems += _scale_problems([*cfg.scales, *(n for n, _ in cfg.probes or ())], cfg.resolution)
     if bool(cfg.scales) == bool(cfg.probes):
         problems.append("exactly one of 'scales' and 'probes' must be given")
+    for name, given in (("scales", cfg.scales), ("probes", cfg.probes or ())):
+        if len(given) == 1:
+            problems.append(f"'{name}' needs two entries to compare their growth")
     for n, s in cfg.probes or ():
         if not 0 <= s < n:
             problems.append(f"probe ({n}, {s}) needs 0 <= s < n")
@@ -975,7 +977,7 @@ def _corollary_cell(ops: dict, args: tuple) -> list[dict]:
     pw = float(PExponent.parse(p_str).p)
     counts = _shell_counts(level, m)
     rows = []
-    for chunk, generators, _, packets in _trial_atoms(p_str, level, m, seed, trials):
+    for chunk, generators, packets in _trial_atoms(p_str, level, m, seed, trials):
         # One level pass for every operator's rows, operator-major.
         sets = _level_sets(np.stack(_atom_maximal(packets, level, ops.values())), counts, 1 << m)
         for i, (trial, generator) in enumerate(zip(chunk, generators)):

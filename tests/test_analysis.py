@@ -16,8 +16,9 @@ from walshlab.analysis import (
     hardy_quasinorm,
     lp_quasinorm,
     maximal_function,
+    _atom_hardy,
     _level_sets,
-    _pyramid,
+    _maximal_numerators,
     _weak_lp,
     validate_atom,
     weak_lp_quasinorm,
@@ -25,7 +26,7 @@ from walshlab.analysis import (
 from walshlab.constructions import counterexample_fn
 from walshlab.functions import DyadicFunction
 from walshlab.group import GroupPoint, interval
-from walshlab.operators import _weak_type, weak_type_constant
+from walshlab.operators import _packet_table, _weak_type, weak_type_constant
 from walshlab.spectral import dirichlet_direct, dirichlet_dyadic, walsh
 
 from oracles import block_average_maximal, interval_average_maximal, lp_by_definition, weak_lp_by_definition
@@ -385,22 +386,36 @@ def test_block_average_oracle_is_the_interval_average_oracle():
         assert block_average_maximal(vals, m).tolist() == interval_average_maximal(vals, m)
 
 
-def test_pyramid_rows_match_the_one_row_engine():
+def test_atom_hardy_and_the_maximal_reader_match_the_grid():
+    # The packet table's Q = {} rows are the cells' dyadic averages, so the
+    # Hardy norm read off them is the grid's, bit for bit. A nonzero mean
+    # puts a term on every shell off the support.
+    rng = np.random.default_rng(44)
+    for e in range(1, 9):
+        gaussian = rng.standard_normal((3, 1 << e))
+        dyadic = rng.integers(-64, 65, (3, 1 << e)) / 8.0 + 0.25
+        for cells in (gaussian, dyadic):
+            packets = _packet_table(cells, e)
+            before = [table.copy() for table in packets]
+            for level in (1, 3, 6):
+                for p in (Fraction(1, 4), Fraction(1, 2), 0.75):
+                    m = level + e
+                    grid = np.zeros((3, 1 << m))
+                    grid[:, : 1 << e] = cells
+                    expected = [hardy_quasinorm(DyadicFunction(m, row, "float64"), p) for row in grid]
+                    assert _atom_hardy(packets, level, m, p) == expected
+            assert all(np.array_equal(table, old) for table, old in zip(packets, before))
+    # On the grid the maximal function read in chunks is the whole read.
     m = 6
-    rows = np.random.default_rng(44).standard_normal((3, 1 << m))
-    before = rows.copy()
-    cells, mean = _pyramid(rows, m)
-    whole = cells(0, 1 << m)
-    assert np.array_equal(rows, before)
-    assert whole.shape == rows.shape and mean.shape == (3, 1)
-    assert np.array_equal(np.concatenate([cells(i, i + 16) for i in range(0, 1 << m, 16)], axis=-1), whole)
-    for row, got in zip(rows, whole):
-        assert got.tobytes() == maximal_function(DyadicFunction(m, row.copy(), "float64")).values.tobytes()
-    # On dyadic rows the halved pair sums are exact, so the mean is each row's exact mean.
-    dyadic = np.random.default_rng(45).integers(-64, 65, (3, 1 << m)) / 8.0
-    cells, mean = _pyramid(dyadic, m)
-    assert mean[:, 0].tolist() == [math.fsum(row) / (1 << m) for row in dyadic.tolist()]
-    assert cells(0, 1 << m).tolist() == [block_average_maximal(row, m).tolist() for row in dyadic]
+    dyadic = np.random.default_rng(45).integers(-64, 65, 1 << m) / 8.0
+    for values in (np.random.default_rng(46).standard_normal(1 << m), dyadic):
+        f = DyadicFunction(m, values.copy(), "float64")
+        cells, _ = _maximal_numerators(f)
+        whole = cells(0, 1 << m)
+        assert np.array_equal(f.values, values)
+        assert np.array_equal(np.concatenate([cells(i, i + 16) for i in range(0, 1 << m, 16)]), whole)
+        assert whole.tobytes() == maximal_function(f).values.tobytes()
+    assert whole.tolist() == block_average_maximal(dyadic, m).tolist()
 
 
 # -- float norms at large resolutions -------------------------------------------------

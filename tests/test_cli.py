@@ -197,7 +197,7 @@ def test_weight_overflow_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "overflows float64" in err and "Traceback" not in err
     cfg = tmp_path / "poly.json"
-    cfg.write_text(json.dumps({"p_list": ["1/2"], "resolution": 12, "scales": [11],
+    cfg.write_text(json.dumps({"p_list": ["1/2"], "resolution": 12, "scales": [10, 11],
                                "scheme": {"kind": "poly", "p": "1/100"}}))
     assert main(["thm2", "--part", "b", "--config", str(cfg),
                  "--output", str(tmp_path / "b.json")]) == 2
@@ -207,7 +207,7 @@ def test_weight_overflow_is_usage_error(tmp_path, capsys):
     for argv, named in (
         (["corollaries", "--resolution", "12", "--p", "1/100", "--trials", "1"], "weight at order 2049 overflows"),
         (["thm2", "--part", "b", "--p", "1/200", "--resolution", "8"], "weight at scale 6, bit 0 overflows"),
-        (["thm2", "--part", "b", "--p", "1/200", "--resolution", "8", "--probes", "7:0"],
+        (["thm2", "--part", "b", "--p", "1/200", "--resolution", "8", "--probes", "7:0,7:1"],
          "quasi-norm of f_7 underflows"),
     ):
         assert main([*argv, "--output", str(tmp_path / "r.json")]) == 2
@@ -344,6 +344,9 @@ _THM2B_CFG = {"p_list": ["1/2"], "resolution": 8, "scales": [4, 5]}
         (None, ["corollaries", "--p", "1/2", "--p", "1/3", "--resolution", "8", "--trials", "1"], "'p_list'"),
         # So is a repeated probe, which would run one case twice.
         (None, ["thm2", "--part", "b", "--resolution", "8", "--probes", "4:0,4:0"], "'probes'"),
+        # One thm2b scale or probe leaves no growth factor to check.
+        (None, ["thm2", "--part", "b", "--resolution", "8", "--scales", "5"], "'scales' needs two entries"),
+        (None, ["thm2", "--part", "b", "--resolution", "8", "--probes", "5:0"], "'probes' needs two entries"),
     ],
 )
 def test_unread_fields_and_flags_exit_2(tmp_path, capsys, config, argv, named):

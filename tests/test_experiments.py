@@ -537,6 +537,12 @@ def test_theorem2b_validation():
         )
     with pytest.raises(ConfigError, match="'resolution' must be an integer >= 3"):
         theorem2_weak_divergence(ExperimentConfig(p_list=("1/2",), resolution=2, scales=(1,)))
+    # One scale or one probe leaves no growth factor to check.
+    with pytest.raises(ConfigError, match="'scales' needs two entries"):
+        theorem2_weak_divergence(ExperimentConfig(p_list=("1/2",), resolution=8, scales=(5,)))
+    with pytest.raises(ConfigError, match="'probes' needs two entries"):
+        theorem2_weak_divergence(ExperimentConfig(p_list=("1/2",), resolution=8, probes=((5, 0),)))
+    EXPERIMENTS["thm2b"].validate(ExperimentConfig(p_list=("1/2",), resolution=8, probes=((7, 0), (7, 1))))
 
 
 @pytest.mark.parametrize(
@@ -566,7 +572,7 @@ def test_thm2_scales_may_reach_the_group_cap():
     # resolution only caps the scales, so one past the group's cap is allowed
     # while every scale runs within it.
     EXPERIMENTS["thm2a"].validate(ExperimentConfig(p_list=("1/2",), resolution=30, scales=(3, 23)))
-    EXPERIMENTS["thm2b"].validate(ExperimentConfig(p_list=("1/2",), resolution=30, probes=((23, 0),)))
+    EXPERIMENTS["thm2b"].validate(ExperimentConfig(p_list=("1/2",), resolution=30, probes=((22, 0), (23, 0))))
 
 
 def test_theorem2_runs_without_the_transform(monkeypatch):
